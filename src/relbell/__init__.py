@@ -21,7 +21,6 @@ from .correlator import (
     CorrelatorEstimate,
     correlator_integrand,
     correlator_mc,
-    correlator_mixed,
     correlator_sharp,
     kernel_from_beta,
 )
@@ -39,7 +38,6 @@ from .ekert import (
     ProtocolTranscript,
     bell_test,
     run_protocol,
-    sample_pair_outcomes,
     verdict,
 )
 from .errors import DegenerateObservableError, DomainError, UndersampledTestError
@@ -91,14 +89,12 @@ __all__ = [
     "corrected_threshold",
     "correlator_integrand",
     "correlator_mc",
-    "correlator_mixed",
     "correlator_sharp",
     "kernel_from_beta",
     "minkowski_dot",
     "momentum_for_beta",
     "pl_eigenvalue",
     "run_protocol",
-    "sample_pair_outcomes",
     "scan_figure",
     "spin_observable",
     "verdict",

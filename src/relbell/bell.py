@@ -22,13 +22,15 @@ import numpy as np
 from .correlator import (
     DEFAULT_CHUNK_SIZE,
     CorrelatorEstimate,
+    _kernel_matrix,
     _mc_means,
+    _nondegenerate,
     _rejection_warning,
-    correlator_sharp,
+    _shared_velocity,
     kernel_from_beta,
 )
 from .distributions import MomentumDistribution, Sharp
-from .kinematics import _as_triple
+from .kinematics import ParticleKinematics, _as_triple
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -77,23 +79,24 @@ DEFAULT_CONFIG = BellConfig(
 _CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
 
 
+def _sides(config: BellConfig):
+    """Alice's and Bob's axes; their row-major product is ``axis_pairs``."""
+    return (config.a, config.a_prime), (config.b, config.b_prime)
+
+
 def chsh_from_beta(config: BellConfig, beta1, beta2) -> np.ndarray:
     """Vectorized Bell average from velocity arrays of shape (..., 3)."""
-    terms = [
-        sign * kernel_from_beta(a_dir, b_dir, beta1, beta2)
-        for sign, (a_dir, b_dir) in zip(_CHSH_SIGNS, config.axis_pairs)
-    ]
-    return terms[0] + terms[1] + terms[2] + terms[3]
+    k = _nondegenerate(*_kernel_matrix(*_sides(config), beta1, beta2))
+    return ((k[0, 0] + k[0, 1]) + k[1, 0]) - k[1, 1]
 
 
 def bell_average_sharp(config: BellConfig, beta_vec, mass: float = 1.0) -> float:
-    """Bell average when both particles share the velocity ``beta_vec``."""
-    return float(
-        sum(
-            sign * correlator_sharp(a_dir, b_dir, beta_vec, mass)
-            for sign, (a_dir, b_dir) in zip(_CHSH_SIGNS, config.axis_pairs)
-        )
-    )
+    """Bell average when both particles share the velocity ``beta_vec``.
+
+    ``mass`` does not enter the value; requires |beta| < 1.
+    """
+    beta = _shared_velocity(beta_vec)
+    return float(chsh_from_beta(config, beta, beta))
 
 
 def bell_average_mc(
@@ -114,16 +117,14 @@ def bell_average_mc(
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {samples}")
     if isinstance(dist, Sharp):
-        kin_beta = np.array(dist.momentum) / math.sqrt(
-            dist.mass**2 + sum(c * c for c in dist.momentum)
-        )
+        beta = ParticleKinematics(dist.mass, dist.momentum).beta_vec
         return CorrelatorEstimate(
-            value=float(chsh_from_beta(config, kin_beta, kin_beta)),
+            value=float(chsh_from_beta(config, beta, beta)),
             standard_error=0.0,
             samples=samples,
         )
     means, errors, rejected = _mc_means(
-        config.axis_pairs, dist, samples, seed, chunk_size, workers
+        _sides(config), dist, samples, seed, chunk_size, workers
     )
     return CorrelatorEstimate(
         value=float(np.dot(_CHSH_SIGNS, means)),
@@ -209,11 +210,6 @@ _FIG6_B = np.array([-0.5, -0.5, _S])
 _FIG3_BETAS = (0.95, 0.99)
 
 
-def _grid(config, beta_vecs) -> np.ndarray:
-    c = chsh_from_beta(config, beta_vecs, beta_vecs)
-    return c
-
-
 def scan_figure(
     figure: int,
     resolution: int,
@@ -259,14 +255,14 @@ def scan_figure(
     if figure == 1:
         bb, pp = [g.ravel() for g in np.meshgrid(betas, phis, indexing="ij")]
         vecs = bb[:, None] * np.stack([np.cos(pp), np.sin(pp), np.zeros_like(pp)], axis=-1)
-        c = _grid(config, vecs)
+        c = chsh_from_beta(config, vecs, vecs)
         columns = ("beta", "phi", "c", "abs_c")
         rows = zip(bb, pp, c, np.abs(c))
         meta["beta_max"] = beta_max
     elif figure == 2:
         bb, tt = [g.ravel() for g in np.meshgrid(betas, thetas, indexing="ij")]
         vecs = bb[:, None] * np.stack([np.sin(tt), np.zeros_like(tt), np.cos(tt)], axis=-1)
-        c = _grid(config, vecs)
+        c = chsh_from_beta(config, vecs, vecs)
         columns = ("beta", "theta", "c", "abs_c")
         rows = zip(bb, tt, c, np.abs(c))
         meta["beta_max"] = beta_max
@@ -277,7 +273,7 @@ def scan_figure(
         vecs = bb[:, None] * np.stack(
             [np.cos(pp) * np.sin(tt), np.sin(pp) * np.sin(tt), np.cos(tt)], axis=-1
         )
-        c = _grid(config, vecs)
+        c = chsh_from_beta(config, vecs, vecs)
         columns = ("beta", "phi", "theta", "c", "abs_c")
         rows = zip(bb, pp, tt, c, np.abs(c))
         meta["betas"] = list(_FIG3_BETAS)
@@ -291,7 +287,7 @@ def scan_figure(
         meta["particle_1"] = "at rest"
     elif figure == 5:
         vecs = betas[:, None] * np.array([1.0, 0.0, 0.0])
-        c = _grid(config, vecs)
+        c = chsh_from_beta(config, vecs, vecs)
         columns = ("beta", "c", "abs_c")
         rows = zip(betas, c, np.abs(c))
         meta["beta_max"] = beta_max

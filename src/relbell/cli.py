@@ -352,23 +352,13 @@ def _validate(command: str, params: dict) -> None:
         raise UsageError(f"--samples must be >= 100, got {params['samples']}")
     if "workers" in params and params["workers"] < 1:
         raise UsageError(f"--workers must be >= 1, got {params['workers']}")
+    if "seed" in params and params["seed"] < 0:
+        raise UsageError(f"--seed must be >= 0, got {params['seed']}")
     if params.get("dist") in ("gaussian", "joint") and params.get("sigma") is None:
         raise UsageError(f"--dist {params['dist']} requires --sigma")
     if command == "protocol":
         if params["pairs"] < 1:
             raise UsageError(f"--pairs must be positive, got {params['pairs']}")
-        if not 0.0 < params["test_fraction"] < 1.0:
-            raise UsageError(
-                f"--test-fraction must be in (0, 1), got {params['test_fraction']}"
-            )
-        if not 0.0 < params["significance"] < 1.0:
-            raise UsageError(
-                f"--significance must be in (0, 1), got {params['significance']}"
-            )
-        if params["threshold_samples"] < 100:
-            raise UsageError(
-                f"--threshold-samples must be >= 100, got {params['threshold_samples']}"
-            )
         eve_p = params["eve_probability"]
         if eve_p is not None and not 0.0 <= eve_p <= 1.0:
             raise UsageError(f"--eve-probability must be in [0, 1], got {eve_p}")
@@ -508,27 +498,32 @@ def _cmd_threshold(params: dict) -> None:
 
 
 def _cmd_protocol(params: dict) -> None:
-    eve = None
-    if params["eve_probability"] is not None:
-        pool_flags = params["eve_pool"]
-        if pool_flags is None:
-            eve = InterceptResend(attack_probability=params["eve_probability"])
-        else:
-            eve = InterceptResend(
-                basis_pool=pool_flags, attack_probability=params["eve_probability"]
-            )
-    config = ProtocolConfig(
-        pair_count=params["pairs"],
-        distribution=_build_distribution(params),
-        seed=params["seed"],
-        bell=_bell_config(params),
-        key_axes=params["key_axes"],
-        eve=eve,
-        test_fraction=params["test_fraction"],
-        significance=params["significance"],
-        threshold_mode=params["threshold_mode"],
-        threshold_samples=params["threshold_samples"],
-    )
+    # the library constructors are the one source of truth for protocol
+    # inputs; what they reject is a usage error
+    try:
+        eve = None
+        if params["eve_probability"] is not None:
+            pool_flags = params["eve_pool"]
+            if pool_flags is None:
+                eve = InterceptResend(attack_probability=params["eve_probability"])
+            else:
+                eve = InterceptResend(
+                    basis_pool=pool_flags, attack_probability=params["eve_probability"]
+                )
+        config = ProtocolConfig(
+            pair_count=params["pairs"],
+            distribution=_build_distribution(params),
+            seed=params["seed"],
+            bell=_bell_config(params),
+            key_axes=params["key_axes"],
+            eve=eve,
+            test_fraction=params["test_fraction"],
+            significance=params["significance"],
+            threshold_mode=params["threshold_mode"],
+            threshold_samples=params["threshold_samples"],
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     transcript = run_protocol(config)
     print(json.dumps(transcript.summary(), sort_keys=True))
     if params["out"] is not None:
@@ -549,11 +544,10 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         config = parse_args(argv)
+        _COMMANDS[config.command](config.params)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        _COMMANDS[config.command](config.params)
     except Exception as exc:  # noqa: BLE001 - boundary: report and signal failure
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,6 @@ many worker threads evaluate the chunks.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -50,13 +49,48 @@ _MAX_RESAMPLE_SWEEPS = 100
 _DEGENERACY_TOL_SQ = DEGENERACY_TOL * DEGENERACY_TOL
 
 
-def _kernel_parts(a_dir, b_dir, beta1, beta2):
-    """Dot product and squared norms of the two effective axes."""
-    v1 = boosted_spin_axis(a_dir, beta1)
-    v2 = boosted_spin_axis(b_dir, beta2)
-    n1_sq = np.sum(v1 * v1, axis=-1)
-    n2_sq = np.sum(v2 * v2, axis=-1)
-    return np.sum(v1 * v2, axis=-1), n1_sq, n2_sq
+def _kernel_matrix(alice_dirs, bob_dirs, beta1, beta2):
+    """Singlet kernel for every (Alice, Bob) axis pair, with a degeneracy mask.
+
+    ``alice_dirs`` and ``bob_dirs`` are sequences of lab axes, each of shape
+    (3,) or (..., 3) for per-row axes; every axis is boosted once with its
+    side's velocity array.  Returns ``(kernels, degenerate)``: ``kernels``
+    has shape ``(len(alice_dirs), len(bob_dirs)) + rows``, with ``rows`` the
+    broadcast shape of the axes and velocities, and ``degenerate`` marks the
+    rows where any effective axis is shorter than ``DEGENERACY_TOL``.  The
+    kernels of those rows are meaningless; raising on them or resampling
+    them is the caller's policy.  Normalizing by one square root of the
+    product of squared norms makes the shared-axis case land on -1 exactly.
+    """
+    v1 = [boosted_spin_axis(a_dir, beta1) for a_dir in alice_dirs]
+    v2 = [boosted_spin_axis(b_dir, beta2) for b_dir in bob_dirs]
+    sq1 = [np.sum(v * v, axis=-1) for v in v1]
+    sq2 = [np.sum(v * v, axis=-1) for v in v2]
+    rows = np.broadcast_shapes(*(sq.shape for sq in sq1 + sq2))
+    degenerate = np.zeros(rows, dtype=bool)
+    for sq in sq1 + sq2:
+        degenerate |= sq < _DEGENERACY_TOL_SQ
+    kernels = np.empty((len(v1), len(v2)) + rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, (va, sa) in enumerate(zip(v1, sq1)):
+            for j, (vb, sb) in enumerate(zip(v2, sq2)):
+                # the Ellipsis keeps a 0-d row a writable view
+                out = kernels[i, j, ...]
+                np.divide(-np.sum(va * vb, axis=-1), np.sqrt(sa * sb), out=out)
+    return kernels, degenerate
+
+
+def _nondegenerate(kernels: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
+    """Raise on any degenerate row, else return the kernels.
+
+    Adding zero folds the -0.0 of orthogonal axes at rest into 0.0.
+    """
+    if np.any(degenerate):
+        raise DegenerateObservableError(
+            "an effective measurement axis vanished; the axis is transverse "
+            "to an ultra relativistic momentum"
+        )
+    return kernels + 0.0
 
 
 def kernel_from_beta(a_dir, b_dir, beta1, beta2) -> np.ndarray:
@@ -64,17 +98,9 @@ def kernel_from_beta(a_dir, b_dir, beta1, beta2) -> np.ndarray:
 
     Accepts arrays of shape (..., 3); degenerate rows raise.  Velocities
     with |beta| = 1 are allowed as a limit provided the axis keeps a
-    longitudinal component.  Normalizing by one square root of the product
-    of squared norms makes the shared-axis case land on -1 exactly.
+    longitudinal component.
     """
-    dot, n1_sq, n2_sq = _kernel_parts(a_dir, b_dir, beta1, beta2)
-    if np.any(n1_sq < _DEGENERACY_TOL_SQ) or np.any(n2_sq < _DEGENERACY_TOL_SQ):
-        raise DegenerateObservableError(
-            "an effective measurement axis vanished; the axis is transverse "
-            "to an ultra relativistic momentum"
-        )
-    # adding zero folds -0.0 into 0.0 for orthogonal axes at rest
-    return -dot / np.sqrt(n1_sq * n2_sq) + 0.0
+    return _nondegenerate(*_kernel_matrix((a_dir,), (b_dir,), beta1, beta2))[0, 0]
 
 
 def correlator_integrand(
@@ -84,6 +110,17 @@ def correlator_integrand(
     return float(kernel_from_beta(a_dir, b_dir, kin1.beta_vec, kin2.beta_vec))
 
 
+def _shared_velocity(beta_vec) -> np.ndarray:
+    """A velocity both particles share, checked for shape (3,) and |beta| < 1."""
+    b = np.asarray(beta_vec, dtype=float)
+    if b.shape != (3,):
+        raise ValueError(f"beta_vec must have shape (3,), got {b.shape}")
+    speed = float(np.linalg.norm(b))
+    if speed >= 1.0:
+        raise DomainError(f"|beta| must be < 1, got {speed}")
+    return b
+
+
 def correlator_sharp(a_dir, b_dir, beta_vec, mass: float = 1.0) -> float:
     """Correlation when both particles share one velocity ``beta_vec``.
 
@@ -91,20 +128,8 @@ def correlator_sharp(a_dir, b_dir, beta_vec, mass: float = 1.0) -> float:
     accepted only for signature symmetry with the averaged estimators.
     Requires |beta| < 1.
     """
-    b = np.asarray(beta_vec, dtype=float)
-    if b.shape != (3,):
-        raise ValueError(f"beta_vec must have shape (3,), got {b.shape}")
-    speed = float(np.linalg.norm(b))
-    if speed >= 1.0:
-        raise DomainError(f"|beta| must be < 1, got {speed}")
+    b = _shared_velocity(beta_vec)
     return float(kernel_from_beta(a_dir, b_dir, b, b))
-
-
-def correlator_mixed(
-    a_dir, b_dir, kin_slow: ParticleKinematics, kin_fast: ParticleKinematics
-) -> float:
-    """Correlation for asymmetric kinematics (one slow, one fast particle)."""
-    return correlator_integrand(a_dir, b_dir, kin_slow, kin_fast)
 
 
 @dataclass(frozen=True)
@@ -123,41 +148,33 @@ def _chunk_sizes(samples: int, chunk_size: int) -> list[int]:
     return [chunk_size] * full + ([rest] if rest else [])
 
 
-def _pair_kernel_matrix(pairs, beta1, beta2, symmetrize: bool) -> np.ndarray:
-    """Kernel values for several (a, b) axis pairs on one momentum sample.
+def _sample_kernels(axes, dist, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Kernel rows, one per axis pair, over ``n`` fresh momentum draws.
 
-    Returns shape (len(pairs), n); rows with a degenerate axis for any pair
-    are NaN so the caller can resample them.
+    Columns of degenerate draws are NaN so the caller can resample them.
     """
-    out = np.empty((len(pairs), beta1.shape[0]))
-    bad = np.zeros(beta1.shape[0], dtype=bool)
-    for row, (a_dir, b_dir) in enumerate(pairs):
-        dot, n1_sq, n2_sq = _kernel_parts(a_dir, b_dir, beta1, beta2)
-        bad |= (n1_sq < _DEGENERACY_TOL_SQ) | (n2_sq < _DEGENERACY_TOL_SQ)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[row] = -dot / np.sqrt(n1_sq * n2_sq)
-        if symmetrize:
-            dot, n1_sq, n2_sq = _kernel_parts(a_dir, b_dir, beta2, beta1)
-            bad |= (n1_sq < _DEGENERACY_TOL_SQ) | (n2_sq < _DEGENERACY_TOL_SQ)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[row] = 0.5 * (out[row] - dot / np.sqrt(n1_sq * n2_sq))
-    out[:, bad] = np.nan
-    return out
+    # the momenta are dropped once the velocities exist
+    beta1, beta2 = (beta_from_momentum(p, dist.mass) for p in dist.sample(rng, n))
+    kernels, degenerate = _kernel_matrix(*axes, beta1, beta2)
+    if isinstance(dist, JointGaussian):
+        # symmetrize over the particle swap, in place
+        swapped, degenerate_swapped = _kernel_matrix(*axes, beta2, beta1)
+        kernels += swapped
+        kernels *= 0.5
+        degenerate |= degenerate_swapped
+    kernels = kernels.reshape(-1, n)
+    kernels[:, degenerate] = np.nan
+    return kernels
 
 
-def _evaluate_chunk(pairs, dist, seed_seq, n: int):
+def _evaluate_chunk(axes, dist, seed_seq, n: int):
     """Per-pair (sum, sum of squares) over one chunk, with resampling.
 
     Degenerate momentum draws are redrawn from the same chunk stream until
     clean; the redraw count is reported so callers can surface a warning.
     """
     rng = np.random.Generator(np.random.Philox(seed_seq))
-    mass = dist.mass
-    symmetrize = isinstance(dist, JointGaussian)
-    p1, p2 = dist.sample(rng, n)
-    kernels = _pair_kernel_matrix(
-        pairs, beta_from_momentum(p1, mass), beta_from_momentum(p2, mass), symmetrize
-    )
+    kernels = _sample_kernels(axes, dist, rng, n)
     rejected = 0
     for _ in range(_MAX_RESAMPLE_SWEEPS):
         bad = np.isnan(kernels[0])
@@ -165,10 +182,7 @@ def _evaluate_chunk(pairs, dist, seed_seq, n: int):
         if count == 0:
             break
         rejected += count
-        q1, q2 = dist.sample(rng, count)
-        kernels[:, bad] = _pair_kernel_matrix(
-            pairs, beta_from_momentum(q1, mass), beta_from_momentum(q2, mass), symmetrize
-        )
+        kernels[:, bad] = _sample_kernels(axes, dist, rng, count)
     else:
         raise DegenerateObservableError(
             "could not draw nondegenerate momenta after "
@@ -177,12 +191,14 @@ def _evaluate_chunk(pairs, dist, seed_seq, n: int):
     return kernels.sum(axis=1), (kernels * kernels).sum(axis=1), rejected
 
 
-def _mc_means(pairs, dist, samples: int, seed: int, chunk_size: int, workers: int):
+def _mc_means(axes, dist, samples: int, seed: int, chunk_size: int, workers: int):
     """Chunked Monte Carlo means and standard errors for several axis pairs.
 
-    All pairs are evaluated on the same momentum draws (common random
-    numbers).  Chunk streams are spawned up front and partial sums are
-    combined in chunk order, so the result does not depend on ``workers``.
+    ``axes`` is the (Alice, Bob) pair of axis lists of :func:`_kernel_matrix`;
+    results follow its row-major pair order.  All pairs are evaluated on the
+    same momentum draws (common random numbers).  Chunk streams are spawned
+    up front and partial sums are combined in chunk order, so the result
+    does not depend on ``workers``.
     """
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {samples}")
@@ -194,13 +210,14 @@ def _mc_means(pairs, dist, samples: int, seed: int, chunk_size: int, workers: in
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
-                pool.map(lambda job: _evaluate_chunk(pairs, dist, job[0], job[1]), jobs)
+                pool.map(lambda job: _evaluate_chunk(axes, dist, job[0], job[1]), jobs)
             )
     else:
-        results = [_evaluate_chunk(pairs, dist, ss, n) for ss, n in jobs]
+        results = [_evaluate_chunk(axes, dist, ss, n) for ss, n in jobs]
 
-    sums = np.zeros(len(pairs))
-    squares = np.zeros(len(pairs))
+    pair_count = len(axes[0]) * len(axes[1])
+    sums = np.zeros(pair_count)
+    squares = np.zeros(pair_count)
     rejected = 0
     for chunk_sum, chunk_sq, chunk_rej in results:
         sums += chunk_sum
@@ -247,9 +264,9 @@ def correlator_mc(
             standard_error=0.0,
             samples=samples,
         )
-    a = np.asarray(a_dir, dtype=float)
-    b = np.asarray(b_dir, dtype=float)
-    means, errors, rejected = _mc_means([(a, b)], dist, samples, seed, chunk_size, workers)
+    means, errors, rejected = _mc_means(
+        ((a_dir,), (b_dir,)), dist, samples, seed, chunk_size, workers
+    )
     return CorrelatorEstimate(
         value=float(means[0]),
         standard_error=float(errors[0]),

@@ -34,7 +34,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .bell import TSIRELSON_BOUND, BellConfig, DEFAULT_CONFIG, chsh_from_beta, corrected_threshold
-from .correlator import correlator_integrand, kernel_from_beta
+from .correlator import _kernel_matrix, kernel_from_beta
 from .distributions import (
     CorrelatedGaussian,
     JointGaussian,
@@ -42,13 +42,7 @@ from .distributions import (
     Sharp,
 )
 from .errors import DegenerateObservableError, UndersampledTestError
-from .kinematics import (
-    DEGENERACY_TOL,
-    ParticleKinematics,
-    _as_triple,
-    beta_from_momentum,
-    boosted_spin_axis,
-)
+from .kinematics import _as_triple, beta_from_momentum
 
 #: Fewest test rounds per basis pair for a meaningful CHSH estimate.
 MIN_TEST_ROUNDS = 25
@@ -96,9 +90,6 @@ class InterceptResend:
             raise ValueError(
                 f"attack_probability must be in [0, 1], got {self.attack_probability}"
             )
-
-
-EveStrategy = InterceptResend  # the one implemented strategy; None disables
 
 
 @dataclass(frozen=True)
@@ -337,20 +328,6 @@ def _config_dict(config: ProtocolConfig) -> dict:
     }
 
 
-def sample_pair_outcomes(
-    a_dir, b_dir, kin1: ParticleKinematics, kin2: ParticleKinematics, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Draw one (+-1, +-1) outcome pair from the singlet law.
-
-    Marginals are unbiased; the product has expectation equal to the
-    correlation kernel:  P(s, t) = (1 + s t K) / 4.
-    """
-    k = correlator_integrand(a_dir, b_dir, kin1, kin2)
-    s = 1 if rng.random() < 0.5 else -1
-    t = 1 if rng.random() < 0.5 * (1.0 + s * k) else -1
-    return s, t
-
-
 def _choose_bases(rng: np.random.Generator, n: int, n_key: int, test_fraction: float) -> np.ndarray:
     """Pool indices: key axes 0..n_key-1, test axes n_key and n_key+1."""
     is_test = rng.random(n) < test_fraction
@@ -406,16 +383,16 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     eve_outcome = np.zeros(n, dtype=np.int8)
     if attacked.any():
         rows = np.nonzero(attacked)[0]
-        v_eve = boosted_spin_axis(partner_vecs[rows], beta2[rows])
-        v_bob = boosted_spin_axis(bob_vecs[rows], beta2[rows])
-        norm_e_sq = np.sum(v_eve * v_eve, axis=-1)
-        norm_b_sq = np.sum(v_bob * v_bob, axis=-1)
-        tol_sq = DEGENERACY_TOL * DEGENERACY_TOL
-        if np.any(norm_e_sq < tol_sq) or np.any(norm_b_sq < tol_sq):
+        # the overlap of Eve's and Bob's effective axes is minus their
+        # singlet kernel, both taken at Bob's momentum
+        kernels, degenerate = _kernel_matrix(
+            (partner_vecs[rows],), (bob_vecs[rows],), beta2[rows], beta2[rows]
+        )
+        if np.any(degenerate):
             raise DegenerateObservableError(
                 "a resend axis became degenerate at the sampled momentum"
             )
-        overlap = np.sum(v_eve * v_bob, axis=-1) / np.sqrt(norm_e_sq * norm_b_sq)
+        overlap = -kernels[0, 0]
         resent = np.where(u_resend[rows] < 0.5 * (1.0 + t[rows] * overlap), 1, -1)
         bob_outcome[rows] = resent.astype(np.int8)
         eve_outcome[rows] = t[rows]

@@ -12,9 +12,11 @@ from relbell import (
     TSIRELSON_BOUND,
     BellConfig,
     CorrelatedGaussian,
+    DegenerateObservableError,
     Sharp,
     bell_average_mc,
     bell_average_sharp,
+    beta_from_momentum,
     chsh_from_beta,
     corrected_threshold,
     correlator_mc,
@@ -160,6 +162,14 @@ class TestBellAverageSharp:
         values = np.abs(chsh_from_beta(DEFAULT_CONFIG, vecs, vecs))
         assert np.all(values > 2.0)
         assert np.all(values < 2.05)
+
+
+class TestChshFromBeta:
+    def test_transverse_axis_at_ultra_relativistic_momentum_raises(self):
+        # the default axis b is transverse to the motion and vanishes
+        beta = beta_from_momentum(np.array([1e16, 0.0, 0.0]), 1.0)
+        with pytest.raises(DegenerateObservableError, match="axis vanished"):
+            chsh_from_beta(DEFAULT_CONFIG, beta, beta)
 
 
 class TestBellAverageMC:

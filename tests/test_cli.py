@@ -153,16 +153,24 @@ class TestExitCodes:
             ["scan", "--figure", "9"],
             ["scan"],
             [],
+            # rejected by ProtocolConfig: too few test rounds, bad fraction
+            ["protocol", "--pairs", "120"],
+            ["protocol", "--pairs", "150"],
+            ["protocol", "--test-fraction", "1.5"],
         ]
         for argv in cases:
             assert main(argv) == 1, argv
             assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_message(self, capsys):
+        assert main(["bell", "--seed", "-1"]) == 1
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
     def test_runtime_errors_return_two(self, capsys):
-        # 120 pairs at the default test fraction leave too few test rounds;
-        # this is only detectable once the run is being assembled
-        assert main(["protocol", "--pairs", "120"]) == 2
-        assert "test rounds" in capsys.readouterr().err
+        # 200 pairs pass the config checks, but one basis pair draws too
+        # few test rounds; this shows only once the run is under way
+        assert main(["protocol", "--pairs", "200"]) == 2
+        assert "basis pair (0, 0) has 13 test rounds" in capsys.readouterr().err
 
 
 class TestCommandOutput:

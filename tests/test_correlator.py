@@ -13,7 +13,6 @@ from relbell import (
     Sharp,
     correlator_integrand,
     correlator_mc,
-    correlator_mixed,
     correlator_sharp,
     kernel_from_beta,
 )
@@ -165,16 +164,9 @@ class TestMixedKinematics:
             fast = ParticleKinematics.from_beta(rng.uniform(0, 0.999) * random_unit(rng))
             v2 = boosted_spin_axis(b, fast.beta_vec)
             expected = -float(a @ v2) / np.linalg.norm(v2)
-            assert correlator_mixed(a, b, rest, fast) == pytest.approx(
+            assert correlator_integrand(a, b, rest, fast) == pytest.approx(
                 expected, rel=0, abs=1e-13
             )
-
-    def test_alias_of_integrand(self):
-        kin1 = ParticleKinematics.from_beta((0.1, 0.0, 0.0))
-        kin2 = ParticleKinematics.from_beta((0.0, 0.9, 0.0))
-        assert correlator_mixed((0, 0, 1), (0, 1, 0), kin1, kin2) == correlator_integrand(
-            (0, 0, 1), (0, 1, 0), kin1, kin2
-        )
 
 
 class TestMonteCarlo:

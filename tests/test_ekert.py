@@ -10,9 +10,11 @@ from relbell import (
     DEFAULT_CONFIG,
     MIN_TEST_ROUNDS,
     TSIRELSON_BOUND,
+    BellConfig,
     CorrelatedGaussian,
+    DegenerateObservableError,
     InterceptResend,
-    ParticleKinematics,
+    JointGaussian,
     ProtocolConfig,
     ProtocolTranscript,
     Sharp,
@@ -21,10 +23,8 @@ from relbell import (
     bell_test,
     beta_from_momentum,
     chsh_from_beta,
-    correlator_integrand,
     kernel_from_beta,
     run_protocol,
-    sample_pair_outcomes,
     verdict,
 )
 from relbell.ekert import SCHEMA_VERSION
@@ -42,26 +42,39 @@ def make_config(**overrides):
 
 class TestOutcomeLaw:
     def test_product_expectation_matches_kernel(self):
-        rng = np.random.default_rng(11)
-        kin1 = ParticleKinematics.from_beta((0.8, 0.0, 0.0))
-        kin2 = kin1
-        a_dir, b_dir = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
-        k = correlator_integrand(a_dir, b_dir, kin1, kin2)
-        n = 40_000
-        draws = np.array(
-            [sample_pair_outcomes(a_dir, b_dir, kin1, kin2, rng) for _ in range(n)]
+        # P(s, t) = (1 + s t K) / 4 through the vectorized protocol outcomes:
+        # unbiased marginals, and E[s t] = K on the (a, b) test cell
+        diagonal = (math.sqrt(0.5), math.sqrt(0.5), 0.0)
+        bell = BellConfig(
+            a=(1.0, 0.0, 0.0), a_prime=(0.0, 0.0, 1.0),
+            b=diagonal, b_prime=(0.0, 0.0, 1.0),
         )
-        s, t = draws[:, 0], draws[:, 1]
+        config = make_config(
+            pair_count=40_000, distribution=Sharp.from_beta((0.8, 0.0, 0.0)), bell=bell
+        )
+        transcript = run_protocol(config)
+        s = transcript.alice_outcome.astype(float)
+        t = transcript.bob_outcome.astype(float)
+        n = s.size
         assert abs(s.mean()) < 5.0 / math.sqrt(n)
         assert abs(t.mean()) < 5.0 / math.sqrt(n)
-        assert (s * t).mean() == pytest.approx(k, abs=5.0 / math.sqrt(n))
+        cell = (transcript.alice_basis == 1) & (transcript.bob_basis == 1)
+        beta = beta_from_momentum(np.array(config.distribution.momentum), 1.0)
+        k = float(kernel_from_beta(bell.a, bell.b, beta, beta))
+        assert k != 0.0
+        assert (s[cell] * t[cell]).mean() == pytest.approx(
+            k, abs=5.0 / math.sqrt(cell.sum())
+        )
 
     def test_perfect_anticorrelation_on_shared_axis(self):
-        rng = np.random.default_rng(12)
-        kin = ParticleKinematics.from_beta((0.0, 0.3, 0.9))
-        for _ in range(200):
-            s, t = sample_pair_outcomes((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), kin, kin, rng)
-            assert t == -s
+        transcript = run_protocol(
+            make_config(distribution=Sharp.from_beta((0.0, 0.3, 0.9)))
+        )
+        sifted = transcript.sifted_indices
+        assert sifted.size > 500
+        assert np.array_equal(
+            transcript.bob_outcome[sifted], -transcript.alice_outcome[sifted]
+        )
 
 
 class TestVerdict:
@@ -277,6 +290,16 @@ class TestInterceptResend:
         assert result.verdict == "eavesdropper"
         assert transcript.bell_naive.verdict == "eavesdropper"
         assert abs(result.c_hat) + result.z_value * result.standard_error < 2.0
+
+    def test_degenerate_resend_axis_raises(self):
+        # Eve's axis is longitudinal to particle 2 and survives the boost;
+        # Bob's transverse key axis does not
+        config = make_config(
+            distribution=JointGaussian((0, 0, 0), 0.0, (1e16, 0, 0), 0.0),
+            eve=InterceptResend(basis_pool=((1.0, 0.0, 0.0),), attack_probability=1.0),
+        )
+        with pytest.raises(DegenerateObservableError, match="resend axis became degenerate"):
+            run_protocol(config)
 
     def test_eve_columns_marked_only_on_attacked_rounds(self):
         eve = InterceptResend(attack_probability=0.5)
