@@ -11,17 +11,17 @@ them only together with tests/test_bell.py.
 from pathlib import Path
 
 from relbell import scan_figure
+from relbell.cli import emit
 
 RESOLUTIONS = {1: 41, 2: 41, 3: 21, 4: 41, 5: 201, 6: 201}
 
 
 def main() -> None:
     out_dir = Path(__file__).resolve().parent.parent / "tests" / "golden"
-    out_dir.mkdir(parents=True, exist_ok=True)
     for figure, resolution in RESOLUTIONS.items():
         table = scan_figure(figure, resolution)
         path = out_dir / f"fig{figure}.csv"
-        table.write(path, "csv")
+        emit(table, "csv", str(path))
         print(f"wrote {path} ({len(table.rows)} rows)")
 
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .correlator import (
     DEFAULT_CHUNK_SIZE,
     CorrelatorEstimate,
+    _check_sampling,
     _kernel_matrix,
     _mc_means,
     _nondegenerate,
@@ -30,7 +30,7 @@ from .correlator import (
     kernel_from_beta,
 )
 from .distributions import MomentumDistribution, Sharp
-from .kinematics import ParticleKinematics, _as_triple
+from .kinematics import ParticleKinematics, _as_triple, _check_mass
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -64,6 +64,14 @@ class BellConfig:
         the average with a minus sign."""
         a, ap, b, bp = (np.array(v) for v in (self.a, self.a_prime, self.b, self.b_prime))
         return [(a, b), (a, bp), (ap, b), (ap, bp)]
+
+    def to_dict(self) -> dict:
+        return {
+            "a": list(self.a),
+            "a_prime": list(self.a_prime),
+            "b": list(self.b),
+            "b_prime": list(self.b_prime),
+        }
 
 
 _S = math.sqrt(0.5)
@@ -114,8 +122,7 @@ def bell_average_mc(
     four standard errors are combined in quadrature.  A sharp profile
     short-circuits to the exact value with zero error.
     """
-    if samples < 100:
-        raise ValueError(f"samples must be >= 100, got {samples}")
+    _check_sampling(samples, workers)
     if isinstance(dist, Sharp):
         beta = ParticleKinematics(dist.mass, dist.momentum).beta_vec
         return CorrelatorEstimate(
@@ -191,16 +198,6 @@ class ScanTable:
         )
         stream.write("\n")
 
-    def write(self, path, fmt: str = "csv") -> None:
-        path = Path(path)
-        with open(path, "w", encoding="utf-8", newline="") as stream:
-            if fmt == "csv":
-                self.to_csv(stream)
-            elif fmt == "json":
-                self.to_json(stream)
-            else:
-                raise ValueError(f"unknown format {fmt!r}")
-
 
 #: Perpendicular equal-projection axes for the single-correlation scan
 #: (figure 6): a.b = 0 and a.n = b.n = 2**-0.5 with motion along z.
@@ -208,6 +205,17 @@ _FIG6_A = np.array([0.5, 0.5, _S])
 _FIG6_B = np.array([-0.5, -0.5, _S])
 
 _FIG3_BETAS = (0.95, 0.99)
+
+
+def _check_scan(figure: int, resolution: int, mass: float, beta_max: float) -> None:
+    """Range checks on the :func:`scan_figure` inputs, before any grid work."""
+    if figure not in (1, 2, 3, 4, 5, 6):
+        raise ValueError(f"figure must be 1..6, got {figure}")
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    if not 0.0 < beta_max < 1.0:
+        raise ValueError(f"beta_max must be in (0, 1), got {beta_max}")
+    _check_mass(mass)
 
 
 def scan_figure(
@@ -232,20 +240,12 @@ def scan_figure(
 
     ``resolution`` is the number of points per scanned axis.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    if not 0.0 < beta_max < 1.0:
-        raise ValueError(f"beta_max must be in (0, 1), got {beta_max}")
+    _check_scan(figure, resolution, mass, beta_max)
     meta = {
         "figure": figure,
         "resolution": resolution,
         "mass": mass,
-        "config": {
-            "a": list(config.a),
-            "a_prime": list(config.a_prime),
-            "b": list(config.b),
-            "b_prime": list(config.b_prime),
-        },
+        "config": config.to_dict(),
         "momentum": "sharp",
     }
     betas = np.linspace(0.0, beta_max, resolution)
@@ -291,7 +291,7 @@ def scan_figure(
         columns = ("beta", "c", "abs_c")
         rows = zip(betas, c, np.abs(c))
         meta["beta_max"] = beta_max
-    elif figure == 6:
+    else:  # figure 6
         full = np.linspace(0.0, 1.0, resolution)
         vecs = full[:, None] * np.array([0.0, 0.0, 1.0])
         corr = kernel_from_beta(_FIG6_A, _FIG6_B, vecs, vecs)
@@ -299,8 +299,6 @@ def scan_figure(
         columns = ("beta", "correlation", "reference")
         rows = zip(full, corr, reference)
         meta["axes"] = {"a": _FIG6_A.tolist(), "b": _FIG6_B.tolist(), "n": [0.0, 0.0, 1.0]}
-    else:
-        raise ValueError(f"figure must be 1..6, got {figure}")
 
     table = ScanTable(
         columns=columns,

@@ -6,8 +6,10 @@ normalized, with a warning when they are off by more than 1e-6); list
 flags take semicolon-separated triples.  A ``--config`` file holds flat
 ``key = value`` lines mirroring the long flag names; explicit flags
 override file values.  Relative ``--out`` paths are resolved against
-``$RELBELL_OUT_DIR`` when it is set.  Exit codes: 0 success, 1 usage
-error, 2 runtime error.
+``$RELBELL_OUT_DIR`` when it is set.  Parsing builds the library objects
+the flags configure; their constructors do every range check, and what
+they reject is a usage error.  Exit codes: 0 success, 1 usage error, 2
+runtime error.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from .bell import (
     BellConfig,
     DEFAULT_CONFIG,
     ScanTable,
+    _check_scan,
     bell_average_mc,
     bell_average_sharp,
     scan_figure,
 )
-from .correlator import correlator_integrand, correlator_mc, correlator_sharp
+from .correlator import _check_sampling, correlator_integrand, correlator_mc, correlator_sharp
 from .distributions import CorrelatedGaussian, JointGaussian, Sharp
 from .ekert import InterceptResend, ProtocolConfig, ProtocolTranscript, run_protocol
 from .kinematics import ParticleKinematics, momentum_for_beta
@@ -72,26 +75,14 @@ def _parse_dir3(text: str, flag: str) -> tuple[float, float, float]:
     return triple
 
 
-def _parse_beta3(text: str, flag: str) -> tuple[float, float, float]:
-    triple = _parse_triple(text, flag)
-    speed = math.sqrt(sum(c * c for c in triple))
-    if speed >= 1.0:
-        raise UsageError(f"--{flag} must satisfy |beta| < 1, got |beta| = {speed}")
-    return triple
-
-
 def _parse_sigma3(text: str, flag: str) -> tuple[float, float, float]:
-    if "," not in text:
-        try:
-            value = float(text)
-        except ValueError:
-            raise UsageError(f"--{flag} must be a number or triple, got {text!r}") from None
-        triple = (value, value, value)
-    else:
-        triple = _parse_triple(text, flag)
-    if any(c < 0.0 or not math.isfinite(c) for c in triple):
-        raise UsageError(f"--{flag} must be nonnegative and finite, got {text!r}")
-    return triple
+    if "," in text:
+        return _parse_triple(text, flag)
+    try:
+        value = float(text)
+    except ValueError:
+        raise UsageError(f"--{flag} must be a number or triple, got {text!r}") from None
+    return (value, value, value)
 
 
 def _parse_vec_list(text: str, flag: str) -> tuple[tuple[float, float, float], ...]:
@@ -128,7 +119,7 @@ def _render_vec_list(value) -> str:
 
 _KINDS = {
     "dir3": (_parse_dir3, _render_triple),
-    "beta3": (_parse_beta3, _render_triple),
+    "triple": (_parse_triple, _render_triple),
     "sigma3": (_parse_sigma3, _render_triple),
     "vecs": (_parse_vec_list, _render_vec_list),
     "float": (_parse_float, lambda v: repr(float(v))),
@@ -153,12 +144,12 @@ class _Flag:
 
 
 _DIST_FLAGS = [
-    _Flag("beta", "beta3", (0.0, 0.0, 0.0), help="mean pair velocity"),
+    _Flag("beta", "triple", (0.0, 0.0, 0.0), help="mean pair velocity"),
     _Flag("mass", "float", 1.0, help="particle rest mass"),
     _Flag("dist", "str", "sharp", ("sharp", "gaussian", "joint"),
           help="momentum profile"),
     _Flag("sigma", "sigma3", None, help="momentum spread (scalar or triple)"),
-    _Flag("beta2", "beta3", None, help="second-particle velocity"),
+    _Flag("beta2", "triple", None, help="second-particle velocity"),
     _Flag("sigma2", "sigma3", None, help="second-particle spread (joint)"),
 ]
 
@@ -226,10 +217,12 @@ COMMAND_FLAGS: dict[str, list[_Flag]] = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed, validated invocation: command plus canonical parameters."""
+    """Parsed invocation: command, canonical parameters, and the library
+    inputs built from them (the constructors validated every value)."""
 
     command: str
     params: dict
+    inputs: dict
 
     def __getitem__(self, key: str):
         return self.params[key]
@@ -322,8 +315,15 @@ def parse_args(argv: list[str]) -> RunConfig:
                 f"got {value!r}"
             )
         params[flag.key] = value
-    _validate(command, params)
-    return RunConfig(command=command, params=params)
+    if params.get("seed", 0) < 0:
+        raise UsageError(f"--seed must be >= 0, got {params['seed']}")
+    if params.get("dist") in ("gaussian", "joint") and params["sigma"] is None:
+        raise UsageError(f"--dist {params['dist']} requires --sigma")
+    try:
+        inputs = _build_inputs(command, params)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return RunConfig(command=command, params=params, inputs=inputs)
 
 
 def render_args(config: RunConfig) -> list[str]:
@@ -338,30 +338,65 @@ def render_args(config: RunConfig) -> list[str]:
     return argv
 
 
-def _validate(command: str, params: dict) -> None:
+def _build_distribution(command: str, params: dict):
+    kind = params["dist"]
+    # a spread or second-particle flag the profile does not read would be
+    # dropped without a word, so it is a usage error
+    used = {"sharp": (), "gaussian": ("sigma",), "joint": ("sigma", "beta2", "sigma2")}[kind]
+    if command == "correlate" and kind == "sharp":
+        used = ("beta2",)  # the mixed-kinematics value
+    for name in ("sigma", "beta2", "sigma2"):
+        if params[name] is not None and name not in used:
+            raise UsageError(f"--{name} has no effect on {command} with --dist {kind}")
+    beta = params["beta"]
+    mass = params["mass"]
+    if kind == "sharp":
+        return Sharp.from_beta(beta, mass)
+    if kind == "gaussian":
+        return CorrelatedGaussian.from_beta(beta, params["sigma"], mass)
+    beta2 = params["beta2"] if params["beta2"] is not None else beta
+    sigma2 = params["sigma2"] if params["sigma2"] is not None else params["sigma"]
+    return JointGaussian(
+        momentum_for_beta(beta, mass), params["sigma"],
+        momentum_for_beta(beta2, mass), sigma2, mass,
+    )
+
+
+def _build_inputs(command: str, params: dict) -> dict:
+    """The library objects a command runs on.
+
+    Their constructors and check helpers are the only range checks, so a
+    ``ValueError`` here is bad input, not a failed run.
+    """
     if command == "scan":
-        if not 1 <= params["figure"] <= 6:
-            raise UsageError(f"--figure must be 1..6, got {params['figure']}")
-        if params["resolution"] < 2:
-            raise UsageError(f"--resolution must be >= 2, got {params['resolution']}")
-        if not 0.0 < params["beta_max"] < 1.0:
-            raise UsageError(f"--beta-max must be in (0, 1), got {params['beta_max']}")
-    if "mass" in params and params["mass"] <= 0.0:
-        raise UsageError(f"--mass must be positive, got {params['mass']}")
-    if "samples" in params and params["samples"] < 100:
-        raise UsageError(f"--samples must be >= 100, got {params['samples']}")
-    if "workers" in params and params["workers"] < 1:
-        raise UsageError(f"--workers must be >= 1, got {params['workers']}")
-    if "seed" in params and params["seed"] < 0:
-        raise UsageError(f"--seed must be >= 0, got {params['seed']}")
-    if params.get("dist") in ("gaussian", "joint") and params.get("sigma") is None:
-        raise UsageError(f"--dist {params['dist']} requires --sigma")
+        _check_scan(params["figure"], params["resolution"], params["mass"], params["beta_max"])
+        return {}
+    inputs = {"distribution": _build_distribution(command, params)}
+    if command == "correlate":
+        if params["beta2"] is not None:
+            inputs["partner"] = ParticleKinematics.from_beta(params["beta2"], params["mass"])
+    else:
+        inputs["bell"] = BellConfig(params["a"], params["a_prime"], params["b"], params["b_prime"])
+    if "samples" in params:
+        _check_sampling(params["samples"], params["workers"])
     if command == "protocol":
-        if params["pairs"] < 1:
-            raise UsageError(f"--pairs must be positive, got {params['pairs']}")
-        eve_p = params["eve_probability"]
-        if eve_p is not None and not 0.0 <= eve_p <= 1.0:
-            raise UsageError(f"--eve-probability must be in [0, 1], got {eve_p}")
+        eve = None
+        if params["eve_probability"] is not None:
+            pool = {} if params["eve_pool"] is None else {"basis_pool": params["eve_pool"]}
+            eve = InterceptResend(attack_probability=params["eve_probability"], **pool)
+        inputs["protocol"] = ProtocolConfig(
+            pair_count=params["pairs"],
+            distribution=inputs["distribution"],
+            seed=params["seed"],
+            bell=inputs["bell"],
+            key_axes=params["key_axes"],
+            eve=eve,
+            test_fraction=params["test_fraction"],
+            significance=params["significance"],
+            threshold_mode=params["threshold_mode"],
+            threshold_samples=params["threshold_samples"],
+        )
+    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +425,7 @@ def emit(obj, fmt: str, destination: str) -> None:
 
 
 def _write(obj, fmt: str, stream) -> None:
-    if isinstance(obj, ScanTable):
-        obj.to_csv(stream) if fmt == "csv" else obj.to_json(stream)
-    elif isinstance(obj, ProtocolTranscript):
+    if isinstance(obj, (ScanTable, ProtocolTranscript)):
         obj.to_csv(stream) if fmt == "csv" else obj.to_json(stream)
     elif isinstance(obj, dict):
         if fmt != "json":
@@ -401,22 +434,6 @@ def _write(obj, fmt: str, stream) -> None:
         stream.write("\n")
     else:
         raise TypeError(f"cannot emit object of type {type(obj).__name__}")
-
-
-def _build_distribution(params: dict):
-    beta = params["beta"]
-    mass = params["mass"]
-    kind = params["dist"]
-    if kind == "sharp":
-        return Sharp.from_beta(beta, mass)
-    if kind == "gaussian":
-        return CorrelatedGaussian.from_beta(beta, params["sigma"], mass)
-    beta2 = params["beta2"] if params["beta2"] is not None else beta
-    sigma2 = params["sigma2"] if params["sigma2"] is not None else params["sigma"]
-    return JointGaussian(
-        momentum_for_beta(beta, mass), params["sigma"],
-        momentum_for_beta(beta2, mass), sigma2, mass,
-    )
 
 
 def _estimate_record(estimate) -> dict:
@@ -431,61 +448,53 @@ def _estimate_record(estimate) -> dict:
     return record
 
 
-def _cmd_correlate(params: dict) -> None:
-    if params["dist"] == "sharp":
-        if params["beta2"] is None:
-            value = correlator_sharp(params["a"], params["b"], params["beta"], params["mass"])
+def _cmd_correlate(run: RunConfig) -> None:
+    dist = run.inputs["distribution"]
+    if isinstance(dist, Sharp):
+        if run["beta2"] is None:
+            value = correlator_sharp(run["a"], run["b"], run["beta"], run["mass"])
         else:
             value = correlator_integrand(
-                params["a"], params["b"],
-                ParticleKinematics.from_beta(params["beta"], params["mass"]),
-                ParticleKinematics.from_beta(params["beta2"], params["mass"]),
+                run["a"], run["b"],
+                ParticleKinematics(dist.mass, dist.momentum), run.inputs["partner"],
             )
         print(repr(value))
         record = {"value": value, "standard_error": 0.0, "samples": 0, "rejected": 0}
     else:
         estimate = correlator_mc(
-            params["a"], params["b"], _build_distribution(params),
-            params["samples"], params["seed"], workers=params["workers"],
+            run["a"], run["b"], dist, run["samples"], run["seed"], workers=run["workers"]
         )
         record = _estimate_record(estimate)
         print(json.dumps(record, sort_keys=True))
-    if params["out"] is not None:
-        emit(record, "json", params["out"])
+    if run["out"] is not None:
+        emit(record, "json", run["out"])
 
 
-def _bell_config(params: dict) -> BellConfig:
-    return BellConfig(params["a"], params["a_prime"], params["b"], params["b_prime"])
-
-
-def _cmd_bell(params: dict) -> None:
-    config = _bell_config(params)
-    if params["dist"] == "sharp" and params["beta2"] is None:
-        value = bell_average_sharp(config, params["beta"], params["mass"])
+def _cmd_bell(run: RunConfig) -> None:
+    dist = run.inputs["distribution"]
+    if isinstance(dist, Sharp):
+        value = bell_average_sharp(run.inputs["bell"], run["beta"], run["mass"])
         print(repr(value))
         record = {"value": value, "standard_error": 0.0, "samples": 0, "rejected": 0}
     else:
         estimate = bell_average_mc(
-            config, _build_distribution(params),
-            params["samples"], params["seed"], workers=params["workers"],
+            run.inputs["bell"], dist, run["samples"], run["seed"], workers=run["workers"]
         )
         record = _estimate_record(estimate)
         print(json.dumps(record, sort_keys=True))
-    if params["out"] is not None:
-        emit(record, "json", params["out"])
+    if run["out"] is not None:
+        emit(record, "json", run["out"])
 
 
-def _cmd_scan(params: dict) -> None:
-    table = scan_figure(
-        params["figure"], params["resolution"], params["mass"], params["beta_max"]
-    )
-    emit(table, params["format"], params["out"])
+def _cmd_scan(run: RunConfig) -> None:
+    table = scan_figure(run["figure"], run["resolution"], run["mass"], run["beta_max"])
+    emit(table, run["format"], run["out"])
 
 
-def _cmd_threshold(params: dict) -> None:
+def _cmd_threshold(run: RunConfig) -> None:
     estimate = bell_average_mc(
-        _bell_config(params), _build_distribution(params),
-        params["samples"], params["seed"], workers=params["workers"],
+        run.inputs["bell"], run.inputs["distribution"],
+        run["samples"], run["seed"], workers=run["workers"],
     )
     record = {
         "threshold": abs(estimate.value),
@@ -493,41 +502,15 @@ def _cmd_threshold(params: dict) -> None:
         "samples": estimate.samples,
     }
     print(json.dumps(record, sort_keys=True))
-    if params["out"] is not None:
-        emit(record, "json", params["out"])
+    if run["out"] is not None:
+        emit(record, "json", run["out"])
 
 
-def _cmd_protocol(params: dict) -> None:
-    # the library constructors are the one source of truth for protocol
-    # inputs; what they reject is a usage error
-    try:
-        eve = None
-        if params["eve_probability"] is not None:
-            pool_flags = params["eve_pool"]
-            if pool_flags is None:
-                eve = InterceptResend(attack_probability=params["eve_probability"])
-            else:
-                eve = InterceptResend(
-                    basis_pool=pool_flags, attack_probability=params["eve_probability"]
-                )
-        config = ProtocolConfig(
-            pair_count=params["pairs"],
-            distribution=_build_distribution(params),
-            seed=params["seed"],
-            bell=_bell_config(params),
-            key_axes=params["key_axes"],
-            eve=eve,
-            test_fraction=params["test_fraction"],
-            significance=params["significance"],
-            threshold_mode=params["threshold_mode"],
-            threshold_samples=params["threshold_samples"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    transcript = run_protocol(config)
+def _cmd_protocol(run: RunConfig) -> None:
+    transcript = run_protocol(run.inputs["protocol"])
     print(json.dumps(transcript.summary(), sort_keys=True))
-    if params["out"] is not None:
-        emit(transcript, params["format"], params["out"])
+    if run["out"] is not None:
+        emit(transcript, run["format"], run["out"])
 
 
 _COMMANDS = {
@@ -544,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         config = parse_args(argv)
-        _COMMANDS[config.command](config.params)
+        _COMMANDS[config.command](config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

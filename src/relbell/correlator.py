@@ -143,6 +143,15 @@ class CorrelatorEstimate:
     warning: str | None = None
 
 
+def _check_sampling(samples: int, workers: int = 1, name: str = "samples") -> None:
+    """Range checks on the Monte Carlo inputs, shared by every estimator,
+    the protocol's configured threshold and the command line."""
+    if samples < 100:
+        raise ValueError(f"samples must be >= 100, got {name} = {samples}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def _chunk_sizes(samples: int, chunk_size: int) -> list[int]:
     full, rest = divmod(samples, chunk_size)
     return [chunk_size] * full + ([rest] if rest else [])
@@ -198,10 +207,9 @@ def _mc_means(axes, dist, samples: int, seed: int, chunk_size: int, workers: int
     results follow its row-major pair order.  All pairs are evaluated on the
     same momentum draws (common random numbers).  Chunk streams are spawned
     up front and partial sums are combined in chunk order, so the result
-    does not depend on ``workers``.
+    does not depend on ``workers``.  Callers run :func:`_check_sampling`
+    first, ahead of any Sharp short-circuit.
     """
-    if samples < 100:
-        raise ValueError(f"samples must be >= 100, got {samples}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     sizes = _chunk_sizes(samples, chunk_size)
@@ -255,8 +263,7 @@ def correlator_mc(
     :class:`~relbell.distributions.JointGaussian` profile the kernel is
     symmetrized over the particle swap before averaging.
     """
-    if samples < 100:
-        raise ValueError(f"samples must be >= 100, got {samples}")
+    _check_sampling(samples, workers)
     if isinstance(dist, Sharp):
         kin = ParticleKinematics(dist.mass, dist.momentum)
         return CorrelatorEstimate(

@@ -1,19 +1,19 @@
 """Momentum profiles for two-particle ensembles.
 
 Each profile knows how to draw per-pair momentum samples ``(p1, p2)`` as
-arrays of shape (n, 3).  The mass is carried along so velocities can be
+arrays of shape (n, 3), and how to describe itself as a plain dict
+(``to_dict``, the form transcripts record).  The mass is carried along so velocities can be
 reconstructed; with a positive mass every finite momentum has |beta| < 1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .kinematics import _as_triple, momentum_for_beta
+from .kinematics import _as_triple, _check_mass, momentum_for_beta
 
 
 def _as_sigma(value, name: str) -> tuple[float, float, float]:
@@ -23,13 +23,6 @@ def _as_sigma(value, name: str) -> tuple[float, float, float]:
     if any(c < 0.0 for c in triple):
         raise ValueError(f"{name} must be nonnegative, got {triple}")
     return triple
-
-
-def _check_mass(mass: float) -> float:
-    mass = float(mass)
-    if not (math.isfinite(mass) and mass > 0.0):
-        raise ValueError(f"mass must be positive and finite, got {mass}")
-    return mass
 
 
 @dataclass(frozen=True)
@@ -50,6 +43,9 @@ class Sharp:
     def sample(self, rng: np.random.Generator, n: int):
         p = np.tile(np.array(self.momentum), (n, 1))
         return p, p.copy()
+
+    def to_dict(self) -> dict:
+        return {"kind": "sharp", "momentum": list(self.momentum), "mass": self.mass}
 
 
 @dataclass(frozen=True)
@@ -78,6 +74,14 @@ class CorrelatedGaussian:
         p = np.array(self.mean) + np.array(self.sigma) * rng.standard_normal((n, 3))
         return p, p.copy()
 
+    def to_dict(self) -> dict:
+        return {
+            "kind": "correlated_gaussian",
+            "mean": list(self.mean),
+            "sigma": list(self.sigma),
+            "mass": self.mass,
+        }
+
 
 @dataclass(frozen=True)
 class JointGaussian:
@@ -104,6 +108,16 @@ class JointGaussian:
         p1 = np.array(self.mean1) + np.array(self.sigma1) * rng.standard_normal((n, 3))
         p2 = np.array(self.mean2) + np.array(self.sigma2) * rng.standard_normal((n, 3))
         return p1, p2
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": "joint_gaussian",
+            "mean1": list(self.mean1),
+            "sigma1": list(self.sigma1),
+            "mean2": list(self.mean2),
+            "sigma2": list(self.sigma2),
+            "mass": self.mass,
+        }
 
 
 MomentumDistribution = Union[Sharp, CorrelatedGaussian, JointGaussian]

@@ -33,35 +33,24 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .bell import TSIRELSON_BOUND, BellConfig, DEFAULT_CONFIG, chsh_from_beta, corrected_threshold
-from .correlator import _kernel_matrix, kernel_from_beta
-from .distributions import (
-    CorrelatedGaussian,
-    JointGaussian,
-    MomentumDistribution,
-    Sharp,
+from .bell import (
+    TSIRELSON_BOUND,
+    BellConfig,
+    DEFAULT_CONFIG,
+    _as_unit_triple,
+    chsh_from_beta,
+    corrected_threshold,
 )
+from .correlator import _check_sampling, _kernel_matrix, kernel_from_beta
+from .distributions import MomentumDistribution
 from .errors import DegenerateObservableError, UndersampledTestError
-from .kinematics import _as_triple, beta_from_momentum
+from .kinematics import beta_from_momentum
 
 #: Fewest test rounds per basis pair for a meaningful CHSH estimate.
 MIN_TEST_ROUNDS = 25
 
 #: Transcript schema version written to JSON output.
 SCHEMA_VERSION = 1
-
-
-def _as_unit_axes(axes, name: str) -> tuple[tuple[float, float, float], ...]:
-    out = []
-    for i, axis in enumerate(axes):
-        triple = _as_triple(axis, f"{name}[{i}]")
-        norm = math.sqrt(sum(c * c for c in triple))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"{name}[{i}] must be a unit vector, |v| = {norm}")
-        out.append(triple)
-    if not out:
-        raise ValueError(f"{name} must contain at least one axis")
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -84,7 +73,12 @@ class InterceptResend:
     attack_probability: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "basis_pool", _as_unit_axes(self.basis_pool, "basis_pool"))
+        pool = tuple(
+            _as_unit_triple(axis, f"basis_pool[{i}]") for i, axis in enumerate(self.basis_pool)
+        )
+        if not pool:
+            raise ValueError("basis_pool must contain at least one axis")
+        object.__setattr__(self, "basis_pool", pool)
         object.__setattr__(self, "attack_probability", float(self.attack_probability))
         if not 0.0 <= self.attack_probability <= 1.0:
             raise ValueError(
@@ -108,7 +102,12 @@ class ProtocolConfig:
     threshold_samples: int = 20_000
 
     def __post_init__(self):
-        object.__setattr__(self, "key_axes", _as_unit_axes(self.key_axes, "key_axes"))
+        key_axes = tuple(
+            _as_unit_triple(axis, f"key_axes[{i}]") for i, axis in enumerate(self.key_axes)
+        )
+        if not key_axes:
+            raise ValueError("key_axes must contain at least one axis")
+        object.__setattr__(self, "key_axes", key_axes)
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not 0.0 < self.significance < 1.0:
@@ -123,8 +122,7 @@ class ProtocolConfig:
             raise ValueError(
                 f"threshold_mode must be 'empirical' or 'configured', got {self.threshold_mode!r}"
             )
-        if self.threshold_samples < 100:
-            raise ValueError(f"threshold_samples must be >= 100, got {self.threshold_samples}")
+        _check_sampling(self.threshold_samples, name="threshold_samples")
 
     @property
     def alice_pool(self) -> np.ndarray:
@@ -278,28 +276,6 @@ class ProtocolTranscript:
             stream.write(",".join(fields) + "\n")
 
 
-def _dist_dict(dist: MomentumDistribution) -> dict:
-    if isinstance(dist, Sharp):
-        return {"kind": "sharp", "momentum": list(dist.momentum), "mass": dist.mass}
-    if isinstance(dist, CorrelatedGaussian):
-        return {
-            "kind": "correlated_gaussian",
-            "mean": list(dist.mean),
-            "sigma": list(dist.sigma),
-            "mass": dist.mass,
-        }
-    if isinstance(dist, JointGaussian):
-        return {
-            "kind": "joint_gaussian",
-            "mean1": list(dist.mean1),
-            "sigma1": list(dist.sigma1),
-            "mean2": list(dist.mean2),
-            "sigma2": list(dist.sigma2),
-            "mass": dist.mass,
-        }
-    raise TypeError(f"unknown distribution type {type(dist).__name__}")
-
-
 def _config_dict(config: ProtocolConfig) -> dict:
     return {
         "pair_count": config.pair_count,
@@ -309,13 +285,8 @@ def _config_dict(config: ProtocolConfig) -> dict:
         "threshold_mode": config.threshold_mode,
         "threshold_samples": config.threshold_samples,
         "key_axes": [list(axis) for axis in config.key_axes],
-        "bell": {
-            "a": list(config.bell.a),
-            "a_prime": list(config.bell.a_prime),
-            "b": list(config.bell.b),
-            "b_prime": list(config.bell.b_prime),
-        },
-        "distribution": _dist_dict(config.distribution),
+        "bell": config.bell.to_dict(),
+        "distribution": config.distribution.to_dict(),
         # an attack that can never fire is recorded as no eavesdropper, so
         # probability-0 transcripts are byte-identical to eve-free ones
         "eve": None

@@ -49,6 +49,13 @@ def _as_triple(values, name: str) -> tuple[float, float, float]:
     return triple
 
 
+def _check_mass(mass: float) -> float:
+    mass = float(mass)
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise ValueError(f"mass must be positive and finite, got {mass}")
+    return mass
+
+
 @dataclass(frozen=True)
 class FourVector:
     """A contravariant four-vector (t, x, y, z)."""
@@ -89,9 +96,7 @@ class ParticleKinematics:
     momentum: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "mass", float(self.mass))
-        if not (math.isfinite(self.mass) and self.mass > 0.0):
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        object.__setattr__(self, "mass", _check_mass(self.mass))
         object.__setattr__(self, "momentum", _as_triple(self.momentum, "momentum"))
 
     @classmethod

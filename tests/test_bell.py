@@ -210,6 +210,16 @@ class TestBellAverageMC:
             bell_average_mc(DEFAULT_CONFIG, dist, **kwargs, workers=3)
         )
 
+    def test_workers_must_be_positive(self):
+        # checked ahead of the Sharp short-circuit, like the sample floor
+        for dist in (Sharp.from_beta((0.9, 0.0, 0.0)),
+                     CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), sigma=0.02)):
+            for workers in (0, -5):
+                with pytest.raises(ValueError, match="workers must be >= 1"):
+                    bell_average_mc(DEFAULT_CONFIG, dist, 1000, seed=0, workers=workers)
+                with pytest.raises(ValueError, match="workers must be >= 1"):
+                    correlator_mc((1, 0, 0), (0, 1, 0), dist, 1000, seed=0, workers=workers)
+
 
 class TestCorrectedThreshold:
     def test_rest_recovers_quantum_maximum(self):
@@ -282,6 +292,9 @@ class TestScanFigure:
             scan_figure(1, 1)
         with pytest.raises(ValueError):
             scan_figure(1, 11, beta_max=1.5)
+        for mass in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="mass"):
+                scan_figure(1, 11, mass=mass)
 
     def test_deterministic_bytes(self):
         streams = []

@@ -1,10 +1,12 @@
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relbell import DEFAULT_CONFIG, bell_average_sharp
@@ -52,7 +54,8 @@ FLAG_TEXT = {
     "beta-max": finite(0.05, 0.95).map(repr),
     "out": st.sampled_from(["-", "table.csv", "runs/out.json"]),
     "format": st.sampled_from(["csv", "json"]),
-    "pairs": st.integers(1, 100_000).map(str),
+    # enough test rounds at any drawn --test-fraction
+    "pairs": st.integers(2000, 100_000).map(str),
     "key-axes": st.lists(_dir3, min_size=1, max_size=2).map(";".join),
     "eve-probability": finite(0.0, 1.0).map(repr),
     "eve-pool": st.lists(_dir3, min_size=1, max_size=2).map(";".join),
@@ -80,10 +83,61 @@ def valid_argv(draw):
             chosen[flag.name] = draw(FLAG_TEXT[flag.name])
     if chosen.get("dist") in ("gaussian", "joint") and "sigma" not in chosen:
         chosen["sigma"] = draw(FLAG_TEXT["sigma"])
+    # a profile flag the chosen profile does not read is a usage error
+    dist = chosen.get("dist", "sharp")
+    used = {"sharp": (), "gaussian": ("sigma",), "joint": ("sigma", "beta2", "sigma2")}[dist]
+    if command == "correlate" and dist == "sharp":
+        used = ("beta2",)
+    for name in ("sigma", "beta2", "sigma2"):
+        if name not in used:
+            chosen.pop(name, None)
     argv = [command]
     for name, text in chosen.items():
         argv.extend([f"--{name}", text])
     return argv
+
+
+_BAD_DIR = ["0,0,0", "1,0", "1,x,0", "nan,0,0"]
+
+#: Values each flag rejects whatever the other flags say: syntax errors and
+#: values the library constructors refuse.
+BAD_TEXT = {
+    "a": _BAD_DIR,
+    "a-prime": _BAD_DIR,
+    "b": _BAD_DIR,
+    "b-prime": _BAD_DIR,
+    "beta": ["1.5,0,0", "0.8,0.8,0", "1,0,0", "0.5,0"],
+    "beta2": ["1.5,0,0", "inf,0,0"],
+    "sigma": ["-0.1", "0,-1,0", "nan", "x"],
+    "sigma2": ["-0.1", "x"],
+    "mass": ["0", "-1", "nan", "inf", "x"],
+    "dist": ["uniform"],
+    "samples": ["99", "-1", "1.5"],
+    "seed": ["-1", "x"],
+    "workers": ["0", "-5"],
+    "figure": ["0", "7", "x"],
+    "resolution": ["1", "-3"],
+    "beta-max": ["0", "1", "1.5"],
+    "format": ["xml"],
+    "pairs": ["0", "-5", "99"],
+    "key-axes": [";", "0,0,0", "1,0"],
+    "eve-probability": ["1.5", "-0.1"],
+    "eve-pool": [";", "0,0,0"],
+    "test-fraction": ["0", "1", "1.5"],
+    "significance": ["0", "1"],
+    "threshold-mode": ["exact"],
+    "threshold-samples": ["99"],
+    "frobnicate": ["1"],
+}
+
+
+@st.composite
+def invalid_argv(draw):
+    """A valid invocation with one flag overridden by a bad value."""
+    argv = draw(valid_argv())
+    names = [flag.name for flag in COMMAND_FLAGS[argv[0]] if flag.name in BAD_TEXT]
+    name = draw(st.sampled_from([*names, "frobnicate"]))
+    return [*argv, f"--{name}", draw(st.sampled_from(BAD_TEXT[name]))]
 
 
 class TestRoundTrip:
@@ -171,6 +225,53 @@ class TestExitCodes:
         # few test rounds; this shows only once the run is under way
         assert main(["protocol", "--pairs", "200"]) == 2
         assert "basis pair (0, 0) has 13 test rounds" in capsys.readouterr().err
+
+
+class TestInvalidInput:
+    @settings(max_examples=150, deadline=None)
+    @given(invalid_argv())
+    # the momentum overflows; these exited 0, 1 or 2 depending on the command
+    @example(["correlate", "--a", "1,0,0", "--b", "0,1,0", "--mass", "1e308", "--beta", "0.9,0,0"])
+    @example(["bell", "--mass", "1e308", "--beta", "0.9,0,0"])
+    @example(["scan", "--figure", "1", "--mass", "1e308", "--beta", "0.9,0,0"])
+    @example(["threshold", "--mass", "1e308", "--beta", "0.9,0,0"])
+    @example(["protocol", "--mass", "1e308", "--beta", "0.9,0,0"])
+    def test_exits_one_with_one_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert code == 1, (argv, lines)
+        assert [line for line in lines if line.startswith("error:")] == lines[-1:], lines
+        assert all(line.startswith(("warning:", "error:")) for line in lines), lines
+        assert out.getvalue() == ""
+
+    def test_unread_profile_flags_are_usage_errors(self, capsys):
+        ab = ["--a", "1,0,0", "--b", "0,1,0"]
+        gaussian = ["--dist", "gaussian", "--sigma", "0.1"]
+        cases = [
+            (["bell", "--beta2", "0.9,0,0"], "--beta2 has no effect on bell with --dist sharp"),
+            (["threshold", "--beta2", "0.9,0,0"], "--beta2 has no effect on threshold with --dist sharp"),
+            (["protocol", "--beta2", "0.9,0,0"], "--beta2 has no effect on protocol with --dist sharp"),
+            (["bell", *gaussian, "--beta2", "0.9,0,0"], "--beta2 has no effect on bell with --dist gaussian"),
+            (["correlate", *ab, *gaussian, "--beta2", "0.9,0,0"],
+             "--beta2 has no effect on correlate with --dist gaussian"),
+            (["bell", "--sigma2", "0.1"], "--sigma2 has no effect on bell with --dist sharp"),
+            (["bell", *gaussian, "--sigma2", "0.1"], "--sigma2 has no effect on bell with --dist gaussian"),
+            (["correlate", *ab, "--sigma2", "0.1"], "--sigma2 has no effect on correlate with --dist sharp"),
+            (["bell", "--sigma", "0.1"], "--sigma has no effect on bell with --dist sharp"),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 1, argv
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_joint_profile_reads_the_second_particle(self, capsys):
+        # zero spread: the swap-symmetrized mixed-momentum Bell average
+        argv = ["bell", "--dist", "joint", "--sigma", "0", "--beta2", "0.9,0,0",
+                "--samples", "1000"]
+        assert main(argv) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["value"] == pytest.approx(-2.730491670425466, abs=1e-8)
 
 
 class TestCommandOutput:

@@ -104,6 +104,8 @@ class TestProtocolConfigValidation:
     def test_key_axes_must_be_unit(self):
         with pytest.raises(ValueError, match="unit"):
             make_config(key_axes=((0.0, 0.0, 2.0),))
+        with pytest.raises(ValueError, match="at least one axis"):
+            make_config(key_axes=())
 
     def test_test_fraction_bounds(self):
         for bad in (0.0, 1.0, -0.1):
@@ -119,11 +121,18 @@ class TestProtocolConfigValidation:
         with pytest.raises(ValueError, match="threshold_mode"):
             make_config(threshold_mode="exact")
 
+    def test_threshold_sample_floor(self):
+        with pytest.raises(ValueError, match="threshold_samples = 99"):
+            make_config(threshold_samples=99)
+        make_config(threshold_samples=100)
+
     def test_attack_probability_bounds(self):
         with pytest.raises(ValueError, match="attack_probability"):
             InterceptResend(attack_probability=1.5)
         with pytest.raises(ValueError, match="unit"):
             InterceptResend(basis_pool=((1.0, 1.0, 0.0),))
+        with pytest.raises(ValueError, match="at least one axis"):
+            InterceptResend(basis_pool=())
 
 
 class TestSifting:
