@@ -30,7 +30,7 @@ from .correlator import (
     kernel_from_beta,
 )
 from .distributions import MomentumDistribution, Sharp
-from .kinematics import ParticleKinematics, _as_triple, _check_mass
+from .kinematics import ParticleKinematics, _as_triple, _check_mass, _frame_pair
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -88,14 +88,20 @@ _CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
 
 
 def _sides(config: BellConfig):
-    """Alice's and Bob's axes; their row-major product is ``axis_pairs``."""
+    """Alice's and Bob's axes as component triples; their row-major product
+    is ``axis_pairs``."""
     return (config.a, config.a_prime), (config.b, config.b_prime)
+
+
+def _chsh(config: BellConfig, frame1, frame2) -> np.ndarray:
+    """Bell average per row of two particle frames; degenerate rows raise."""
+    k = _nondegenerate(*_kernel_matrix(*_sides(config), frame1, frame2))
+    return ((k[0, 0] + k[0, 1]) + k[1, 0]) - k[1, 1]
 
 
 def chsh_from_beta(config: BellConfig, beta1, beta2) -> np.ndarray:
     """Vectorized Bell average from velocity arrays of shape (..., 3)."""
-    k = _nondegenerate(*_kernel_matrix(*_sides(config), beta1, beta2))
-    return ((k[0, 0] + k[0, 1]) + k[1, 0]) - k[1, 1]
+    return _chsh(config, *_frame_pair(beta1, beta2))
 
 
 def bell_average_sharp(config: BellConfig, beta_vec, mass: float = 1.0) -> float:

@@ -6,7 +6,8 @@ normalized, with a warning when they are off by more than 1e-6); list
 flags take semicolon-separated triples.  A ``--config`` file holds flat
 ``key = value`` lines mirroring the long flag names; explicit flags
 override file values.  Relative ``--out`` paths are resolved against
-``$RELBELL_OUT_DIR`` when it is set.  Parsing builds the library objects
+``$RELBELL_OUT_DIR`` when it is set.  Flag names and config-file keys must
+match exactly; prefixes are not expanded.  Parsing builds the library objects
 the flags configure; their constructors do every range check, and what
 they reject is a usage error.  Exit codes: 0 success, 1 usage error, 2
 runtime error.
@@ -240,11 +241,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="relbell", description=__doc__)
+    # no prefix matching: --beta must not quietly stand for --beta-max
+    parser = _Parser(prog="relbell", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
     for command, flags in COMMAND_FLAGS.items():
-        cmd = sub.add_parser(command)
+        cmd = sub.add_parser(command, allow_abbrev=False)
         cmd.add_argument("--config", default=None, help="flat key = value file")
         for flag in flags:
             cmd.add_argument(f"--{flag.name}", default=None, help=flag.help)
@@ -380,6 +382,8 @@ def _build_inputs(command: str, params: dict) -> dict:
     if "samples" in params:
         _check_sampling(params["samples"], params["workers"])
     if command == "protocol":
+        if params["eve_pool"] is not None and params["eve_probability"] is None:
+            raise UsageError("--eve-pool has no effect without --eve-probability")
         eve = None
         if params["eve_probability"] is not None:
             pool = {} if params["eve_pool"] is None else {"basis_pool": params["eve_pool"]}

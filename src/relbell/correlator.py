@@ -16,6 +16,13 @@ reduces to
 Setting ``b = a`` gives exactly -1 for any momentum: the pair stays
 perfectly anti-correlated along a shared axis.
 
+Every kernel in the package comes from :func:`_kernel_matrix`, which works
+on the component core of :mod:`relbell.kinematics`: it takes one frame per
+particle, boosts each axis once as three contiguous x/y/z arrays, and adds
+the dot products and squared norms component by component, left to right.
+Momentum arrays that are equal bit for bit (as for a correlated beam) get
+one frame, built once and used for both particles.
+
 Averages over momentum profiles are estimated by Monte Carlo with a
 splittable, counter-based generator (Philox keyed through ``SeedSequence``
 spawning, one child per fixed-size chunk), so results are bitwise
@@ -35,8 +42,11 @@ from .errors import DegenerateObservableError, DomainError
 from .kinematics import (
     DEGENERACY_TOL,
     ParticleKinematics,
-    beta_from_momentum,
-    boosted_spin_axis,
+    _boost,
+    _components,
+    _dot,
+    _frame_pair,
+    _norm_sq,
 )
 
 #: Default number of momentum samples evaluated per RNG chunk.
@@ -49,24 +59,25 @@ _MAX_RESAMPLE_SWEEPS = 100
 _DEGENERACY_TOL_SQ = DEGENERACY_TOL * DEGENERACY_TOL
 
 
-def _kernel_matrix(alice_dirs, bob_dirs, beta1, beta2):
+def _kernel_matrix(alice_axes, bob_axes, frame1, frame2):
     """Singlet kernel for every (Alice, Bob) axis pair, with a degeneracy mask.
 
-    ``alice_dirs`` and ``bob_dirs`` are sequences of lab axes, each of shape
-    (3,) or (..., 3) for per-row axes; every axis is boosted once with its
-    side's velocity array.  Returns ``(kernels, degenerate)``: ``kernels``
-    has shape ``(len(alice_dirs), len(bob_dirs)) + rows``, with ``rows`` the
-    broadcast shape of the axes and velocities, and ``degenerate`` marks the
-    rows where any effective axis is shorter than ``DEGENERACY_TOL``.  The
-    kernels of those rows are meaningless; raising on them or resampling
-    them is the caller's policy.  Normalizing by one square root of the
-    product of squared norms makes the shared-axis case land on -1 exactly.
+    ``alice_axes`` and ``bob_axes`` are sequences of axes, each a component
+    triple: three scalars for a fixed axis or three arrays for per-row axes.
+    Alice's axes are boosted once in ``frame1``, Bob's in ``frame2``.
+    Returns ``(kernels, degenerate)``: ``kernels`` has shape
+    ``(len(alice_axes), len(bob_axes)) + rows``, with ``rows`` the broadcast
+    shape of the axes and frames, and ``degenerate`` marks the rows where
+    any effective axis is shorter than ``DEGENERACY_TOL``.  The kernels of
+    those rows are meaningless; raising on them or resampling them is the
+    caller's policy.  Normalizing by one square root of the product of
+    squared norms makes the shared-axis case land on -1 exactly.
     """
-    v1 = [boosted_spin_axis(a_dir, beta1) for a_dir in alice_dirs]
-    v2 = [boosted_spin_axis(b_dir, beta2) for b_dir in bob_dirs]
-    sq1 = [np.sum(v * v, axis=-1) for v in v1]
-    sq2 = [np.sum(v * v, axis=-1) for v in v2]
-    rows = np.broadcast_shapes(*(sq.shape for sq in sq1 + sq2))
+    v1 = [_boost(axis, frame1) for axis in alice_axes]
+    v2 = [_boost(axis, frame2) for axis in bob_axes]
+    sq1 = [_norm_sq(v) for v in v1]
+    sq2 = [_norm_sq(v) for v in v2]
+    rows = np.broadcast_shapes(*(np.shape(sq) for sq in sq1 + sq2))
     degenerate = np.zeros(rows, dtype=bool)
     for sq in sq1 + sq2:
         degenerate |= sq < _DEGENERACY_TOL_SQ
@@ -76,7 +87,7 @@ def _kernel_matrix(alice_dirs, bob_dirs, beta1, beta2):
             for j, (vb, sb) in enumerate(zip(v2, sq2)):
                 # the Ellipsis keeps a 0-d row a writable view
                 out = kernels[i, j, ...]
-                np.divide(-np.sum(va * vb, axis=-1), np.sqrt(sa * sb), out=out)
+                np.divide(-_dot(va, vb), np.sqrt(sa * sb), out=out)
     return kernels, degenerate
 
 
@@ -100,7 +111,8 @@ def kernel_from_beta(a_dir, b_dir, beta1, beta2) -> np.ndarray:
     with |beta| = 1 are allowed as a limit provided the axis keeps a
     longitudinal component.
     """
-    return _nondegenerate(*_kernel_matrix((a_dir,), (b_dir,), beta1, beta2))[0, 0]
+    axes = (_components(a_dir),), (_components(b_dir),)
+    return _nondegenerate(*_kernel_matrix(*axes, *_frame_pair(beta1, beta2)))[0, 0]
 
 
 def correlator_integrand(
@@ -162,12 +174,12 @@ def _sample_kernels(axes, dist, rng: np.random.Generator, n: int) -> np.ndarray:
 
     Columns of degenerate draws are NaN so the caller can resample them.
     """
-    # the momenta are dropped once the velocities exist
-    beta1, beta2 = (beta_from_momentum(p, dist.mass) for p in dist.sample(rng, n))
-    kernels, degenerate = _kernel_matrix(*axes, beta1, beta2)
+    # the momenta are dropped once the frames exist
+    frame1, frame2 = _frame_pair(*dist.sample(rng, n), dist.mass)
+    kernels, degenerate = _kernel_matrix(*axes, frame1, frame2)
     if isinstance(dist, JointGaussian):
         # symmetrize over the particle swap, in place
-        swapped, degenerate_swapped = _kernel_matrix(*axes, beta2, beta1)
+        swapped, degenerate_swapped = _kernel_matrix(*axes, frame2, frame1)
         kernels += swapped
         kernels *= 0.5
         degenerate |= degenerate_swapped
@@ -272,7 +284,7 @@ def correlator_mc(
             samples=samples,
         )
     means, errors, rejected = _mc_means(
-        ((a_dir,), (b_dir,)), dist, samples, seed, chunk_size, workers
+        ((_components(a_dir),), (_components(b_dir),)), dist, samples, seed, chunk_size, workers
     )
     return CorrelatorEstimate(
         value=float(means[0]),

@@ -38,13 +38,13 @@ from .bell import (
     BellConfig,
     DEFAULT_CONFIG,
     _as_unit_triple,
-    chsh_from_beta,
+    _chsh,
     corrected_threshold,
 )
-from .correlator import _check_sampling, _kernel_matrix, kernel_from_beta
+from .correlator import _check_sampling, _kernel_matrix, _nondegenerate
 from .distributions import MomentumDistribution
 from .errors import DegenerateObservableError, UndersampledTestError
-from .kinematics import beta_from_momentum
+from .kinematics import _frame_pair
 
 #: Fewest test rounds per basis pair for a meaningful CHSH estimate.
 MIN_TEST_ROUNDS = 25
@@ -317,16 +317,15 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     rng_outcome = np.random.Generator(np.random.Philox(roles[3]))
     rng_eve = np.random.Generator(np.random.Philox(roles[4]))
 
-    mass = config.distribution.mass
     p1, p2 = config.distribution.sample(rng_momenta, n)
-    beta1 = beta_from_momentum(p1, mass)
-    beta2 = beta_from_momentum(p2, mass)
+    frame1, frame2 = _frame_pair(p1, p2, config.distribution.mass)
 
     n_key = len(config.key_axes)
     alice_idx = _choose_bases(rng_alice, n, n_key, config.test_fraction)
     bob_idx = _choose_bases(rng_bob, n, n_key, config.test_fraction)
-    alice_vecs = config.alice_pool[alice_idx]
-    bob_vecs = config.bob_pool[bob_idx]
+    # per-row axes as component rows of shape (3, n)
+    alice_axes = config.alice_pool.T[:, alice_idx]
+    bob_axes = config.bob_pool.T[:, bob_idx]
 
     s = (2 * rng_outcome.integers(0, 2, size=n) - 1).astype(np.int8)
     u_outcome = rng_outcome.random(n)
@@ -343,11 +342,11 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
         attacked = u_attack < config.eve.attack_probability
         eve_basis[attacked] = eve_pick[attacked]
 
-    partner_vecs = bob_vecs.copy()
+    partner_axes = bob_axes.copy()
     if attacked.any():
-        partner_vecs[attacked] = np.array(config.eve.basis_pool)[eve_basis[attacked]]
+        partner_axes[:, attacked] = np.array(config.eve.basis_pool).T[:, eve_basis[attacked]]
 
-    kernel = kernel_from_beta(alice_vecs, partner_vecs, beta1, beta2)
+    kernel = _nondegenerate(*_kernel_matrix((alice_axes,), (partner_axes,), frame1, frame2))[0, 0]
     t = np.where(u_outcome < 0.5 * (1.0 + s * kernel), 1, -1).astype(np.int8)
 
     bob_outcome = t.copy()
@@ -356,8 +355,9 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
         rows = np.nonzero(attacked)[0]
         # the overlap of Eve's and Bob's effective axes is minus their
         # singlet kernel, both taken at Bob's momentum
+        bob_frame = frame2.take(rows)
         kernels, degenerate = _kernel_matrix(
-            (partner_vecs[rows],), (bob_vecs[rows],), beta2[rows], beta2[rows]
+            (partner_axes[:, rows],), (bob_axes[:, rows],), bob_frame, bob_frame
         )
         if np.any(degenerate):
             raise DegenerateObservableError(
@@ -389,16 +389,17 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
         bob_key_bits=bob_key_bits,
     )
     transcript.bell_naive = bell_test(transcript, corrected=False)
-    transcript.bell_corrected = bell_test(transcript, corrected=True)
+    # the run's own frames give the empirical threshold; nothing is rebuilt
+    threshold = None
+    if config.threshold_mode == "empirical":
+        threshold = _empirical_threshold(config.bell, frame1, frame2)
+    transcript.bell_corrected = bell_test(transcript, corrected=True, threshold=threshold)
     return transcript
 
 
-def _empirical_threshold(transcript: ProtocolTranscript) -> float:
-    """|Bell average| over the momenta actually recorded in the run."""
-    mass = transcript.config.distribution.mass
-    beta1 = beta_from_momentum(transcript.momentum1, mass)
-    beta2 = beta_from_momentum(transcript.momentum2, mass)
-    return abs(float(np.mean(chsh_from_beta(transcript.config.bell, beta1, beta2))))
+def _empirical_threshold(bell: BellConfig, frame1, frame2) -> float:
+    """|Bell average| over the recorded pairs, given their particle frames."""
+    return abs(float(np.mean(_chsh(bell, frame1, frame2))))
 
 
 def bell_test(
@@ -450,7 +451,10 @@ def bell_test(
         if not corrected:
             threshold = TSIRELSON_BOUND
         elif config.threshold_mode == "empirical":
-            threshold = _empirical_threshold(transcript)
+            frames = _frame_pair(
+                transcript.momentum1, transcript.momentum2, config.distribution.mass
+            )
+            threshold = _empirical_threshold(config.bell, *frames)
         else:
             # derive an integer seed disjoint from the five role substreams
             child = np.random.SeedSequence(config.seed).spawn(6)[5]

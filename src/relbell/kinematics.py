@@ -18,12 +18,26 @@ longitudinal part is untouched.  Its length is
 ``|v| = sqrt(1 + beta^2 ((a.n)^2 - 1))``, which shrinks to ``|a.n|`` as
 ``beta -> 1``: in that limit every axis collapses onto the momentum
 direction and all spin observables commute.
+
+Every velocity and effective axis in the package comes from one component
+core, which works on three separate x/y/z arrays instead of one array of
+shape (..., 3).  :func:`_velocity` turns momentum components into
+velocity components, :func:`_frame` turns a velocity array into its
+*frame* (the unit direction ``n`` and the factor ``sqrt(1 - beta^2)``),
+and :func:`_boost` forms ``v(a)`` in a frame.  A frame is built once per
+velocity array and serves every axis boosted with it; two arrays that are
+equal bit for bit share one frame (:func:`_frame_pair`).  The core adds
+the three components of a dot product left to right from ``+0.0``, which
+is how ``np.sum(..., axis=-1)`` adds a length-3 axis, so the public
+:func:`beta_from_momentum` and :func:`boosted_spin_axis`, which stack its
+components, return the same bytes as that ``np.sum`` form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,9 +64,10 @@ def _as_triple(values, name: str) -> tuple[float, float, float]:
 
 
 def _check_mass(mass: float) -> float:
+    """A positive mass whose square is finite, so ``m^2 + |p|^2`` is too."""
     mass = float(mass)
-    if not (math.isfinite(mass) and mass > 0.0):
-        raise ValueError(f"mass must be positive and finite, got {mass}")
+    if not (math.isfinite(mass * mass) and mass > 0.0):
+        raise ValueError(f"mass must be positive with a finite square, got {mass}")
     return mass
 
 
@@ -149,9 +164,92 @@ def momentum_for_beta(beta_vec, mass: float = 1.0) -> tuple[float, float, float]
 
 def beta_from_momentum(momentum: np.ndarray, mass: float) -> np.ndarray:
     """Vectorized velocity p / sqrt(m^2 + |p|^2) for arrays of shape (..., 3)."""
-    p = np.asarray(momentum, dtype=float)
-    energy = np.sqrt(mass * mass + np.sum(p * p, axis=-1, keepdims=True))
-    return p / energy
+    return np.stack(_velocity(_components(momentum), mass), axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# the component core: triples of x/y/z arrays (or scalars) that broadcast
+
+
+def _components(vectors):
+    """The x, y and z components of an array of shape (..., 3), as views."""
+    x = np.asarray(vectors, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != 3:
+        raise ValueError(f"expected an array of shape (..., 3), got {x.shape}")
+    return tuple(np.moveaxis(x, -1, 0))
+
+
+def _norm_sq(x):
+    """|x|^2 of a component triple; squares are never -0.0, so no +0.0 start
+    is needed to match ``np.sum(x * x, axis=-1)``."""
+    return (x[0] * x[0] + x[1] * x[1]) + x[2] * x[2]
+
+
+def _dot(x, y):
+    """x.y of two component triples, added as ``np.sum(x * y, axis=-1)``
+    adds: left to right from +0.0, so three -0.0 products give +0.0."""
+    return ((0.0 + x[0] * y[0]) + x[1] * y[1]) + x[2] * y[2]
+
+
+def _velocity(momentum, mass: float):
+    """Velocity components p / E, with E = sqrt(m^2 + |p|^2)."""
+    energy = np.sqrt(mass * mass + _norm_sq(momentum))
+    return tuple(c / energy for c in momentum)
+
+
+class _Frame(NamedTuple):
+    """What boosting an axis needs from a velocity array: the unit direction
+    ``n`` (zero at rest) and ``root = sqrt(max(1 - beta^2, 0))``."""
+
+    n: tuple
+    root: np.ndarray
+
+    def take(self, rows) -> "_Frame":
+        """The frame of the selected rows."""
+        return _Frame(tuple(c[rows] for c in self.n), self.root[rows])
+
+
+def _frame(beta) -> _Frame:
+    """The frame of a velocity component triple."""
+    beta_sq = _norm_sq(beta)
+    norm = np.sqrt(beta_sq)
+    # rest branch: force n = 0 so v reduces to a with no 0/0
+    scale = np.where(norm > 0.0, norm, 1.0)
+    # clip guards |beta| = 1 against forming sqrt of a tiny negative
+    root = np.sqrt(np.maximum(1.0 - beta_sq, 0.0))
+    return _Frame(tuple(c / scale for c in beta), root)
+
+
+def _same_bits(x, y) -> bool:
+    """Equal bit for bit: -0.0 and 0.0 differ, equal NaNs match."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def _frame_pair(x1, x2, mass: float | None = None):
+    """Frames of two arrays of shape (..., 3): velocities, or momenta when
+    ``mass`` is given.  Arrays equal bit for bit share one frame."""
+
+    def frame(x):
+        c = _components(x)
+        return _frame(c if mass is None else _velocity(c, mass))
+
+    frame1 = frame(x1)
+    if x2 is x1 or _same_bits(x1, x2):
+        return frame1, frame1
+    return frame1, frame(x2)
+
+
+def _boost(axis, frame: _Frame):
+    """Components of v(a) = root (a - (a.n) n) + (a.n) n for a component
+    triple ``axis`` (scalars or per-row arrays)."""
+    along = _dot(axis, frame.n)
+    v = []
+    for a, n in zip(axis, frame.n):
+        a_long = along * n
+        v.append(frame.root * (a - a_long) + a_long)
+    return tuple(v)
 
 
 def pl_eigenvalue(a: FourVector, kin: ParticleKinematics, j3: float = 0.5) -> float:
@@ -182,16 +280,7 @@ def boosted_spin_axis(a_dir, beta_vec) -> np.ndarray:
     single 3-vectors or arrays of shape (..., 3).  Rows with beta = 0 take
     the rest-frame branch v = a exactly (no momentum direction enters).
     """
-    a = np.asarray(a_dir, dtype=float)
-    b = np.asarray(beta_vec, dtype=float)
-    beta_sq = np.sum(b * b, axis=-1, keepdims=True)
-    norm = np.sqrt(beta_sq)
-    # rest branch: force n = 0 so v reduces to a with no 0/0
-    n = b / np.where(norm > 0.0, norm, 1.0)
-    a_long = np.sum(a * n, axis=-1, keepdims=True) * n
-    # clip guards |beta| = 1 against forming sqrt of a tiny negative
-    root = np.sqrt(np.maximum(1.0 - beta_sq, 0.0))
-    return root * (a - a_long) + a_long
+    return np.stack(_boost(_components(a_dir), _frame(_components(beta_vec))), axis=-1)
 
 
 def spin_observable(a_dir, kin: ParticleKinematics) -> np.ndarray:

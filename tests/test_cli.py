@@ -91,6 +91,9 @@ def valid_argv(draw):
     for name in ("sigma", "beta2", "sigma2"):
         if name not in used:
             chosen.pop(name, None)
+    # Eve's pool is read only together with her attack probability
+    if "eve-probability" not in chosen:
+        chosen.pop("eve-pool", None)
     argv = [command]
     for name, text in chosen.items():
         argv.extend([f"--{name}", text])
@@ -110,7 +113,7 @@ BAD_TEXT = {
     "beta2": ["1.5,0,0", "inf,0,0"],
     "sigma": ["-0.1", "0,-1,0", "nan", "x"],
     "sigma2": ["-0.1", "x"],
-    "mass": ["0", "-1", "nan", "inf", "x"],
+    "mass": ["0", "-1", "nan", "inf", "x", "1e200"],
     "dist": ["uniform"],
     "samples": ["99", "-1", "1.5"],
     "seed": ["-1", "x"],
@@ -211,6 +214,8 @@ class TestExitCodes:
             ["protocol", "--pairs", "120"],
             ["protocol", "--pairs", "150"],
             ["protocol", "--test-fraction", "1.5"],
+            # flags must match exactly: --beta is not --beta-max
+            ["scan", "--figure", "1", "--beta", "0.5"],
         ]
         for argv in cases:
             assert main(argv) == 1, argv
@@ -260,6 +265,7 @@ class TestInvalidInput:
             (["bell", *gaussian, "--sigma2", "0.1"], "--sigma2 has no effect on bell with --dist gaussian"),
             (["correlate", *ab, "--sigma2", "0.1"], "--sigma2 has no effect on correlate with --dist sharp"),
             (["bell", "--sigma", "0.1"], "--sigma has no effect on bell with --dist sharp"),
+            (["protocol", "--eve-pool", "1,0,0"], "--eve-pool has no effect without --eve-probability"),
         ]
         for argv, message in cases:
             assert main(argv) == 1, argv
@@ -356,6 +362,13 @@ class TestConfigFile:
         path.write_text("seed = 3\n")
         config = parse_args(["bell", f"--config={path}", "--seed", "9"])
         assert config["seed"] == 9
+
+    def test_keys_must_match_exactly(self, tmp_path, capsys):
+        # scan has --beta-max but no --beta; a prefix is not expanded
+        path = tmp_path / "run.conf"
+        path.write_text("figure = 1\nbeta = 0.5\n")
+        assert main(["scan", "--config", str(path)]) == 1
+        assert "unrecognized arguments: --beta 0.5" in capsys.readouterr().err
 
     def test_bad_line_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "run.conf"

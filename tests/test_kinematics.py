@@ -108,6 +108,9 @@ class TestParticleKinematics:
             ParticleKinematics(0.0, (1.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             ParticleKinematics(-1.0, (0.0, 0.0, 0.0))
+        # m^2 overflows: the energy would be inf and the velocity 0
+        with pytest.raises(ValueError, match="finite square"):
+            ParticleKinematics(1e200, (0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             ParticleKinematics(1.0, (1.0, 0.0))
         with pytest.raises(DomainError):
