@@ -64,7 +64,8 @@ def _as_triple(values, name: str) -> tuple[float, float, float]:
 
 
 def _check_mass(mass: float) -> float:
-    """A positive mass whose square is finite, so ``m^2 + |p|^2`` is too."""
+    """A positive mass whose square is finite; an infinite ``m^2`` would
+    make every velocity ``p / sqrt(m^2 + |p|^2)`` zero."""
     mass = float(mass)
     if not (math.isfinite(mass * mass) and mass > 0.0):
         raise ValueError(f"mass must be positive with a finite square, got {mass}")
