@@ -3,10 +3,11 @@
     python3 scripts/bench_compare.py PARENT_DIR CHANGE_DIR --out BENCH_topic.json
 
 PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
-``git archive``).  For each workload in BENCHMARK.json, pair ``k`` runs
-``perfbench/run.py --workload W --seed S+k`` in both at the run length
-BENCHMARK.json sets, the parent first in even pairs and the change first in
-odd ones, so a slow drift of the host loads both sides alike.  The file
+``git archive``).  For each workload in BENCHMARK.json, pair ``k < PAIRS``
+runs ``perfbench/run.py --workload W --seed FIRST_SEED+k`` in both at the
+run length BENCHMARK.json sets, the parent first in even pairs and the
+change first in odd ones, so a slow drift of the host loads both sides
+alike.  The file
 gets every run, the median and quartiles of each end-to-end metric, the
 pairs each side won, one traced run per side, and the tracemalloc peak of
 one 65536-draw crossed-beam Monte Carlo chunk.  Run it on an otherwise idle
@@ -25,6 +26,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Alternating parent/change pairs per workload, and the seed of the first.
+PAIRS = 10
+FIRST_SEED = 100
 
 TRACED = (
     "correlator.kernel_ns_per_eval",
@@ -77,6 +82,7 @@ def summarize(runs: list[dict], spec: list[dict]) -> dict:
         change = [r["change"]["metrics"][name]["value"] for r in runs]
         sign = 1.0 if metric["better"] == "lower" else -1.0
         p, c = quartiles(parent), quartiles(change)
+        iqr = p["q3"] - p["q1"]
         summary[name] = {
             "better": metric["better"],
             "parent": p,
@@ -84,7 +90,8 @@ def summarize(runs: list[dict], spec: list[dict]) -> dict:
             "change_over_parent": c["median"] / p["median"],
             "change_wins": sum(sign * (b - a) < 0 for a, b in zip(parent, change)),
             "pairs": len(runs),
-            "median_gap_over_parent_iqr": abs(c["median"] - p["median"]) / (p["q3"] - p["q1"]),
+            # None when the parent's quartiles coincide (peak_rss_mb is quantized)
+            "median_gap_over_parent_iqr": abs(c["median"] - p["median"]) / iqr if iqr else None,
         }
     return summary
 
@@ -94,8 +101,6 @@ def main() -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=100, help="seed of the first pair")
     args = parser.parse_args()
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -111,17 +116,17 @@ def main() -> int:
             "python": platform.python_version(),
             "numpy": numpy.__version__,
             "run_seconds": bench["run_seconds"],
-            "pairs": args.pairs,
-            "first_seed": args.seed,
+            "pairs": PAIRS,
+            "first_seed": FIRST_SEED,
         },
         "workloads": {},
     }
     for workload in (w["name"] for w in bench["workloads"]):
         runs = []
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            argv = ["--workload", workload, "--seed", str(args.seed + k), "--seconds", seconds]
-            pair = {"seed": args.seed + k, "first": order[0]}
+            argv = ["--workload", workload, "--seed", str(FIRST_SEED + k), "--seconds", seconds]
+            pair = {"seed": FIRST_SEED + k, "first": order[0]}
             for side in order:
                 pair[side] = perfbench(sides[side], argv)
             runs.append(pair)
@@ -136,7 +141,7 @@ def main() -> int:
 
     record["traced"] = {}
     for side, path in sides.items():
-        result = perfbench(path, ["--workload", "mc_threshold", "--seed", str(args.seed),
+        result = perfbench(path, ["--workload", "mc_threshold", "--seed", str(FIRST_SEED),
                                   "--seconds", seconds, "--trace", "1"])
         record["traced"][side] = {name: result["metrics"][name]["value"] for name in TRACED}
     record["chunk_peak_bytes"] = {

@@ -292,7 +292,8 @@ class TestScanFigure:
             scan_figure(1, 1)
         with pytest.raises(ValueError):
             scan_figure(1, 11, beta_max=1.5)
-        for mass in (-1.0, 0.0, math.nan, math.inf):
+        # 1e200 squares to inf: scans keep the mass rule of every other input
+        for mass in (-1.0, 0.0, math.nan, math.inf, 1e200):
             with pytest.raises(ValueError, match="mass"):
                 scan_figure(1, 11, mass=mass)
 
