@@ -21,7 +21,9 @@ on the component core of :mod:`relbell.kinematics`: it takes one frame per
 particle, boosts each axis once as three contiguous x/y/z arrays, and adds
 the dot products and squared norms component by component, left to right.
 Momentum arrays that are equal bit for bit (as for a correlated beam) get
-one frame, built once and used for both particles.
+one frame, built once and used for both particles.  The Monte Carlo draws
+the momenta of a chunk at once and forms their frames and kernels on
+blocks of ``_BLOCK_ROWS`` draws, which keeps the temporaries in cache.
 
 Averages over momentum profiles are estimated by Monte Carlo with a
 splittable, counter-based generator (Philox keyed through ``SeedSequence``
@@ -51,6 +53,14 @@ from .kinematics import (
 
 #: Default number of momentum samples evaluated per RNG chunk.
 DEFAULT_CHUNK_SIZE = 65536
+
+#: Momentum draws per block of kernel work within a chunk.  A component
+#: array of a block is 32 KiB, so a block's temporaries stay in the per-core
+#: cache and the allocator reuses them from block to block.  Blocks of 16384
+#: draws or whole chunks ran faster on an idle 2-vCPU host, but under load
+#: from other tenants their Monte Carlo op times varied three times as much
+#: from run to run, and their peak memory varied by ~10 MB.
+_BLOCK_ROWS = 4096
 
 #: Cap on resampling sweeps for degenerate draws within one chunk.
 _MAX_RESAMPLE_SWEEPS = 100
@@ -173,18 +183,27 @@ def _sample_kernels(axes, dist, rng: np.random.Generator, n: int) -> np.ndarray:
     """Kernel rows, one per axis pair, over ``n`` fresh momentum draws.
 
     Columns of degenerate draws are NaN so the caller can resample them.
+    The draws are made at once; the frames and kernels are formed on
+    blocks of ``_BLOCK_ROWS`` draws, so the temporaries of a block stay in
+    cache and are reused instead of mapping fresh pages for every chunk.
+    Each kernel is a per-row value, so the blocks give the bytes of one
+    whole-chunk pass.
     """
-    # the momenta are dropped once the frames exist
-    frame1, frame2 = _frame_pair(*dist.sample(rng, n), dist.mass)
-    kernels, degenerate = _kernel_matrix(*axes, frame1, frame2)
-    if isinstance(dist, JointGaussian):
-        # symmetrize over the particle swap, in place
-        swapped, degenerate_swapped = _kernel_matrix(*axes, frame2, frame1)
-        kernels += swapped
-        kernels *= 0.5
-        degenerate |= degenerate_swapped
-    kernels = kernels.reshape(-1, n)
-    kernels[:, degenerate] = np.nan
+    p1, p2 = dist.sample(rng, n)
+    kernels = np.empty((len(axes[0]) * len(axes[1]), n))
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        frame1, frame2 = _frame_pair(p1[rows], p2[rows], dist.mass)
+        block, degenerate = _kernel_matrix(*axes, frame1, frame2)
+        if isinstance(dist, JointGaussian):
+            # symmetrize over the particle swap, in place
+            swapped, degenerate_swapped = _kernel_matrix(*axes, frame2, frame1)
+            block += swapped
+            block *= 0.5
+            degenerate |= degenerate_swapped
+        block = block.reshape(len(kernels), -1)
+        block[:, degenerate] = np.nan
+        kernels[:, rows] = block
     return kernels
 
 
@@ -209,7 +228,9 @@ def _evaluate_chunk(axes, dist, seed_seq, n: int):
             "could not draw nondegenerate momenta after "
             f"{_MAX_RESAMPLE_SWEEPS} resampling sweeps"
         )
-    return kernels.sum(axis=1), (kernels * kernels).sum(axis=1), rejected
+    sums = kernels.sum(axis=1)
+    kernels *= kernels
+    return sums, kernels.sum(axis=1), rejected
 
 
 def _mc_means(axes, dist, samples: int, seed: int, chunk_size: int, workers: int):

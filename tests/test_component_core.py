@@ -293,6 +293,18 @@ class TestMonteCarlo:
             assert repr(got.standard_error) == repr(want.standard_error), key
             assert got.rejected == want.rejected, key
 
+    @pytest.mark.parametrize("beam", sorted(BEAMS))
+    def test_blocks_within_a_chunk_match_reference(self, beam, monkeypatch):
+        # 999 draws per chunk make 15 blocks of 64 and a ragged one of 39
+        dist = BEAMS[beam]
+        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 64)
+        got = bell_average_mc(DEFAULT_CONFIG, dist, 5003, 17, chunk_size=999, workers=2)
+        monkeypatch.setattr(correlator, "_sample_kernels", ref_sample_kernels)
+        want = bell_average_mc(DEFAULT_CONFIG, dist, 5003, 17, chunk_size=999)
+        assert repr(got.value) == repr(want.value)
+        assert repr(got.standard_error) == repr(want.standard_error)
+        assert got.rejected == want.rejected
+
     @pytest.mark.parametrize("beam, frames_per_chunk", [
         ("correlated", 1), ("crossed", 2), ("joint_equal", 1),
     ])
