@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from relbell import (
     correlator_sharp,
     kernel_from_beta,
 )
+from relbell import correlator
 from relbell.kinematics import boosted_spin_axis
 
 
@@ -204,6 +206,21 @@ class TestMonteCarlo:
         threaded = correlator_mc((0, 0, 1), (0, 1, 0), dist, **kwargs, workers=4)
         assert first == again
         assert first == threaded
+
+    def test_threaded_calls_share_one_set_of_workers(self, monkeypatch):
+        names = set()
+        evaluate = correlator._evaluate_chunk
+
+        def recording(*args):
+            names.add(threading.current_thread().name)
+            return evaluate(*args)
+
+        monkeypatch.setattr(correlator, "_evaluate_chunk", recording)
+        dist = CorrelatedGaussian.from_beta((0.7, 0.0, 0.0), sigma=0.05)
+        for seed in range(3):
+            correlator_mc((0, 0, 1), (0, 1, 0), dist, 1000, seed, chunk_size=100, workers=2)
+        assert 1 <= len(names) <= 2
+        assert threading.current_thread().name not in names
 
     def test_joint_gaussian_symmetrizes_over_swap(self):
         # zero-width joint profile: the estimate is the symmetrized kernel
