@@ -26,15 +26,21 @@ from .correlator import (
     _mc_means,
     _nondegenerate,
     _rejection_warning,
-    _shared_velocity,
     kernel_from_beta,
 )
-from .distributions import MomentumDistribution, Sharp
-from .kinematics import ParticleKinematics, _as_triple, _check_mass, _frame_pair
+from .distributions import MomentumDistribution
+from .kinematics import _as_triple, _check_mass, _check_velocity, _frame_pair
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 _UNIT_TOL = 1e-12
+
+
+def _dump_json(obj, stream) -> None:
+    """Stream ``obj`` as one line of canonical JSON: sorted keys, compact
+    separators, LF-terminated."""
+    json.dump(obj, stream, sort_keys=True, separators=(",", ":"))
+    stream.write("\n")
 
 
 def _as_unit_triple(values, name: str) -> tuple[float, float, float]:
@@ -84,19 +90,20 @@ DEFAULT_CONFIG = BellConfig(
     b_prime=(1.0, 0.0, 0.0),
 )
 
-_CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
-
-
 def _sides(config: BellConfig):
     """Alice's and Bob's axes as component triples; their row-major product
     is ``axis_pairs``."""
     return (config.a, config.a_prime), (config.b, config.b_prime)
 
 
+def _chsh_sum(k) -> np.ndarray:
+    """``K(a, b) + K(a, b') + K(a', b) - K(a', b')`` over leading (2, 2) axes."""
+    return ((k[0, 0] + k[0, 1]) + k[1, 0]) - k[1, 1]
+
+
 def _chsh(config: BellConfig, frame1, frame2) -> np.ndarray:
     """Bell average per row of two particle frames; degenerate rows raise."""
-    k = _nondegenerate(*_kernel_matrix(*_sides(config), frame1, frame2))
-    return ((k[0, 0] + k[0, 1]) + k[1, 0]) - k[1, 1]
+    return _chsh_sum(_nondegenerate(*_kernel_matrix(*_sides(config), frame1, frame2)))
 
 
 def chsh_from_beta(config: BellConfig, beta1, beta2) -> np.ndarray:
@@ -109,7 +116,7 @@ def bell_average_sharp(config: BellConfig, beta_vec, mass: float = 1.0) -> float
 
     ``mass`` does not enter the value; requires |beta| < 1.
     """
-    beta = _shared_velocity(beta_vec)
+    beta = _check_velocity(beta_vec)
     return float(chsh_from_beta(config, beta, beta))
 
 
@@ -126,21 +133,14 @@ def bell_average_mc(
 
     The four correlators are evaluated on the same momentum draws and the
     four standard errors are combined in quadrature.  A sharp profile
-    short-circuits to the exact value with zero error.
+    gives the exact value with zero error.
     """
     _check_sampling(samples, workers)
-    if isinstance(dist, Sharp):
-        beta = ParticleKinematics(dist.mass, dist.momentum).beta_vec
-        return CorrelatorEstimate(
-            value=float(chsh_from_beta(config, beta, beta)),
-            standard_error=0.0,
-            samples=samples,
-        )
     means, errors, rejected = _mc_means(
         _sides(config), dist, samples, seed, chunk_size, workers
     )
     return CorrelatorEstimate(
-        value=float(np.dot(_CHSH_SIGNS, means)),
+        value=float(_chsh_sum(means.reshape(2, 2))),
         standard_error=float(np.sqrt(np.sum(errors * errors))),
         samples=samples,
         rejected=rejected,
@@ -196,13 +196,10 @@ class ScanTable:
 
     def to_json(self, stream) -> None:
         records = [dict(zip(self.columns, row)) for row in self.rows]
-        json.dump(
+        _dump_json(
             {"metadata": self.metadata, "columns": list(self.columns), "records": records},
             stream,
-            sort_keys=True,
-            separators=(",", ":"),
         )
-        stream.write("\n")
 
 
 #: Perpendicular equal-projection axes for the single-correlation scan

@@ -29,6 +29,7 @@ from .bell import (
     DEFAULT_CONFIG,
     ScanTable,
     _check_scan,
+    _dump_json,
     bell_average_mc,
     bell_average_sharp,
     scan_figure,
@@ -434,8 +435,7 @@ def _write(obj, fmt: str, stream) -> None:
     elif isinstance(obj, dict):
         if fmt != "json":
             raise ValueError("plain records only support the json format")
-        json.dump(obj, stream, sort_keys=True, separators=(",", ":"))
-        stream.write("\n")
+        _dump_json(obj, stream)
     else:
         raise TypeError(f"cannot emit object of type {type(obj).__name__}")
 

@@ -41,15 +41,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import JointGaussian, MomentumDistribution, Sharp
-from .errors import DegenerateObservableError, DomainError
+from .errors import DegenerateObservableError
 from .kinematics import (
     DEGENERACY_TOL,
     ParticleKinematics,
     _boost,
+    _check_velocity,
     _components,
     _dot,
+    _frame,
     _frame_pair,
     _norm_sq,
+    _velocity,
 )
 
 #: Default number of momentum samples evaluated per RNG chunk.
@@ -133,17 +136,6 @@ def correlator_integrand(
     return float(kernel_from_beta(a_dir, b_dir, kin1.beta_vec, kin2.beta_vec))
 
 
-def _shared_velocity(beta_vec) -> np.ndarray:
-    """A velocity both particles share, checked for shape (3,) and |beta| < 1."""
-    b = np.asarray(beta_vec, dtype=float)
-    if b.shape != (3,):
-        raise ValueError(f"beta_vec must have shape (3,), got {b.shape}")
-    speed = float(np.linalg.norm(b))
-    if speed >= 1.0:
-        raise DomainError(f"|beta| must be < 1, got {speed}")
-    return b
-
-
 def correlator_sharp(a_dir, b_dir, beta_vec, mass: float = 1.0) -> float:
     """Correlation when both particles share one velocity ``beta_vec``.
 
@@ -151,7 +143,7 @@ def correlator_sharp(a_dir, b_dir, beta_vec, mass: float = 1.0) -> float:
     accepted only for signature symmetry with the averaged estimators.
     Requires |beta| < 1.
     """
-    b = _shared_velocity(beta_vec)
+    b = _check_velocity(beta_vec)
     return float(kernel_from_beta(a_dir, b_dir, b, b))
 
 
@@ -259,14 +251,21 @@ def _mc_means(axes, dist, samples: int, seed: int, chunk_size: int, workers: int
     """Chunked Monte Carlo means and standard errors for several axis pairs.
 
     ``axes`` is the (Alice, Bob) pair of axis lists of :func:`_kernel_matrix`;
-    results follow its row-major pair order.  All pairs are evaluated on the
-    same momentum draws (common random numbers).  Chunk streams are spawned
-    up front and partial sums are combined in chunk order, so the result
-    does not depend on ``workers``.  Callers run :func:`_check_sampling`
-    first, ahead of any Sharp short-circuit.
+    results follow its row-major pair order.  This is the one place that
+    knows each profile's policy: a :class:`Sharp` profile is exact (its
+    kernels at the fixed momentum are the means, with zero errors), and
+    the rest are sampled, with every pair on the same momentum draws and a
+    :class:`JointGaussian` kernel symmetrized over the particle swap.
+    Chunk streams are spawned up front and partial sums are combined in
+    chunk order, so the result does not depend on ``workers``.  Callers
+    run :func:`_check_sampling` first.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    if isinstance(dist, Sharp):
+        frame = _frame(_velocity(_components(dist.momentum), dist.mass))
+        kernels = _nondegenerate(*_kernel_matrix(*axes, frame, frame)).reshape(-1)
+        return kernels, np.zeros_like(kernels), 0
     sizes = _chunk_sizes(samples, chunk_size)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     jobs = list(zip(children, sizes))
@@ -318,13 +317,6 @@ def correlator_mc(
     symmetrized over the particle swap before averaging.
     """
     _check_sampling(samples, workers)
-    if isinstance(dist, Sharp):
-        kin = ParticleKinematics(dist.mass, dist.momentum)
-        return CorrelatorEstimate(
-            value=correlator_integrand(a_dir, b_dir, kin, kin),
-            standard_error=0.0,
-            samples=samples,
-        )
     means, errors, rejected = _mc_means(
         ((_components(a_dir),), (_components(b_dir),)), dist, samples, seed, chunk_size, workers
     )

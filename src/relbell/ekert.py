@@ -26,7 +26,6 @@ byte-identical to no eavesdropper at all.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -39,6 +38,7 @@ from .bell import (
     DEFAULT_CONFIG,
     _as_unit_triple,
     _chsh,
+    _dump_json,
     corrected_threshold,
 )
 from .correlator import _check_sampling, _kernel_matrix, _nondegenerate
@@ -123,6 +123,28 @@ class ProtocolConfig:
                 f"threshold_mode must be 'empirical' or 'configured', got {self.threshold_mode!r}"
             )
         _check_sampling(self.threshold_samples, name="threshold_samples")
+
+    def to_dict(self) -> dict:
+        return {
+            "pair_count": self.pair_count,
+            "seed": self.seed,
+            "test_fraction": self.test_fraction,
+            "significance": self.significance,
+            "threshold_mode": self.threshold_mode,
+            "threshold_samples": self.threshold_samples,
+            "key_axes": [list(axis) for axis in self.key_axes],
+            "bell": self.bell.to_dict(),
+            "distribution": self.distribution.to_dict(),
+            # an attack that can never fire is recorded as no eavesdropper, so
+            # probability-0 transcripts are byte-identical to eve-free ones
+            "eve": None
+            if self.eve is None or self.eve.attack_probability == 0.0
+            else {
+                "kind": "intercept_resend",
+                "attack_probability": self.eve.attack_probability,
+                "basis_pool": [list(axis) for axis in self.eve.basis_pool],
+            },
+        }
 
     @property
     def alice_pool(self) -> np.ndarray:
@@ -227,7 +249,7 @@ class ProtocolTranscript:
     def to_json(self, stream) -> None:
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "config": _config_dict(self.config),
+            "config": self.config.to_dict(),
             "rounds": {
                 "momentum1": self.momentum1.tolist(),
                 "momentum2": self.momentum2.tolist(),
@@ -249,8 +271,7 @@ class ProtocolTranscript:
                 "corrected": self.bell_corrected.to_dict() if self.bell_corrected else None,
             },
         }
-        json.dump(payload, stream, sort_keys=True, separators=(",", ":"))
-        stream.write("\n")
+        _dump_json(payload, stream)
 
     def to_csv(self, stream) -> None:
         """Per-round table; the Bell verdicts live in the JSON form only."""
@@ -274,29 +295,6 @@ class ProtocolTranscript:
                 str(int(self.eve_outcome[i])),
             ]
             stream.write(",".join(fields) + "\n")
-
-
-def _config_dict(config: ProtocolConfig) -> dict:
-    return {
-        "pair_count": config.pair_count,
-        "seed": config.seed,
-        "test_fraction": config.test_fraction,
-        "significance": config.significance,
-        "threshold_mode": config.threshold_mode,
-        "threshold_samples": config.threshold_samples,
-        "key_axes": [list(axis) for axis in config.key_axes],
-        "bell": config.bell.to_dict(),
-        "distribution": config.distribution.to_dict(),
-        # an attack that can never fire is recorded as no eavesdropper, so
-        # probability-0 transcripts are byte-identical to eve-free ones
-        "eve": None
-        if config.eve is None or config.eve.attack_probability == 0.0
-        else {
-            "kind": "intercept_resend",
-            "attack_probability": config.eve.attack_probability,
-            "basis_pool": [list(axis) for axis in config.eve.basis_pool],
-        },
-    }
 
 
 def _choose_bases(rng: np.random.Generator, n: int, n_key: int, test_fraction: float) -> np.ndarray:

@@ -55,12 +55,10 @@ SPIN_GENERATORS = 0.5 * np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 
 def _as_triple(values, name: str) -> tuple[float, float, float]:
-    triple = tuple(float(c) for c in values)
-    if len(triple) != 3:
-        raise ValueError(f"{name} must have exactly 3 components, got {len(triple)}")
-    if not all(math.isfinite(c) for c in triple):
-        raise ValueError(f"{name} must be finite, got {triple}")
-    return triple
+    x = np.asarray(values, dtype=float)
+    if x.shape != (3,) or not np.isfinite(x).all():
+        raise ValueError(f"{name} must be 3 finite components, got {x.tolist()}")
+    return tuple(x.tolist())
 
 
 def _check_mass(mass: float) -> float:
@@ -130,7 +128,7 @@ class ParticleKinematics:
 
     @property
     def energy(self) -> float:
-        return math.sqrt(self.mass**2 + sum(c * c for c in self.momentum))
+        return float(_energy(self.momentum, self.mass))
 
     @property
     def beta_vec(self) -> np.ndarray:
@@ -153,14 +151,20 @@ class ParticleKinematics:
         return FourVector.from_spatial(self.energy, self.momentum)
 
 
-def momentum_for_beta(beta_vec, mass: float = 1.0) -> tuple[float, float, float]:
-    """Momentum m*gamma*beta_vec realizing a given velocity; |beta| < 1."""
-    bx, by, bz = _as_triple(beta_vec, "beta_vec")
-    beta_sq = bx * bx + by * by + bz * bz
+def _check_velocity(beta_vec) -> tuple[float, float, float]:
+    """A finite velocity triple with |beta| < 1."""
+    beta = _as_triple(beta_vec, "beta_vec")
+    beta_sq = _norm_sq(beta)
     if beta_sq >= 1.0:
         raise DomainError(f"|beta| must be < 1, got |beta| = {math.sqrt(beta_sq)}")
-    gamma = 1.0 / math.sqrt(1.0 - beta_sq)
-    return (mass * gamma * bx, mass * gamma * by, mass * gamma * bz)
+    return beta
+
+
+def momentum_for_beta(beta_vec, mass: float = 1.0) -> tuple[float, float, float]:
+    """Momentum m*gamma*beta_vec realizing a given velocity; |beta| < 1."""
+    beta = _check_velocity(beta_vec)
+    gamma = 1.0 / math.sqrt(1.0 - _norm_sq(beta))
+    return tuple(mass * gamma * c for c in beta)
 
 
 def beta_from_momentum(momentum: np.ndarray, mass: float) -> np.ndarray:
@@ -192,9 +196,14 @@ def _dot(x, y):
     return ((0.0 + x[0] * y[0]) + x[1] * y[1]) + x[2] * y[2]
 
 
+def _energy(momentum, mass: float):
+    """E = sqrt(m^2 + |p|^2) of momentum components."""
+    return np.sqrt(mass * mass + _norm_sq(momentum))
+
+
 def _velocity(momentum, mass: float):
-    """Velocity components p / E, with E = sqrt(m^2 + |p|^2)."""
-    energy = np.sqrt(mass * mass + _norm_sq(momentum))
+    """Velocity components p / E."""
+    energy = _energy(momentum, mass)
     return tuple(c / energy for c in momentum)
 
 

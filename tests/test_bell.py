@@ -13,6 +13,7 @@ from relbell import (
     BellConfig,
     CorrelatedGaussian,
     DegenerateObservableError,
+    DomainError,
     Sharp,
     bell_average_mc,
     bell_average_sharp,
@@ -82,6 +83,14 @@ class TestBellAverageSharp:
         assert bell_average_sharp(DEFAULT_CONFIG, (0, 0, 0)) == pytest.approx(
             -TSIRELSON_BOUND, abs=1e-12
         )
+
+    def test_beta_validation(self):
+        for beta_vec in ((1.0, 0.0, 0.0), (0.8, 0.8, 0.0)):
+            with pytest.raises(DomainError):
+                bell_average_sharp(DEFAULT_CONFIG, beta_vec)
+        for beta_vec in ((math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), np.zeros((1, 3))):
+            with pytest.raises(ValueError):
+                bell_average_sharp(DEFAULT_CONFIG, beta_vec)
 
     def test_rest_reduces_to_classical_combination(self):
         rng = np.random.default_rng(21)
@@ -182,6 +191,22 @@ class TestBellAverageMC:
         )
         assert est.standard_error == 0.0
         assert est == bell_average_mc(DEFAULT_CONFIG, dist, 1000, seed=99)
+
+    def test_sharp_matches_velocity_path_bit_for_bit(self):
+        # run_protocol's path: momentum -> beta_from_momentum -> chsh_from_beta
+        p, mass = np.array([-2.96, 0.37, 0.5]), 2.759
+        beta = beta_from_momentum(p, mass)
+        est = bell_average_mc(DEFAULT_CONFIG, Sharp(p, mass), 100, seed=0)
+        assert est.value == float(chsh_from_beta(DEFAULT_CONFIG, beta, beta))
+        assert (est.standard_error, est.rejected, est.warning) == (0.0, 0, None)
+
+    def test_chunk_size_checked_for_every_profile(self):
+        for dist in (Sharp.from_beta((0.9, 0.0, 0.0)),
+                     CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), sigma=0.02)):
+            with pytest.raises(ValueError, match="chunk_size"):
+                bell_average_mc(DEFAULT_CONFIG, dist, 1000, seed=0, chunk_size=0)
+            with pytest.raises(ValueError, match="chunk_size"):
+                correlator_mc((1, 0, 0), (0, 1, 0), dist, 1000, seed=0, chunk_size=0)
 
     def test_gaussian_brackets_sharp_value(self):
         dist = CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), sigma=0.02)

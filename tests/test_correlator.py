@@ -12,6 +12,7 @@ from relbell import (
     JointGaussian,
     ParticleKinematics,
     Sharp,
+    beta_from_momentum,
     correlator_integrand,
     correlator_mc,
     correlator_sharp,
@@ -154,6 +155,9 @@ class TestSharpKernel:
             correlator_sharp((1, 0, 0), (0, 1, 0), (1.0, 0.0, 0.0))
         with pytest.raises(DomainError):
             correlator_sharp((1, 0, 0), (0, 1, 0), (0.8, 0.8, 0.0))
+        for beta_vec in ((math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), np.zeros((1, 3))):
+            with pytest.raises(ValueError):
+                correlator_sharp((1, 0, 0), (0, 1, 0), beta_vec)
 
 
 class TestMixedKinematics:
@@ -255,6 +259,16 @@ class TestMonteCarlo:
         dist = Sharp.from_beta((0.1, 0.0, 0.0))
         with pytest.raises(ValueError):
             correlator_mc((0, 0, 1), (0, 1, 0), dist, 99, seed=0)
+
+    def test_sharp_matches_velocity_path_bit_for_bit(self):
+        # the mass squares to a different double under ** 2 than under m * m;
+        # both routes must form the energy the same way
+        p, mass = np.array([-2.96, 0.37, 0.5]), 2.759
+        beta = beta_from_momentum(p, mass)
+        est = correlator_mc((1, 0, 0), (0, 1, 0), Sharp(p, mass), 100, seed=0)
+        assert est.value == float(kernel_from_beta((1, 0, 0), (0, 1, 0), beta, beta))
+        assert est.standard_error == 0.0
+        assert est.rejected == 0
 
 
 class TestDistributions:

@@ -337,6 +337,13 @@ class TestTranscriptSerialization:
             streams.append(buffer.getvalue())
         assert streams[0] == streams[1]
 
+    def test_config_dict_records_probability_zero_as_no_eve(self):
+        eve = InterceptResend(attack_probability=0.0)
+        assert make_config(eve=eve).to_dict() == make_config().to_dict()
+        assert make_config(eve=eve).to_dict()["eve"] is None
+        attacked = make_config(eve=InterceptResend(attack_probability=0.5)).to_dict()
+        assert attacked["eve"]["attack_probability"] == 0.5
+
     def test_json_schema(self):
         buffer = io.StringIO()
         transcript = run_protocol(make_config(pair_count=800))

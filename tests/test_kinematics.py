@@ -91,6 +91,11 @@ class TestParticleKinematics:
         p = kin.four_momentum
         assert minkowski_dot(p, p) == pytest.approx(kin.mass**2, rel=1e-12)
 
+    def test_energy_squares_the_mass_as_the_core_does(self):
+        # 2.759 ** 2 and 2.759 * 2.759 round to different doubles
+        kin = ParticleKinematics(2.759, (0.21, 0.0, 0.0))
+        assert kin.energy == math.sqrt(2.759 * 2.759 + 0.21 * 0.21)
+
     def test_beta_roundtrip(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
