@@ -4,7 +4,9 @@ The golden scan tables pin the sharp kernel; these pins cover the sampled
 paths: the per-row protocol kernel, the intercept-resend overlap, the
 empirical threshold, the chunked Monte Carlo sums (including the swap
 symmetrization of a joint beam and the resampling of degenerate draws),
-and both transcript writers.  A refactor must leave every value here
+both transcript writers, and the JSON form of every scan figure.  The
+attacked transcripts (``p_eve_0.5``, ``p_eve_1.0``) pin CSV rows with
+``attacked`` set.  A refactor must leave every value here
 unchanged; update them only after an intentional numerical change, and
 record the reason in CHANGES.md.
 """
@@ -24,6 +26,7 @@ from relbell import (
     correlator_mc,
     momentum_for_beta,
     run_protocol,
+    scan_figure,
 )
 
 BEAMS = {
@@ -82,6 +85,16 @@ MC_REPRS = {
     ("correlator", "resampled"): ("-2.005759786178112e-08", "2.464243514952941e-10", 49204),
 }
 
+#: SHA-256 of ScanTable.to_json per figure, at the resolution given.
+SCAN_JSON_SHA256 = {
+    1: (11, "283c6b8c710690fb920ef559df9a263493c25ebfc49b81ab387ccf4ae5ebb7bb"),
+    2: (11, "081e4d1f4711cb0c47de0dede304b051aab22a2af8c3445a0fba68995a2831bb"),
+    3: (7, "db9164eb049b59296ed09a6d7dccdc2d5df531a3f28801cff500b7b65dbe31c6"),
+    4: (11, "2ff3b8c2abd32c1faa809113674c0e5de87c8cc692306f42463765a4820abae2"),
+    5: (21, "b78d63a017c511a0c56db1adee32c2e30eb1d50063485d39d6cb6f96fa314b95"),
+    6: (21, "bd80245f1cbd353dcb84eefd5e3cd84917b671d24723fe53e45983b3b8b02c2e"),
+}
+
 
 def transcript_digests(beam: str, eve: str) -> tuple[str, str]:
     config = ProtocolConfig(
@@ -115,3 +128,11 @@ def test_transcript_bytes(beam, eve):
 @pytest.mark.parametrize("estimator", ["bell", "correlator"])
 def test_monte_carlo_reprs(estimator, beam):
     assert mc_reprs(estimator, beam) == MC_REPRS[estimator, beam]
+
+
+@pytest.mark.parametrize("figure", sorted(SCAN_JSON_SHA256))
+def test_scan_json_bytes(figure):
+    resolution, digest = SCAN_JSON_SHA256[figure]
+    buffer = io.StringIO()
+    scan_figure(figure, resolution).to_json(buffer)
+    assert hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest() == digest
