@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,14 @@ def _dump_json(obj, stream) -> None:
     separators, LF-terminated."""
     json.dump(obj, stream, sort_keys=True, separators=(",", ":"))
     stream.write("\n")
+
+
+def _write_csv(stream, names, columns) -> None:
+    """Write LF-terminated CSV from equal-length 1-D columns; each cell is the
+    ``repr`` of its ``tolist()`` value (shortest round-trip float, plain int)."""
+    stream.write(",".join(names) + "\n")
+    cells = [map(repr, np.asarray(column).tolist()) for column in columns]
+    stream.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _as_unit_triple(values, name: str) -> tuple[float, float, float]:
@@ -169,30 +177,31 @@ def corrected_threshold(
     return abs(estimate.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanTable:
-    """Rectangular scan result: named columns, row tuples, metadata."""
+    """Scan result: column names, one float array per name, metadata."""
 
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
-    metadata: dict = field(compare=False)
+    data: tuple[np.ndarray, ...]
+    metadata: dict
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row width {len(row)} does not match {len(self.columns)} columns"
-                )
+        data = tuple(np.asarray(column, dtype=np.float64) for column in self.data)
+        if len(data) != len(self.columns):
+            raise ValueError(f"{len(data)} data columns do not match {len(self.columns)} names")
+        if any(column.ndim != 1 or column.shape != data[0].shape for column in data):
+            raise ValueError("data columns must be 1-D arrays of equal length")
+        object.__setattr__(self, "data", data)
+
+    @property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(zip(*(column.tolist() for column in self.data)))
 
     def column(self, name: str) -> np.ndarray:
-        idx = self.columns.index(name)
-        return np.array([row[idx] for row in self.rows])
+        return self.data[self.columns.index(name)].copy()
 
     def to_csv(self, stream) -> None:
-        """Write LF-terminated CSV; floats use shortest round-trip repr."""
-        stream.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            stream.write(",".join(repr(v) for v in row) + "\n")
+        _write_csv(stream, self.columns, self.data)
 
     def to_json(self, stream) -> None:
         records = [dict(zip(self.columns, row)) for row in self.rows]
@@ -260,14 +269,14 @@ def scan_figure(
         vecs = bb[:, None] * np.stack([np.cos(pp), np.sin(pp), np.zeros_like(pp)], axis=-1)
         c = chsh_from_beta(config, vecs, vecs)
         columns = ("beta", "phi", "c", "abs_c")
-        rows = zip(bb, pp, c, np.abs(c))
+        data = (bb, pp, c, np.abs(c))
         meta["beta_max"] = beta_max
     elif figure == 2:
         bb, tt = [g.ravel() for g in np.meshgrid(betas, thetas, indexing="ij")]
         vecs = bb[:, None] * np.stack([np.sin(tt), np.zeros_like(tt), np.cos(tt)], axis=-1)
         c = chsh_from_beta(config, vecs, vecs)
         columns = ("beta", "theta", "c", "abs_c")
-        rows = zip(bb, tt, c, np.abs(c))
+        data = (bb, tt, c, np.abs(c))
         meta["beta_max"] = beta_max
     elif figure == 3:
         bb, pp, tt = [
@@ -278,21 +287,21 @@ def scan_figure(
         )
         c = chsh_from_beta(config, vecs, vecs)
         columns = ("beta", "phi", "theta", "c", "abs_c")
-        rows = zip(bb, pp, tt, c, np.abs(c))
+        data = (bb, pp, tt, c, np.abs(c))
         meta["betas"] = list(_FIG3_BETAS)
     elif figure == 4:
         bb, pp = [g.ravel() for g in np.meshgrid(betas, phis, indexing="ij")]
         vecs = bb[:, None] * np.stack([np.cos(pp), np.sin(pp), np.zeros_like(pp)], axis=-1)
         c = chsh_from_beta(config, np.zeros_like(vecs), vecs)
         columns = ("beta", "phi", "c", "abs_c")
-        rows = zip(bb, pp, c, np.abs(c))
+        data = (bb, pp, c, np.abs(c))
         meta["beta_max"] = beta_max
         meta["particle_1"] = "at rest"
     elif figure == 5:
         vecs = betas[:, None] * np.array([1.0, 0.0, 0.0])
         c = chsh_from_beta(config, vecs, vecs)
         columns = ("beta", "c", "abs_c")
-        rows = zip(betas, c, np.abs(c))
+        data = (betas, c, np.abs(c))
         meta["beta_max"] = beta_max
     else:  # figure 6
         full = np.linspace(0.0, 1.0, resolution)
@@ -300,16 +309,11 @@ def scan_figure(
         corr = kernel_from_beta(_FIG6_A, _FIG6_B, vecs, vecs)
         reference = np.sqrt(np.maximum(1.0 - full * full, 0.0)) - 1.0
         columns = ("beta", "correlation", "reference")
-        rows = zip(full, corr, reference)
+        data = (full, corr, reference)
         meta["axes"] = {"a": _FIG6_A.tolist(), "b": _FIG6_B.tolist(), "n": [0.0, 0.0, 1.0]}
 
-    table = ScanTable(
-        columns=columns,
-        rows=tuple(tuple(float(v) for v in row) for row in rows),
-        metadata=meta,
-    )
-    if "c" in table.columns:
-        worst = float(np.max(np.abs(table.column("c"))))
+    if "abs_c" in columns:
+        worst = float(np.max(data[columns.index("abs_c")]))
         if worst > TSIRELSON_BOUND + 1e-9:
             raise AssertionError(f"scan exceeded the quantum bound: |c| = {worst}")
-    return table
+    return ScanTable(columns=columns, data=data, metadata=meta)

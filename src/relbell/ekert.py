@@ -38,7 +38,9 @@ from .bell import (
     DEFAULT_CONFIG,
     _as_unit_triple,
     _chsh,
+    _chsh_sum,
     _dump_json,
+    _write_csv,
     corrected_threshold,
 )
 from .correlator import _check_sampling, _kernel_matrix, _nondegenerate
@@ -194,6 +196,12 @@ def verdict(c_hat: float, standard_error: float, threshold: float, significance:
     return "clean" if abs(c_hat) >= threshold - z * standard_error else "eavesdropper"
 
 
+_CSV_COLUMNS = (
+    "index", "p1x", "p1y", "p1z", "p2x", "p2y", "p2z", "alice_basis", "bob_basis",
+    "alice_outcome", "bob_outcome", "attacked", "eve_basis", "eve_outcome",
+)
+
+
 @dataclass(eq=False)
 class ProtocolTranscript:
     """Complete record of a protocol run.
@@ -275,26 +283,11 @@ class ProtocolTranscript:
 
     def to_csv(self, stream) -> None:
         """Per-round table; the Bell verdicts live in the JSON form only."""
-        stream.write(
-            "index,p1x,p1y,p1z,p2x,p2y,p2z,alice_basis,bob_basis,"
-            "alice_outcome,bob_outcome,attacked,eve_basis,eve_outcome\n"
-        )
-        for i in range(self.pair_count):
-            p1 = self.momentum1[i]
-            p2 = self.momentum2[i]
-            fields = [
-                str(i),
-                repr(float(p1[0])), repr(float(p1[1])), repr(float(p1[2])),
-                repr(float(p2[0])), repr(float(p2[1])), repr(float(p2[2])),
-                str(int(self.alice_basis[i])),
-                str(int(self.bob_basis[i])),
-                str(int(self.alice_outcome[i])),
-                str(int(self.bob_outcome[i])),
-                str(int(self.attacked[i])),
-                str(int(self.eve_basis[i])),
-                str(int(self.eve_outcome[i])),
-            ]
-            stream.write(",".join(fields) + "\n")
+        _write_csv(stream, _CSV_COLUMNS, (
+            np.arange(self.pair_count), *self.momentum1.T, *self.momentum2.T,
+            self.alice_basis, self.bob_basis, self.alice_outcome, self.bob_outcome,
+            self.attacked.astype(np.int8), self.eve_basis, self.eve_outcome,
+        ))
 
 
 def _choose_bases(rng: np.random.Generator, n: int, n_key: int, test_fraction: float) -> np.ndarray:
@@ -442,7 +435,7 @@ def bell_test(
             errors_sq.append((1.0 - e * e) / count)
             counts.append(count)
 
-    c_hat = correlations[0] + correlations[1] + correlations[2] - correlations[3]
+    c_hat = float(_chsh_sum(np.reshape(correlations, (2, 2))))
     standard_error = math.sqrt(sum(errors_sq))
 
     if threshold is None:

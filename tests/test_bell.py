@@ -14,6 +14,7 @@ from relbell import (
     CorrelatedGaussian,
     DegenerateObservableError,
     DomainError,
+    ScanTable,
     Sharp,
     bell_average_mc,
     bell_average_sharp,
@@ -337,6 +338,39 @@ class TestScanFigure:
         assert payload["metadata"]["figure"] == 5
         assert payload["columns"] == ["beta", "c", "abs_c"]
         assert len(payload["records"]) == 5
+
+
+class TestScanTable:
+    def test_one_column_per_name(self):
+        with pytest.raises(ValueError, match="names"):
+            ScanTable(("beta", "c"), (np.zeros(3),), {})
+        with pytest.raises(ValueError, match="names"):
+            ScanTable(("beta",), (np.zeros(3), np.zeros(3)), {})
+
+    def test_columns_share_one_length(self):
+        with pytest.raises(ValueError, match="equal length"):
+            ScanTable(("beta", "c"), (np.zeros(3), np.zeros(2)), {})
+        with pytest.raises(ValueError, match="1-D"):
+            ScanTable(("beta", "c"), (np.zeros((3, 1)), np.zeros((3, 1))), {})
+
+    def test_rows_match_columns_bit_for_bit(self):
+        table = scan_figure(3, 9)
+        rows = np.array(table.rows)
+        assert all(type(v) is float for row in table.rows for v in row)
+        for j, name in enumerate(table.columns):
+            column = table.column(name)
+            assert column.shape == (len(table.rows),)
+            np.testing.assert_array_equal(rows[:, j].view(np.uint64), column.view(np.uint64))
+
+    def test_column_returns_a_copy(self):
+        table = scan_figure(3, 9)
+        before = io.StringIO()
+        table.to_csv(before)
+        table.column("c")[:] = 0.0
+        after = io.StringIO()
+        table.to_csv(after)
+        assert after.getvalue() == before.getvalue()
+        assert np.any(table.column("c") != 0.0)
 
 
 class TestGoldenTables:
