@@ -47,7 +47,7 @@ def _write_csv(stream, names, columns) -> None:
     """Write LF-terminated CSV from equal-length 1-D columns; each cell is the
     ``repr`` of its ``tolist()`` value (shortest round-trip float, plain int)."""
     stream.write(",".join(names) + "\n")
-    cells = [map(repr, np.asarray(column).tolist()) for column in columns]
+    cells = [map(repr, column.tolist()) for column in columns]
     stream.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
