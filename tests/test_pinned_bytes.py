@@ -4,7 +4,8 @@ The golden scan tables pin the sharp kernel; these pins cover the sampled
 paths: the per-row protocol kernel, the intercept-resend overlap, the
 empirical threshold, the chunked Monte Carlo sums (including the swap
 symmetrization of a joint beam and the resampling of degenerate draws),
-both transcript writers, and the JSON form of every scan figure.  The
+both transcript writers, the JSON form of every scan figure, and what
+each command line command prints and writes with ``--out``.  The
 attacked transcripts (``p_eve_0.5``, ``p_eve_1.0``) pin CSV rows with
 ``attacked`` set.  A refactor must leave every value here
 unchanged; update them only after an intentional numerical change, and
@@ -13,6 +14,7 @@ record the reason in CHANGES.md.
 
 import hashlib
 import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -28,6 +30,7 @@ from relbell import (
     run_protocol,
     scan_figure,
 )
+from relbell.cli import main
 
 BEAMS = {
     "correlated": CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), sigma=0.05),
@@ -136,3 +139,116 @@ def test_scan_json_bytes(figure):
     buffer = io.StringIO()
     scan_figure(figure, resolution).to_json(buffer)
     assert hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+_SHARP_AXES = ["--a", "1,0,0", "--b", "0.6,0.8,0", "--beta", "0.3,0.5,0.2"]
+_GAUSSIAN = ["--beta", "0.9,0,0", "--dist", "gaussian", "--sigma", "0.05"]
+_PROTOCOL = ["protocol", "--pairs", "2000", "--seed", "3"]
+
+#: argv, then SHA-256 of stdout and of the ``--out`` file (None: no ``--out``,
+#: so a scan writes its table to stdout).
+CLI_SHA256 = {
+    "correlate_sharp": (
+        ["correlate", *_SHARP_AXES],
+        "8e4ae804cd84775f435cc0e49ffd75a4b4a9d5921f3bcc1578959cf6a91b207e",
+        "3df1b75d0f6142509030921c36b279e6698db10427e66e32bbb5df40859f41c3",
+    ),
+    "correlate_sharp_beta2": (
+        ["correlate", *_SHARP_AXES, "--beta2", "0,0.7,0.1"],
+        "9dc907aad430afd4738f448f70d8e55b0eac7fb7baefa287b6aced6faf1c0eb4",
+        "c3dacc72afb342babd4bb840be21c9077ae9580baf4cde35db7833f8008d04ac",
+    ),
+    "correlate_gaussian": (
+        ["correlate", "--a", "1,0,0", "--b", "0.6,0.8,0", "--beta", "0.9,0,0",
+         "--dist", "gaussian", "--sigma", "0.1", "--samples", "2000", "--seed", "5"],
+        "6c3aeaef08174cbcd6124d53501921b1af30d0584f182a1400516a5be54fce15",
+        "22ba93770a7d30dfca6dc141f0f758ee7d8686270c7be58473876237610d4698",
+    ),
+    "bell_sharp": (
+        ["bell", "--beta", "0.9,0,0"],
+        "15974a96ab12046ae3997c5826e461179db87651bbd2bccd04d74d8719694111",
+        "d44d4080c01934f49f54ce8c0df3faf9af6e9312b32805b57b60a638aed343fc",
+    ),
+    "bell_gaussian": (
+        ["bell", *_GAUSSIAN, "--samples", "2000", "--seed", "7"],
+        "7ea626f15482de874aad4d099b8cea94f9bd2962f8def4589b7823c377746f11",
+        "955083a9dd133de2e07a1e0cba8b884dde1d1b568de852e2ee348d8f93d4a32d",
+    ),
+    "bell_joint": (
+        ["bell", "--beta", "0.9,0,0", "--dist", "joint", "--sigma", "0.1",
+         "--beta2", "0,0.8,0.3", "--samples", "2000", "--seed", "7"],
+        "6b916902235b82c05a355612be27fcc9bab0bbcbf6746b8a6791a1ae41a267c1",
+        "cf2cf112cddad0b1e28024fa0ce50fe4334cd6aeebe1730c025be10c44fcfbf0",
+    ),
+    # half the draws are resampled, so the record carries a warning
+    "bell_resampled": (
+        ["bell", "--beta", "0.9999999999999999,0,0", "--dist", "gaussian",
+         "--sigma", "3e7,0,0", "--samples", "2000", "--seed", "7"],
+        "e258a8bab4663f746bc7d4951ab428ea983a3a996adb8442a48a8110e5b29e84",
+        "d1c3141c293adfd61ec953fc6ebf4ac1d146f461ba2c85686ae288d10abe46a3",
+    ),
+    "threshold_sharp": (
+        ["threshold", "--beta", "0.9,0,0"],
+        "cf362fda88b8b718820987dce56e31d2a647d94179f1f9a777e1bed5c7481c1a",
+        "233d3b1260fb859907ae94a9e70dc2669d6d55cd90b11556a77928cf836ff346",
+    ),
+    "threshold_gaussian": (
+        ["threshold", *_GAUSSIAN, "--samples", "2000", "--seed", "7"],
+        "7498fdcdb3b500192153c0a857d41d7df17c0c6189586b27cf717efd06fdac97",
+        "c25fa396f07c88a8bb24b82b228e2a364cdbc62d7e8f5a9b1ebd9322c1592a05",
+    ),
+    "scan_csv": (
+        ["scan", "--figure", "1", "--resolution", "5"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "1f256634452cb98074f5f58b25e78ba489273de4e0eb8f8971b96d1f9eafcda3",
+    ),
+    "scan_json": (
+        ["scan", "--figure", "3", "--resolution", "5", "--format", "json"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "2a2f3a4a8b72c864fb4cb377ee47ef34e75d941b93aa5a0d0f1f182d1bbe23ae",
+    ),
+    "scan_csv_stdout": (
+        ["scan", "--figure", "1", "--resolution", "5"],
+        "1f256634452cb98074f5f58b25e78ba489273de4e0eb8f8971b96d1f9eafcda3",
+        None,
+    ),
+    "scan_json_stdout": (
+        ["scan", "--figure", "3", "--resolution", "5", "--format", "json"],
+        "2a2f3a4a8b72c864fb4cb377ee47ef34e75d941b93aa5a0d0f1f182d1bbe23ae",
+        None,
+    ),
+    "protocol_json_eve": (
+        [*_PROTOCOL, "--beta", "0.9,0,0", "--eve-probability", "0.5"],
+        "fce8812a9fee7ead1b5dd64f7c92a2126297030b2954ebe361c6dd8068dfdd5e",
+        "ee6f06e0e6bbe9ebf15a9596d70a07b6fd0eb1c9f423b582f6528ac72d2d34ab",
+    ),
+    "protocol_csv": (
+        [*_PROTOCOL, *_GAUSSIAN, "--format", "csv"],
+        "0edcd3816b28d1dae3cdd0e303b465a0c895d2d5eae65cf25596d1ea4ee3fe4e",
+        "590c7aa88aa2b37d23dc6d0f7ff48faae495668c1b93ebf5b6f2eef3d4e432a5",
+    ),
+    "protocol_configured": (
+        [*_PROTOCOL, "--beta", "0.5,0.5,0", "--dist", "gaussian", "--sigma", "0.05",
+         "--threshold-mode", "configured", "--threshold-samples", "1000"],
+        "0602068440042354e90833beb2910559d9211f32bbc259d3be2e0470a6e01585",
+        "39265902a43c1a886a1f952cae9a84e302ba3e0acc37d7bca79a46c644bba793",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_SHA256))
+def test_cli_bytes(case, tmp_path, monkeypatch):
+    argv, stdout_digest, out_digest = CLI_SHA256[case]
+    monkeypatch.delenv("RELBELL_OUT_DIR", raising=False)
+    path = tmp_path / "out"
+    if out_digest is not None:
+        argv = [*argv, "--out", str(path)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        assert main(argv) == 0
+    assert stderr.getvalue() == ""
+    assert hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest() == stdout_digest
+    if out_digest is None:
+        assert not path.exists()
+    else:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == out_digest
