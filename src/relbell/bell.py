@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,12 +80,7 @@ class BellConfig:
         return [(a, b), (a, bp), (ap, b), (ap, bp)]
 
     def to_dict(self) -> dict:
-        return {
-            "a": list(self.a),
-            "a_prime": list(self.a_prime),
-            "b": list(self.b),
-            "b_prime": list(self.b_prime),
-        }
+        return {name: list(axis) for name, axis in asdict(self).items()}
 
 
 _S = math.sqrt(0.5)
@@ -119,11 +114,9 @@ def chsh_from_beta(config: BellConfig, beta1, beta2) -> np.ndarray:
     return _chsh(config, *_frame_pair(beta1, beta2))
 
 
-def bell_average_sharp(config: BellConfig, beta_vec, mass: float = 1.0) -> float:
-    """Bell average when both particles share the velocity ``beta_vec``.
-
-    ``mass`` does not enter the value; requires |beta| < 1.
-    """
+def bell_average_sharp(config: BellConfig, beta_vec) -> float:
+    """Bell average when both particles share the velocity ``beta_vec``;
+    requires |beta| < 1."""
     beta = _check_velocity(beta_vec)
     return float(chsh_from_beta(config, beta, beta))
 

@@ -21,7 +21,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .bell import (
@@ -34,7 +35,13 @@ from .bell import (
     bell_average_sharp,
     scan_figure,
 )
-from .correlator import _check_sampling, correlator_integrand, correlator_mc, correlator_sharp
+from .correlator import (
+    CorrelatorEstimate,
+    _check_sampling,
+    correlator_integrand,
+    correlator_mc,
+    correlator_sharp,
+)
 from .distributions import CorrelatedGaussian, JointGaussian, Sharp
 from .ekert import InterceptResend, ProtocolConfig, ProtocolTranscript, run_protocol
 from .kinematics import ParticleKinematics, momentum_for_beta
@@ -111,23 +118,18 @@ def _parse_int(text: str, flag: str) -> int:
         raise UsageError(f"--{flag} must be an integer, got {text!r}") from None
 
 
-def _render_triple(value) -> str:
-    return ",".join(repr(float(c)) for c in value)
+def _parse_text(text: str, flag: str) -> str:
+    return text
 
 
-def _render_vec_list(value) -> str:
-    return ";".join(_render_triple(v) for v in value)
+def _render(value) -> str:
+    """Flag text that parses back to ``value``: a tuple of triples joined
+    by ``;``, a triple by ``,``, a float by its ``repr``."""
+    if isinstance(value, tuple):
+        separator = ";" if value and isinstance(value[0], tuple) else ","
+        return separator.join(map(_render, value))
+    return repr(value) if isinstance(value, float) else str(value)
 
-
-_KINDS = {
-    "dir3": (_parse_dir3, _render_triple),
-    "triple": (_parse_triple, _render_triple),
-    "sigma3": (_parse_sigma3, _render_triple),
-    "vecs": (_parse_vec_list, _render_vec_list),
-    "float": (_parse_float, lambda v: repr(float(v))),
-    "int": (_parse_int, lambda v: str(int(v))),
-    "str": (lambda text, flag: text, lambda v: str(v)),
-}
 
 _REQUIRED = object()
 
@@ -135,7 +137,7 @@ _REQUIRED = object()
 @dataclass(frozen=True)
 class _Flag:
     name: str            # long flag, e.g. "a-prime"
-    kind: str
+    parse: Callable[[str, str], object]  # (text, flag name) -> value
     default: object = None
     choices: tuple = ()
     help: str = ""
@@ -146,73 +148,68 @@ class _Flag:
 
 
 _DIST_FLAGS = [
-    _Flag("beta", "triple", (0.0, 0.0, 0.0), help="mean pair velocity"),
-    _Flag("mass", "float", 1.0, help="particle rest mass"),
-    _Flag("dist", "str", "sharp", ("sharp", "gaussian", "joint"),
+    _Flag("beta", _parse_triple, (0.0, 0.0, 0.0), help="mean pair velocity"),
+    _Flag("mass", _parse_float, 1.0, help="particle rest mass"),
+    _Flag("dist", _parse_text, "sharp", ("sharp", "gaussian", "joint"),
           help="momentum profile"),
-    _Flag("sigma", "sigma3", None, help="momentum spread (scalar or triple)"),
-    _Flag("beta2", "triple", None, help="second-particle velocity"),
-    _Flag("sigma2", "sigma3", None, help="second-particle spread (joint)"),
+    _Flag("sigma", _parse_sigma3, None, help="momentum spread (scalar or triple)"),
+    _Flag("beta2", _parse_triple, None, help="second-particle velocity"),
+    _Flag("sigma2", _parse_sigma3, None, help="second-particle spread (joint)"),
 ]
 
 _MC_FLAGS = [
-    _Flag("samples", "int", 100_000, help="Monte Carlo sample count"),
-    _Flag("seed", "int", 0, help="random seed"),
-    _Flag("workers", "int", 1, help="worker threads for chunk evaluation"),
+    _Flag("samples", _parse_int, 100_000, help="Monte Carlo sample count"),
+    _Flag("seed", _parse_int, 0, help="random seed"),
+    _Flag("workers", _parse_int, 1, help="worker threads for chunk evaluation"),
 ]
 
 _AXES_FLAGS = [
-    _Flag("a", "dir3", DEFAULT_CONFIG.a, help="Alice axis a"),
-    _Flag("a-prime", "dir3", DEFAULT_CONFIG.a_prime, help="Alice axis a'"),
-    _Flag("b", "dir3", DEFAULT_CONFIG.b, help="Bob axis b"),
-    _Flag("b-prime", "dir3", DEFAULT_CONFIG.b_prime, help="Bob axis b'"),
+    _Flag("a", _parse_dir3, DEFAULT_CONFIG.a, help="Alice axis a"),
+    _Flag("a-prime", _parse_dir3, DEFAULT_CONFIG.a_prime, help="Alice axis a'"),
+    _Flag("b", _parse_dir3, DEFAULT_CONFIG.b, help="Bob axis b"),
+    _Flag("b-prime", _parse_dir3, DEFAULT_CONFIG.b_prime, help="Bob axis b'"),
+]
+
+#: The profile, sampling and output flags of the commands that print a record.
+_RECORD_FLAGS = [
+    *_DIST_FLAGS,
+    *_MC_FLAGS,
+    _Flag("out", _parse_text, None, help="write the JSON record here"),
 ]
 
 COMMAND_FLAGS: dict[str, list[_Flag]] = {
     "correlate": [
-        _Flag("a", "dir3", _REQUIRED, help="axis for particle 1"),
-        _Flag("b", "dir3", _REQUIRED, help="axis for particle 2"),
-        *_DIST_FLAGS,
-        *_MC_FLAGS,
-        _Flag("out", "str", None, help="write the JSON record here"),
+        _Flag("a", _parse_dir3, _REQUIRED, help="axis for particle 1"),
+        _Flag("b", _parse_dir3, _REQUIRED, help="axis for particle 2"),
+        *_RECORD_FLAGS,
     ],
-    "bell": [
-        *_AXES_FLAGS,
-        *_DIST_FLAGS,
-        *_MC_FLAGS,
-        _Flag("out", "str", None, help="write the JSON record here"),
-    ],
+    "bell": [*_AXES_FLAGS, *_RECORD_FLAGS],
     "scan": [
-        _Flag("figure", "int", _REQUIRED, help="scan family, 1-6"),
-        _Flag("resolution", "int", 101, help="points per scanned axis"),
-        _Flag("beta-max", "float", 0.999, help="largest speed in beta scans"),
-        _Flag("mass", "float", 1.0, help="particle rest mass"),
-        _Flag("out", "str", "-", help="output path, - for stdout"),
-        _Flag("format", "str", "csv", ("csv", "json"), help="table format"),
+        _Flag("figure", _parse_int, _REQUIRED, help="scan family, 1-6"),
+        _Flag("resolution", _parse_int, 101, help="points per scanned axis"),
+        _Flag("beta-max", _parse_float, 0.999, help="largest speed in beta scans"),
+        _Flag("mass", _parse_float, 1.0, help="particle rest mass"),
+        _Flag("out", _parse_text, "-", help="output path, - for stdout"),
+        _Flag("format", _parse_text, "csv", ("csv", "json"), help="table format"),
     ],
-    "threshold": [
-        *_AXES_FLAGS,
-        *_DIST_FLAGS,
-        *_MC_FLAGS,
-        _Flag("out", "str", None, help="write the JSON record here"),
-    ],
+    "threshold": [*_AXES_FLAGS, *_RECORD_FLAGS],
     "protocol": [
-        _Flag("pairs", "int", 10_000, help="number of singlet pairs"),
-        _Flag("seed", "int", 0, help="run seed"),
+        _Flag("pairs", _parse_int, 10_000, help="number of singlet pairs"),
+        _Flag("seed", _parse_int, 0, help="run seed"),
         *_AXES_FLAGS,
         *_DIST_FLAGS,
-        _Flag("key-axes", "vecs", ((0.0, 0.0, 1.0),), help="shared key axes"),
-        _Flag("eve-probability", "float", None,
+        _Flag("key-axes", _parse_vec_list, ((0.0, 0.0, 1.0),), help="shared key axes"),
+        _Flag("eve-probability", _parse_float, None,
               help="enable intercept-resend with this per-round probability"),
-        _Flag("eve-pool", "vecs", None, help="Eve's measurement axes"),
-        _Flag("test-fraction", "float", 0.5, help="fraction of test rounds"),
-        _Flag("significance", "float", 0.01, help="false-alarm rate of the check"),
-        _Flag("threshold-mode", "str", "empirical", ("empirical", "configured"),
+        _Flag("eve-pool", _parse_vec_list, None, help="Eve's measurement axes"),
+        _Flag("test-fraction", _parse_float, 0.5, help="fraction of test rounds"),
+        _Flag("significance", _parse_float, 0.01, help="false-alarm rate of the check"),
+        _Flag("threshold-mode", _parse_text, "empirical", ("empirical", "configured"),
               help="corrected-threshold source"),
-        _Flag("threshold-samples", "int", 20_000,
+        _Flag("threshold-samples", _parse_int, 20_000,
               help="samples for the configured-mode threshold"),
-        _Flag("out", "str", None, help="write the full transcript here"),
-        _Flag("format", "str", "json", ("csv", "json"), help="transcript format"),
+        _Flag("out", _parse_text, None, help="write the full transcript here"),
+        _Flag("format", _parse_text, "json", ("csv", "json"), help="transcript format"),
     ],
 }
 
@@ -310,8 +307,7 @@ def parse_args(argv: list[str]) -> RunConfig:
                 raise UsageError(f"{command}: --{flag.name} is required")
             params[flag.key] = flag.default
             continue
-        parse = _KINDS[flag.kind][0]
-        value = parse(raw, flag.name)
+        value = flag.parse(raw, flag.name)
         if flag.choices and value not in flag.choices:
             raise UsageError(
                 f"--{flag.name} must be one of {', '.join(map(str, flag.choices))}, "
@@ -336,8 +332,7 @@ def render_args(config: RunConfig) -> list[str]:
         value = config.params[flag.key]
         if value is None or (flag.default is not _REQUIRED and value == flag.default):
             continue
-        render = _KINDS[flag.kind][1]
-        argv.extend([f"--{flag.name}", render(value)])
+        argv.extend([f"--{flag.name}", _render(value)])
     return argv
 
 
@@ -407,23 +402,16 @@ def _build_inputs(command: str, params: dict) -> dict:
 # ---------------------------------------------------------------------------
 # execution
 
-def _resolve_out(destination: str):
-    """Map an --out value to a Path, honoring the output-directory variable."""
+def emit(obj, fmt: str, destination: str) -> None:
+    """Write a table, transcript, or record to a path or stdout ('-');
+    relative paths are anchored at the output-directory variable."""
     if destination == "-":
-        return None
+        _write(obj, fmt, sys.stdout)
+        return
     path = Path(destination)
     base = os.environ.get(ENV_OUT_DIR)
     if base and not path.is_absolute():
         path = Path(base) / path
-    return path
-
-
-def emit(obj, fmt: str, destination: str) -> None:
-    """Write a table, transcript, or record to a path or stdout ('-')."""
-    path = _resolve_out(destination)
-    if path is None:
-        _write(obj, fmt, sys.stdout)
-        return
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as stream:
         _write(obj, fmt, stream)
@@ -440,62 +428,49 @@ def _write(obj, fmt: str, stream) -> None:
         raise TypeError(f"cannot emit object of type {type(obj).__name__}")
 
 
-def _estimate_record(estimate) -> dict:
-    record = {
-        "value": estimate.value,
-        "standard_error": estimate.standard_error,
-        "samples": estimate.samples,
-        "rejected": estimate.rejected,
-    }
-    if estimate.warning:
-        record["warning"] = estimate.warning
-    return record
+def _estimate_output(estimate: CorrelatorEstimate, sharp: bool):
+    """A command's (stdout line, record) for an estimate: a fixed-momentum
+    value prints its ``repr``, a sampled one its record."""
+    record = {key: value for key, value in asdict(estimate).items() if value is not None}
+    return (repr(estimate.value) if sharp else json.dumps(record, sort_keys=True)), record
 
 
-def _cmd_correlate(run: RunConfig) -> None:
+# Each command returns (stdout line or None, what --out writes); main prints
+# the line and emits the output.
+
+def _cmd_correlate(run: RunConfig):
     dist = run.inputs["distribution"]
-    if isinstance(dist, Sharp):
-        if run["beta2"] is None:
-            value = correlator_sharp(run["a"], run["b"], run["beta"], run["mass"])
-        else:
-            value = correlator_integrand(
-                run["a"], run["b"],
-                ParticleKinematics(dist.mass, dist.momentum), run.inputs["partner"],
-            )
-        print(repr(value))
-        record = {"value": value, "standard_error": 0.0, "samples": 0, "rejected": 0}
-    else:
+    if not isinstance(dist, Sharp):
         estimate = correlator_mc(
             run["a"], run["b"], dist, run["samples"], run["seed"], workers=run["workers"]
         )
-        record = _estimate_record(estimate)
-        print(json.dumps(record, sort_keys=True))
-    if run["out"] is not None:
-        emit(record, "json", run["out"])
+        return _estimate_output(estimate, sharp=False)
+    if run["beta2"] is None:
+        value = correlator_sharp(run["a"], run["b"], run["beta"])
+    else:
+        value = correlator_integrand(
+            run["a"], run["b"],
+            ParticleKinematics(dist.mass, dist.momentum), run.inputs["partner"],
+        )
+    return _estimate_output(CorrelatorEstimate(value, 0.0, 0), sharp=True)
 
 
-def _cmd_bell(run: RunConfig) -> None:
+def _cmd_bell(run: RunConfig):
     dist = run.inputs["distribution"]
     if isinstance(dist, Sharp):
-        value = bell_average_sharp(run.inputs["bell"], run["beta"], run["mass"])
-        print(repr(value))
-        record = {"value": value, "standard_error": 0.0, "samples": 0, "rejected": 0}
-    else:
-        estimate = bell_average_mc(
-            run.inputs["bell"], dist, run["samples"], run["seed"], workers=run["workers"]
-        )
-        record = _estimate_record(estimate)
-        print(json.dumps(record, sort_keys=True))
-    if run["out"] is not None:
-        emit(record, "json", run["out"])
+        value = bell_average_sharp(run.inputs["bell"], run["beta"])
+        return _estimate_output(CorrelatorEstimate(value, 0.0, 0), sharp=True)
+    estimate = bell_average_mc(
+        run.inputs["bell"], dist, run["samples"], run["seed"], workers=run["workers"]
+    )
+    return _estimate_output(estimate, sharp=False)
 
 
-def _cmd_scan(run: RunConfig) -> None:
-    table = scan_figure(run["figure"], run["resolution"], run["mass"], run["beta_max"])
-    emit(table, run["format"], run["out"])
+def _cmd_scan(run: RunConfig):
+    return None, scan_figure(run["figure"], run["resolution"], run["mass"], run["beta_max"])
 
 
-def _cmd_threshold(run: RunConfig) -> None:
+def _cmd_threshold(run: RunConfig):
     estimate = bell_average_mc(
         run.inputs["bell"], run.inputs["distribution"],
         run["samples"], run["seed"], workers=run["workers"],
@@ -505,16 +480,12 @@ def _cmd_threshold(run: RunConfig) -> None:
         "standard_error": estimate.standard_error,
         "samples": estimate.samples,
     }
-    print(json.dumps(record, sort_keys=True))
-    if run["out"] is not None:
-        emit(record, "json", run["out"])
+    return json.dumps(record, sort_keys=True), record
 
 
-def _cmd_protocol(run: RunConfig) -> None:
+def _cmd_protocol(run: RunConfig):
     transcript = run_protocol(run.inputs["protocol"])
-    print(json.dumps(transcript.summary(), sort_keys=True))
-    if run["out"] is not None:
-        emit(transcript, run["format"], run["out"])
+    return json.dumps(transcript.summary(), sort_keys=True), transcript
 
 
 _COMMANDS = {
@@ -531,7 +502,12 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         config = parse_args(argv)
-        _COMMANDS[config.command](config)
+        line, output = _COMMANDS[config.command](config)
+        if line is not None:
+            print(line)
+        if config["out"] is not None:
+            # records have no --format flag and are always JSON
+            emit(output, config.params.get("format", "json"), config["out"])
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

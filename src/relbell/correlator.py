@@ -136,13 +136,9 @@ def correlator_integrand(
     return float(kernel_from_beta(a_dir, b_dir, kin1.beta_vec, kin2.beta_vec))
 
 
-def correlator_sharp(a_dir, b_dir, beta_vec, mass: float = 1.0) -> float:
-    """Correlation when both particles share one velocity ``beta_vec``.
-
-    ``mass`` does not enter the value (the velocity fixes it) and is
-    accepted only for signature symmetry with the averaged estimators.
-    Requires |beta| < 1.
-    """
+def correlator_sharp(a_dir, b_dir, beta_vec) -> float:
+    """Correlation when both particles share one velocity ``beta_vec``;
+    requires |beta| < 1."""
     b = _check_velocity(beta_vec)
     return float(kernel_from_beta(a_dir, b_dir, b, b))
 

@@ -27,7 +27,7 @@ byte-identical to no eavesdropper at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -172,16 +172,11 @@ class BellTestResult:
     pair_correlations: tuple[float, float, float, float]
 
     def to_dict(self) -> dict:
+        """The fields by name, with the per-pair tuples as lists (as JSON
+        reads them back)."""
         return {
-            "c_hat": self.c_hat,
-            "standard_error": self.standard_error,
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-            "corrected": self.corrected,
-            "z_value": self.z_value,
-            "significance": self.significance,
-            "pair_counts": list(self.pair_counts),
-            "pair_correlations": list(self.pair_correlations),
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(self).items()
         }
 
 
@@ -196,9 +191,10 @@ def verdict(c_hat: float, standard_error: float, threshold: float, significance:
     return "clean" if abs(c_hat) >= threshold - z * standard_error else "eavesdropper"
 
 
-_CSV_COLUMNS = (
-    "index", "p1x", "p1y", "p1z", "p2x", "p2y", "p2z", "alice_basis", "bob_basis",
-    "alice_outcome", "bob_outcome", "attacked", "eve_basis", "eve_outcome",
+#: Per-round transcript fields written by both writers, in CSV column order.
+_ROUND_COLUMNS = (
+    "alice_basis", "bob_basis", "alice_outcome", "bob_outcome", "attacked",
+    "eve_basis", "eve_outcome",
 )
 
 
@@ -254,20 +250,21 @@ class ProtocolTranscript:
             "naive_threshold": naive.threshold if naive else None,
         }
 
+    def _rounds(self) -> dict:
+        """The ``_ROUND_COLUMNS`` arrays by name, ``attacked`` as 0/1 int8."""
+        columns = {name: getattr(self, name) for name in _ROUND_COLUMNS}
+        columns["attacked"] = self.attacked.astype(np.int8)
+        return columns
+
     def to_json(self, stream) -> None:
+        rounds = {name: column.tolist() for name, column in self._rounds().items()}
         payload = {
             "schema_version": SCHEMA_VERSION,
             "config": self.config.to_dict(),
             "rounds": {
                 "momentum1": self.momentum1.tolist(),
                 "momentum2": self.momentum2.tolist(),
-                "alice_basis": self.alice_basis.tolist(),
-                "bob_basis": self.bob_basis.tolist(),
-                "alice_outcome": self.alice_outcome.tolist(),
-                "bob_outcome": self.bob_outcome.tolist(),
-                "attacked": [int(v) for v in self.attacked],
-                "eve_basis": self.eve_basis.tolist(),
-                "eve_outcome": self.eve_outcome.tolist(),
+                **rounds,
             },
             "sifted": {
                 "indices": self.sifted_indices.tolist(),
@@ -283,10 +280,10 @@ class ProtocolTranscript:
 
     def to_csv(self, stream) -> None:
         """Per-round table; the Bell verdicts live in the JSON form only."""
-        _write_csv(stream, _CSV_COLUMNS, (
+        names = ("index", "p1x", "p1y", "p1z", "p2x", "p2y", "p2z", *_ROUND_COLUMNS)
+        _write_csv(stream, names, (
             np.arange(self.pair_count), *self.momentum1.T, *self.momentum2.T,
-            self.alice_basis, self.bob_basis, self.alice_outcome, self.bob_outcome,
-            self.attacked.astype(np.int8), self.eve_basis, self.eve_outcome,
+            *self._rounds().values(),
         ))
 
 
