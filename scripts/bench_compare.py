@@ -38,20 +38,17 @@ TRACED = (
     "ekert.bell_test_corrected_s",
 )
 
-#: One Monte Carlo chunk of a crossed beam, measured with tracemalloc; only
-#: private names that both sides have are used.
+#: One Monte Carlo chunk of a crossed beam, measured with tracemalloc
+#: through the public API, so both sides run the same probe.
 CHUNK_PEAK = """
 import sys, tracemalloc
 sys.path.insert(0, "src")
-import numpy as np
-from relbell import DEFAULT_CONFIG, JointGaussian
-from relbell.bell import _sides
-from relbell.correlator import _evaluate_chunk
+from relbell import DEFAULT_CONFIG, JointGaussian, bell_average_mc
 from relbell.kinematics import momentum_for_beta
 dist = JointGaussian(momentum_for_beta((0.85, 0.0, 0.0)), 0.04,
                      momentum_for_beta((0.0, 0.85, 0.0)), 0.04)
 tracemalloc.start()
-_evaluate_chunk(_sides(DEFAULT_CONFIG), dist, np.random.SeedSequence(0), 65536)
+bell_average_mc(DEFAULT_CONFIG, dist, 65536, 0, chunk_size=65536)
 print(tracemalloc.get_traced_memory()[1])
 """
 

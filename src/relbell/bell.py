@@ -22,14 +22,13 @@ from .correlator import (
     DEFAULT_CHUNK_SIZE,
     CorrelatorEstimate,
     _check_sampling,
-    _kernel_matrix,
+    _kernel_rows,
     _mc_means,
-    _nondegenerate,
     _rejection_warning,
     kernel_from_beta,
 )
 from .distributions import MomentumDistribution
-from .kinematics import _as_triple, _check_mass, _check_velocity, _frame_pair
+from .kinematics import _as_triple, _broadcast_rows, _check_mass, _check_velocity
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -94,9 +93,9 @@ DEFAULT_CONFIG = BellConfig(
 )
 
 def _sides(config: BellConfig):
-    """Alice's and Bob's axes as component triples; their row-major product
-    is ``axis_pairs``."""
-    return (config.a, config.a_prime), (config.b, config.b_prime)
+    """Alice's and Bob's axes, each side stacked as a (2, 3) array; their
+    row-major product is ``axis_pairs``."""
+    return np.array((config.a, config.a_prime)), np.array((config.b, config.b_prime))
 
 
 def _chsh_sum(k) -> np.ndarray:
@@ -104,14 +103,16 @@ def _chsh_sum(k) -> np.ndarray:
     return ((k[0, 0] + k[0, 1]) + k[1, 0]) - k[1, 1]
 
 
-def _chsh(config: BellConfig, frame1, frame2) -> np.ndarray:
-    """Bell average per row of two particle frames; degenerate rows raise."""
-    return _chsh_sum(_nondegenerate(*_kernel_matrix(*_sides(config), frame1, frame2)))
+def _chsh(config: BellConfig, x1, x2, mass: float | None = None) -> np.ndarray:
+    """Bell average per row of two arrays of shape (n, 3), velocities or,
+    when ``mass`` is given, momenta; degenerate rows raise."""
+    return _kernel_rows(*_sides(config), x1, x2, mass, combine=_chsh_sum)
 
 
 def chsh_from_beta(config: BellConfig, beta1, beta2) -> np.ndarray:
     """Vectorized Bell average from velocity arrays of shape (..., 3)."""
-    return _chsh(config, *_frame_pair(beta1, beta2))
+    shape, (x1, x2) = _broadcast_rows(beta1, beta2)
+    return _chsh(config, x1, x2).reshape(shape)[()]
 
 
 def bell_average_sharp(config: BellConfig, beta_vec) -> float:

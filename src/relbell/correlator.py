@@ -17,13 +17,18 @@ Setting ``b = a`` gives exactly -1 for any momentum: the pair stays
 perfectly anti-correlated along a shared axis.
 
 Every kernel in the package comes from :func:`_kernel_matrix`, which works
-on the component core of :mod:`relbell.kinematics`: it takes one frame per
-particle, boosts each axis once as three contiguous x/y/z arrays, and adds
-the dot products and squared norms component by component, left to right.
+on the component core of :mod:`relbell.kinematics`.  It takes each side's
+axes stacked into one array and one frame per particle, boosts each side
+in one broadcast pass, and forms all (Alice, Bob) kernels with one product,
+three adds, one square root and one division; every operation is
+elementwise and in the order of the ``np.sum`` form, so the bytes match it.
 Momentum arrays that are equal bit for bit (as for a correlated beam) get
-one frame, built once and used for both particles.  The Monte Carlo draws
-the momenta of a chunk at once and forms their frames and kernels on
-blocks of ``_BLOCK_ROWS`` draws, which keeps the temporaries in cache.
+one frame, used for both particles.  Every caller works on blocks of rows
+through the shared block loop: the Monte Carlo draws the momenta of a chunk
+at once and forms their kernels on blocks of ``_BLOCK_ROWS`` draws, and
+callers that work on whole arrays (:func:`_kernel_rows`: the protocol run
+and the velocity scans) use blocks of ``_ARRAY_BLOCK_ROWS`` rows, so no
+temporary of the kernel work covers a whole array.
 
 Averages over momentum profiles are estimated by Monte Carlo with a
 splittable, counter-based generator (Philox keyed through ``SeedSequence``
@@ -46,13 +51,11 @@ from .kinematics import (
     DEGENERACY_TOL,
     ParticleKinematics,
     _boost,
+    _broadcast_rows,
     _check_velocity,
-    _components,
-    _dot,
-    _frame,
-    _frame_pair,
+    _frame_blocks,
+    _frame_of,
     _norm_sq,
-    _velocity,
 )
 
 #: Default number of momentum samples evaluated per RNG chunk.
@@ -66,6 +69,13 @@ DEFAULT_CHUNK_SIZE = 65536
 #: from run to run, and their peak memory varied by ~10 MB.
 _BLOCK_ROWS = 4096
 
+#: Rows per block for callers that work on whole arrays (the protocol's
+#: outcome kernels and threshold, the scans).  On a 2-vCPU host a 2^17-pair
+#: protocol run took 10-15% longer in blocks of 4096 rows than of 16384,
+#: and in one whole-array block its tracemalloc peak doubled (65 MiB
+#: against 30).
+_ARRAY_BLOCK_ROWS = 16384
+
 #: Cap on resampling sweeps for degenerate draws within one chunk.
 _MAX_RESAMPLE_SWEEPS = 100
 
@@ -73,35 +83,32 @@ _MAX_RESAMPLE_SWEEPS = 100
 _DEGENERACY_TOL_SQ = DEGENERACY_TOL * DEGENERACY_TOL
 
 
-def _kernel_matrix(alice_axes, bob_axes, frame1, frame2):
+def _kernel_matrix(alice, bob, frame1, frame2):
     """Singlet kernel for every (Alice, Bob) axis pair, with a degeneracy mask.
 
-    ``alice_axes`` and ``bob_axes`` are sequences of axes, each a component
-    triple: three scalars for a fixed axis or three arrays for per-row axes.
-    Alice's axes are boosted once in ``frame1``, Bob's in ``frame2``.
-    Returns ``(kernels, degenerate)``: ``kernels`` has shape
-    ``(len(alice_axes), len(bob_axes)) + rows``, with ``rows`` the broadcast
-    shape of the axes and frames, and ``degenerate`` marks the rows where
-    any effective axis is shorter than ``DEGENERACY_TOL``.  The kernels of
-    those rows are meaningless; raising on them or resampling them is the
-    caller's policy.  Normalizing by one square root of the product of
-    squared norms makes the shared-axis case land on -1 exactly.
+    ``alice`` and ``bob`` are each side's axes stacked: (A, 3) for fixed
+    axes or (A, 3, rows) for per-row axes.  Alice's side is boosted in
+    ``frame1``, Bob's in ``frame2``, each in one broadcast pass.  Returns
+    ``(kernels, degenerate)``: ``kernels`` has shape (A, B, rows), and
+    ``degenerate`` marks the rows where any effective axis is shorter than
+    ``DEGENERACY_TOL``.  The kernels of those rows are meaningless; raising
+    on them or resampling them is the caller's policy.  Normalizing by one
+    square root of the product of squared norms makes the shared-axis case
+    land on -1 exactly.
     """
-    v1 = [_boost(axis, frame1) for axis in alice_axes]
-    v2 = [_boost(axis, frame2) for axis in bob_axes]
-    sq1 = [_norm_sq(v) for v in v1]
-    sq2 = [_norm_sq(v) for v in v2]
-    rows = np.broadcast_shapes(*(np.shape(sq) for sq in sq1 + sq2))
-    degenerate = np.zeros(rows, dtype=bool)
-    for sq in sq1 + sq2:
-        degenerate |= sq < _DEGENERACY_TOL_SQ
-    kernels = np.empty((len(v1), len(v2)) + rows)
+    v1 = _boost(alice, frame1)
+    v2 = _boost(bob, frame2)
+    sq1, sq2 = (_norm_sq(v.swapaxes(0, 1)) for v in (v1, v2))
+    degenerate = np.any(sq1 < _DEGENERACY_TOL_SQ, axis=0) | np.any(sq2 < _DEGENERACY_TOL_SQ, axis=0)
+    prod = v1[:, None] * v2[None]
+    kernels = 0.0 + prod[:, :, 0]
+    kernels += prod[:, :, 1]
+    kernels += prod[:, :, 2]
+    np.negative(kernels, out=kernels)
+    norms = sq1[:, None] * sq2[None]
+    np.sqrt(norms, out=norms)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i, (va, sa) in enumerate(zip(v1, sq1)):
-            for j, (vb, sb) in enumerate(zip(v2, sq2)):
-                # the Ellipsis keeps a 0-d row a writable view
-                out = kernels[i, j, ...]
-                np.divide(-_dot(va, vb), np.sqrt(sa * sb), out=out)
+        np.divide(kernels, norms, out=kernels)
     return kernels, degenerate
 
 
@@ -118,6 +125,22 @@ def _nondegenerate(kernels: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
     return kernels + 0.0
 
 
+def _kernel_rows(alice, bob, x1, x2, mass=None, combine=lambda k: k[0, 0]) -> np.ndarray:
+    """``combine(kernels)`` for every row of two arrays of shape (n, 3),
+    velocities or, when ``mass`` is given, momenta; degenerate rows raise.
+
+    The sides are stacked as for :func:`_kernel_matrix`, with per-row axes
+    of shape (A, 3, n).  The rows go through the shared block loop in
+    blocks of ``_ARRAY_BLOCK_ROWS``; each kernel is a per-row value, so the
+    blocks give the bytes of one whole-array pass.
+    """
+    out = np.empty(len(x1))
+    for rows, frame1, frame2 in _frame_blocks(x1, x2, mass, _ARRAY_BLOCK_ROWS):
+        sides = (axes if axes.ndim == 2 else axes[:, :, rows] for axes in (alice, bob))
+        out[rows] = combine(_nondegenerate(*_kernel_matrix(*sides, frame1, frame2)))
+    return out
+
+
 def kernel_from_beta(a_dir, b_dir, beta1, beta2) -> np.ndarray:
     """Vectorized singlet correlation from velocity vectors.
 
@@ -125,8 +148,9 @@ def kernel_from_beta(a_dir, b_dir, beta1, beta2) -> np.ndarray:
     with |beta| = 1 are allowed as a limit provided the axis keeps a
     longitudinal component.
     """
-    axes = (_components(a_dir),), (_components(b_dir),)
-    return _nondegenerate(*_kernel_matrix(*axes, *_frame_pair(beta1, beta2)))[0, 0]
+    shape, (a, b, x1, x2) = _broadcast_rows(a_dir, b_dir, beta1, beta2)
+    alice, bob = (np.ascontiguousarray(axes.T)[None] for axes in (a, b))
+    return _kernel_rows(alice, bob, x1, x2).reshape(shape)[()]
 
 
 def correlator_integrand(
@@ -171,6 +195,7 @@ def _chunk_sizes(samples: int, chunk_size: int) -> list[int]:
 def _sample_kernels(axes, dist, rng: np.random.Generator, n: int) -> np.ndarray:
     """Kernel rows, one per axis pair, over ``n`` fresh momentum draws.
 
+    ``axes`` holds each side's fixed axes stacked, as (A, 3) arrays.
     Columns of degenerate draws are NaN so the caller can resample them.
     The draws are made at once; the frames and kernels are formed on
     blocks of ``_BLOCK_ROWS`` draws, so the temporaries of a block stay in
@@ -180,9 +205,7 @@ def _sample_kernels(axes, dist, rng: np.random.Generator, n: int) -> np.ndarray:
     """
     p1, p2 = dist.sample(rng, n)
     kernels = np.empty((len(axes[0]) * len(axes[1]), n))
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        frame1, frame2 = _frame_pair(p1[rows], p2[rows], dist.mass)
+    for rows, frame1, frame2 in _frame_blocks(p1, p2, dist.mass, _BLOCK_ROWS):
         block, degenerate = _kernel_matrix(*axes, frame1, frame2)
         if isinstance(dist, JointGaussian):
             # symmetrize over the particle swap, in place
@@ -246,8 +269,9 @@ def _pool(workers: int) -> ThreadPoolExecutor:
 def _mc_means(axes, dist, samples: int, seed: int, chunk_size: int, workers: int):
     """Chunked Monte Carlo means and standard errors for several axis pairs.
 
-    ``axes`` is the (Alice, Bob) pair of axis lists of :func:`_kernel_matrix`;
-    results follow its row-major pair order.  This is the one place that
+    ``axes`` is the (Alice, Bob) pair of axis sequences; each side is
+    stacked once here into an (A, 3) array, and results follow the
+    row-major pair order of :func:`_kernel_matrix`.  This is the one place that
     knows each profile's policy: a :class:`Sharp` profile is exact (its
     kernels at the fixed momentum are the means, with zero errors), and
     the rest are sampled, with every pair on the same momentum draws and a
@@ -258,8 +282,9 @@ def _mc_means(axes, dist, samples: int, seed: int, chunk_size: int, workers: int
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    axes = tuple(np.reshape(np.asarray(side, dtype=float), (len(side), 3)) for side in axes)
     if isinstance(dist, Sharp):
-        frame = _frame(_velocity(_components(dist.momentum), dist.mass))
+        frame = _frame_of(np.array([dist.momentum]), dist.mass)
         kernels = _nondegenerate(*_kernel_matrix(*axes, frame, frame)).reshape(-1)
         return kernels, np.zeros_like(kernels), 0
     sizes = _chunk_sizes(samples, chunk_size)
@@ -314,7 +339,7 @@ def correlator_mc(
     """
     _check_sampling(samples, workers)
     means, errors, rejected = _mc_means(
-        ((_components(a_dir),), (_components(b_dir),)), dist, samples, seed, chunk_size, workers
+        ((a_dir,), (b_dir,)), dist, samples, seed, chunk_size, workers
     )
     return CorrelatorEstimate(
         value=float(means[0]),

@@ -25,6 +25,18 @@ def _as_sigma(value, name: str) -> tuple[float, float, float]:
     return triple
 
 
+def _gaussian(rng: np.random.Generator, mean, sigma, n: int) -> np.ndarray:
+    """``n`` draws of ``mean + sigma * z``, one per row.  Each column is
+    scaled and shifted in place, which gives the bytes of the broadcast
+    form at a fraction of its cost: broadcasting a (3,) array over (n, 3)
+    runs numpy's inner loop over three elements at a time."""
+    p = rng.standard_normal((n, 3))
+    for column, s, m in zip(p.T, sigma, mean):
+        column *= s
+        column += m
+    return p
+
+
 @dataclass(frozen=True)
 class Sharp:
     """Both particles carry exactly the same fixed momentum."""
@@ -71,7 +83,7 @@ class CorrelatedGaussian:
         return cls(momentum_for_beta(beta_vec, mass), sigma, mass)
 
     def sample(self, rng: np.random.Generator, n: int):
-        p = np.array(self.mean) + np.array(self.sigma) * rng.standard_normal((n, 3))
+        p = _gaussian(rng, self.mean, self.sigma, n)
         return p, p.copy()
 
     def to_dict(self) -> dict:
@@ -105,9 +117,8 @@ class JointGaussian:
         object.__setattr__(self, "mass", _check_mass(self.mass))
 
     def sample(self, rng: np.random.Generator, n: int):
-        p1 = np.array(self.mean1) + np.array(self.sigma1) * rng.standard_normal((n, 3))
-        p2 = np.array(self.mean2) + np.array(self.sigma2) * rng.standard_normal((n, 3))
-        return p1, p2
+        p1 = _gaussian(rng, self.mean1, self.sigma1, n)
+        return p1, _gaussian(rng, self.mean2, self.sigma2, n)
 
     def to_dict(self) -> dict:
         return {

@@ -43,10 +43,9 @@ from .bell import (
     _write_csv,
     corrected_threshold,
 )
-from .correlator import _check_sampling, _kernel_matrix, _nondegenerate
+from .correlator import _check_sampling, _kernel_rows
 from .distributions import MomentumDistribution
 from .errors import DegenerateObservableError, UndersampledTestError
-from .kinematics import _frame_pair
 
 #: Fewest test rounds per basis pair for a meaningful CHSH estimate.
 MIN_TEST_ROUNDS = 25
@@ -306,14 +305,14 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     rng_eve = np.random.Generator(np.random.Philox(roles[4]))
 
     p1, p2 = config.distribution.sample(rng_momenta, n)
-    frame1, frame2 = _frame_pair(p1, p2, config.distribution.mass)
+    mass = config.distribution.mass
 
     n_key = len(config.key_axes)
     alice_idx = _choose_bases(rng_alice, n, n_key, config.test_fraction)
     bob_idx = _choose_bases(rng_bob, n, n_key, config.test_fraction)
-    # per-row axes as component rows of shape (3, n)
-    alice_axes = config.alice_pool.T[:, alice_idx]
-    bob_axes = config.bob_pool.T[:, bob_idx]
+    # per-row axes as contiguous component rows of shape (3, n)
+    alice_axes = config.alice_pool.T.take(alice_idx, axis=1)
+    bob_axes = config.bob_pool.T.take(bob_idx, axis=1)
 
     s = (2 * rng_outcome.integers(0, 2, size=n) - 1).astype(np.int8)
     u_outcome = rng_outcome.random(n)
@@ -334,7 +333,7 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     if attacked.any():
         partner_axes[:, attacked] = np.array(config.eve.basis_pool).T[:, eve_basis[attacked]]
 
-    kernel = _nondegenerate(*_kernel_matrix((alice_axes,), (partner_axes,), frame1, frame2))[0, 0]
+    kernel = _kernel_rows(alice_axes[None], partner_axes[None], p1, p2, mass)
     t = np.where(u_outcome < 0.5 * (1.0 + s * kernel), 1, -1).astype(np.int8)
 
     bob_outcome = t.copy()
@@ -343,15 +342,14 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
         rows = np.nonzero(attacked)[0]
         # the overlap of Eve's and Bob's effective axes is minus their
         # singlet kernel, both taken at Bob's momentum
-        bob_frame = frame2.take(rows)
-        kernels, degenerate = _kernel_matrix(
-            (partner_axes[:, rows],), (bob_axes[:, rows],), bob_frame, bob_frame
-        )
-        if np.any(degenerate):
+        sides = (axes.take(rows, axis=1)[None] for axes in (partner_axes, bob_axes))
+        bob_momenta = p2[rows]
+        try:
+            overlap = -_kernel_rows(*sides, bob_momenta, bob_momenta, mass)
+        except DegenerateObservableError as err:
             raise DegenerateObservableError(
                 "a resend axis became degenerate at the sampled momentum"
-            )
-        overlap = -kernels[0, 0]
+            ) from err
         resent = np.where(u_resend[rows] < 0.5 * (1.0 + t[rows] * overlap), 1, -1)
         bob_outcome[rows] = resent.astype(np.int8)
         eve_outcome[rows] = t[rows]
@@ -376,18 +374,76 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
         alice_key_bits=alice_key_bits,
         bob_key_bits=bob_key_bits,
     )
-    transcript.bell_naive = bell_test(transcript, corrected=False)
-    # the run's own frames give the empirical threshold; nothing is rebuilt
-    threshold = None
-    if config.threshold_mode == "empirical":
-        threshold = _empirical_threshold(config.bell, frame1, frame2)
-    transcript.bell_corrected = bell_test(transcript, corrected=True, threshold=threshold)
+    # one set of test statistics serves both checks
+    statistics = _test_statistics(transcript)
+    transcript.bell_naive = _bell_result(config, statistics, TSIRELSON_BOUND, corrected=False)
+    transcript.bell_corrected = _bell_result(
+        config, statistics, _corrected_threshold(transcript), corrected=True
+    )
     return transcript
 
 
-def _empirical_threshold(bell: BellConfig, frame1, frame2) -> float:
-    """|Bell average| over the recorded pairs, given their particle frames."""
-    return abs(float(np.mean(_chsh(bell, frame1, frame2))))
+def _test_statistics(transcript: ProtocolTranscript):
+    """Per-basis-pair counts and correlations of the test rounds, in CHSH
+    order.  Raises :class:`~relbell.errors.UndersampledTestError` when any
+    basis pair has fewer than ``MIN_TEST_ROUNDS`` rounds."""
+    n_key = len(transcript.config.key_axes)
+    a_test = transcript.alice_basis - n_key
+    b_test = transcript.bob_basis - n_key
+    test = (a_test >= 0) & (b_test >= 0)
+    pair = 2 * a_test[test] + b_test[test]
+    products = transcript.alice_outcome[test] * transcript.bob_outcome[test]
+    counts = np.bincount(pair, minlength=4).tolist()
+    # the products are +-1, so these sums are exact in any order and each
+    # correlation equals the mean of its pair's products bit for bit
+    sums = np.bincount(pair, weights=products, minlength=4).tolist()
+    for k, count in enumerate(counts):
+        if count < MIN_TEST_ROUNDS:
+            raise UndersampledTestError(
+                f"basis pair {divmod(k, 2)} has {count} test rounds; "
+                f"need at least {MIN_TEST_ROUNDS}"
+            )
+    return tuple(counts), tuple(total / count for total, count in zip(sums, counts))
+
+
+def _corrected_threshold(transcript: ProtocolTranscript) -> float:
+    """The motion-corrected threshold the config selects: the empirical Bell
+    average over the recorded momenta, or a Monte Carlo average of the
+    configured profile."""
+    config = transcript.config
+    if config.threshold_mode == "empirical":
+        bell = _chsh(
+            config.bell, transcript.momentum1, transcript.momentum2, config.distribution.mass
+        )
+        return abs(float(np.mean(bell)))
+    # derive an integer seed disjoint from the five role substreams
+    child = np.random.SeedSequence(config.seed).spawn(6)[5]
+    return corrected_threshold(
+        config.bell,
+        config.distribution,
+        config.threshold_samples,
+        int(child.generate_state(1, np.uint64)[0]),
+    )
+
+
+def _bell_result(
+    config: ProtocolConfig, statistics, threshold: float, corrected: bool
+) -> BellTestResult:
+    """The CHSH check of the test statistics against one threshold."""
+    counts, correlations = statistics
+    c_hat = float(_chsh_sum(np.reshape(correlations, (2, 2))))
+    standard_error = math.sqrt(sum((1.0 - e * e) / count for e, count in zip(correlations, counts)))
+    return BellTestResult(
+        c_hat=c_hat,
+        standard_error=standard_error,
+        threshold=float(threshold),
+        verdict=verdict(c_hat, standard_error, threshold, config.significance),
+        corrected=corrected,
+        z_value=NormalDist().inv_cdf(1.0 - config.significance),
+        significance=config.significance,
+        pair_counts=counts,
+        pair_correlations=correlations,
+    )
 
 
 def bell_test(
@@ -406,62 +462,7 @@ def bell_test(
     :class:`~relbell.errors.UndersampledTestError` when any basis pair has
     fewer than ``MIN_TEST_ROUNDS`` rounds.
     """
-    config = transcript.config
-    n_key = len(config.key_axes)
-    a_test = transcript.alice_basis - n_key
-    b_test = transcript.bob_basis - n_key
-
-    correlations = []
-    errors_sq = []
-    counts = []
-    for i in (0, 1):
-        for j in (0, 1):
-            mask = (a_test == i) & (b_test == j)
-            count = int(np.count_nonzero(mask))
-            if count < MIN_TEST_ROUNDS:
-                raise UndersampledTestError(
-                    f"basis pair ({i}, {j}) has {count} test rounds; "
-                    f"need at least {MIN_TEST_ROUNDS}"
-                )
-            products = (
-                transcript.alice_outcome[mask].astype(float)
-                * transcript.bob_outcome[mask].astype(float)
-            )
-            e = float(np.mean(products))
-            correlations.append(e)
-            errors_sq.append((1.0 - e * e) / count)
-            counts.append(count)
-
-    c_hat = float(_chsh_sum(np.reshape(correlations, (2, 2))))
-    standard_error = math.sqrt(sum(errors_sq))
-
+    statistics = _test_statistics(transcript)
     if threshold is None:
-        if not corrected:
-            threshold = TSIRELSON_BOUND
-        elif config.threshold_mode == "empirical":
-            frames = _frame_pair(
-                transcript.momentum1, transcript.momentum2, config.distribution.mass
-            )
-            threshold = _empirical_threshold(config.bell, *frames)
-        else:
-            # derive an integer seed disjoint from the five role substreams
-            child = np.random.SeedSequence(config.seed).spawn(6)[5]
-            threshold = corrected_threshold(
-                config.bell,
-                config.distribution,
-                config.threshold_samples,
-                int(child.generate_state(1, np.uint64)[0]),
-            )
-
-    z = NormalDist().inv_cdf(1.0 - config.significance)
-    return BellTestResult(
-        c_hat=c_hat,
-        standard_error=standard_error,
-        threshold=float(threshold),
-        verdict=verdict(c_hat, standard_error, threshold, config.significance),
-        corrected=corrected,
-        z_value=z,
-        significance=config.significance,
-        pair_counts=tuple(counts),
-        pair_correlations=tuple(correlations),
-    )
+        threshold = _corrected_threshold(transcript) if corrected else TSIRELSON_BOUND
+    return _bell_result(transcript.config, statistics, threshold, corrected)

@@ -20,17 +20,19 @@ longitudinal part is untouched.  Its length is
 direction and all spin observables commute.
 
 Every velocity and effective axis in the package comes from one component
-core, which works on three separate x/y/z arrays instead of one array of
-shape (..., 3).  :func:`_velocity` turns momentum components into
-velocity components, :func:`_frame` turns a velocity array into its
-*frame* (the unit direction ``n`` and the factor ``sqrt(1 - beta^2)``),
-and :func:`_boost` forms ``v(a)`` in a frame.  A frame is built once per
-velocity array and serves every axis boosted with it; two arrays that are
-equal bit for bit share one frame (:func:`_frame_pair`).  The core adds
-the three components of a dot product left to right from ``+0.0``, which
-is how ``np.sum(..., axis=-1)`` adds a length-3 axis, so the public
-:func:`beta_from_momentum` and :func:`boosted_spin_axis`, which stack its
-components, return the same bytes as that ``np.sum`` form.
+core, which is component-major: x, y and z run along the first axis of one
+array, so a block of rows is one contiguous (3, rows) array.
+:func:`_velocity` turns momenta into velocities, :func:`_frame` turns
+velocities into their *frame* (the unit direction ``n`` and the factor
+``sqrt(1 - beta^2)``), and :func:`_boost` forms ``v(a)`` for a whole side
+of stacked axes in one broadcast pass.  Callers that work on whole arrays
+go through one block loop, :func:`_frame_blocks`, which copies each block
+of rows into that layout and builds its frames once; two arrays that are
+equal bit for bit share one frame.  The core adds the three components of
+a dot product left to right from ``+0.0``, which is how
+``np.sum(..., axis=-1)`` adds a length-3 axis, so the public
+:func:`beta_from_momentum` and :func:`boosted_spin_axis` return the same
+bytes as that ``np.sum`` form.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ class ParticleKinematics:
 
     @property
     def energy(self) -> float:
-        return float(_energy(self.momentum, self.mass))
+        return float(_energy(self.momentum_vec, self.mass))
 
     @property
     def beta_vec(self) -> np.ndarray:
@@ -154,7 +156,7 @@ class ParticleKinematics:
 def _check_velocity(beta_vec) -> tuple[float, float, float]:
     """A finite velocity triple with |beta| < 1."""
     beta = _as_triple(beta_vec, "beta_vec")
-    beta_sq = _norm_sq(beta)
+    beta_sq = float(_norm_sq(np.array(beta)))
     if beta_sq >= 1.0:
         raise DomainError(f"|beta| must be < 1, got |beta| = {math.sqrt(beta_sq)}")
     return beta
@@ -163,7 +165,7 @@ def _check_velocity(beta_vec) -> tuple[float, float, float]:
 def momentum_for_beta(beta_vec, mass: float = 1.0) -> tuple[float, float, float]:
     """Momentum m*gamma*beta_vec realizing a given velocity; |beta| < 1."""
     beta = _check_velocity(beta_vec)
-    gamma = 1.0 / math.sqrt(1.0 - _norm_sq(beta))
+    gamma = 1.0 / math.sqrt(1.0 - _norm_sq(np.array(beta)))
     return tuple(mass * gamma * c for c in beta)
 
 
@@ -173,61 +175,75 @@ def beta_from_momentum(momentum: np.ndarray, mass: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the component core: triples of x/y/z arrays (or scalars) that broadcast
+# the component core: component-major arrays, x/y/z along the first axis
 
 
-def _components(vectors):
-    """The x, y and z components of an array of shape (..., 3), as views."""
+def _vectors(vectors) -> np.ndarray:
+    """A float array of shape (..., 3)."""
     x = np.asarray(vectors, dtype=float)
     if x.ndim == 0 or x.shape[-1] != 3:
         raise ValueError(f"expected an array of shape (..., 3), got {x.shape}")
-    return tuple(np.moveaxis(x, -1, 0))
+    return x
+
+
+def _components(vectors) -> np.ndarray:
+    """An array of shape (..., 3) as a component-major view of shape (3, ...)."""
+    return np.moveaxis(_vectors(vectors), -1, 0)
+
+
+def _broadcast_rows(*vectors):
+    """Arrays of shape (..., 3) broadcast over their leading shapes: that
+    shape, and each array as rows of shape (m, 3), m >= 1."""
+    arrays = [_vectors(x) for x in vectors]
+    shape = np.broadcast_shapes(*(x.shape[:-1] for x in arrays))
+    return shape, [np.broadcast_to(x, shape + (3,)).reshape(-1, 3) for x in arrays]
 
 
 def _norm_sq(x):
-    """|x|^2 of a component triple; squares are never -0.0, so no +0.0 start
-    is needed to match ``np.sum(x * x, axis=-1)``."""
-    return (x[0] * x[0] + x[1] * x[1]) + x[2] * x[2]
-
-
-def _dot(x, y):
-    """x.y of two component triples, added as ``np.sum(x * y, axis=-1)``
-    adds: left to right from +0.0, so three -0.0 products give +0.0."""
-    return ((0.0 + x[0] * y[0]) + x[1] * y[1]) + x[2] * y[2]
+    """|x|^2 over the first axis of a component-major array: one square,
+    then the components added left to right.  Squares are never -0.0, so
+    no +0.0 start is needed to match ``np.sum(x * x, axis=-1)``."""
+    sq = x * x
+    return (sq[0] + sq[1]) + sq[2]
 
 
 def _energy(momentum, mass: float):
-    """E = sqrt(m^2 + |p|^2) of momentum components."""
+    """E = sqrt(m^2 + |p|^2) of component-major momenta."""
     return np.sqrt(mass * mass + _norm_sq(momentum))
 
 
 def _velocity(momentum, mass: float):
-    """Velocity components p / E."""
-    energy = _energy(momentum, mass)
-    return tuple(c / energy for c in momentum)
+    """Component-major velocities p / E."""
+    return momentum / _energy(momentum, mass)
 
 
 class _Frame(NamedTuple):
     """What boosting an axis needs from a velocity array: the unit direction
-    ``n`` (zero at rest) and ``root = sqrt(max(1 - beta^2, 0))``."""
+    ``n`` (zero at rest) as one contiguous (3, rows) array and
+    ``root = sqrt(max(1 - beta^2, 0))`` of shape (rows,)."""
 
-    n: tuple
+    n: np.ndarray
     root: np.ndarray
-
-    def take(self, rows) -> "_Frame":
-        """The frame of the selected rows."""
-        return _Frame(tuple(c[rows] for c in self.n), self.root[rows])
 
 
 def _frame(beta) -> _Frame:
-    """The frame of a velocity component triple."""
+    """The frame of component-major velocities."""
     beta_sq = _norm_sq(beta)
     norm = np.sqrt(beta_sq)
     # rest branch: force n = 0 so v reduces to a with no 0/0
     scale = np.where(norm > 0.0, norm, 1.0)
     # clip guards |beta| = 1 against forming sqrt of a tiny negative
     root = np.sqrt(np.maximum(1.0 - beta_sq, 0.0))
-    return _Frame(tuple(c / scale for c in beta), root)
+    return _Frame(beta / scale, root)
+
+
+def _frame_of(rows: np.ndarray, mass: float | None) -> _Frame:
+    """The frame of rows of shape (m, 3): velocities, or momenta when
+    ``mass`` is given.  The rows are copied to one contiguous (3, m) array
+    first; a transposed view would hand its strided layout to every array
+    computed from it."""
+    c = rows.T.copy()
+    return _frame(c if mass is None else _velocity(c, mass))
 
 
 def _same_bits(x, y) -> bool:
@@ -237,29 +253,43 @@ def _same_bits(x, y) -> bool:
     return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
+def _frame_blocks(x1, x2, mass: float | None, block_rows: int):
+    """The shared block loop: ``(rows, frame1, frame2)`` for each block of
+    ``block_rows`` rows of two arrays of shape (n, 3), velocities or, when
+    ``mass`` is given, momenta.  Arrays equal bit for bit share one frame
+    per block.  Every caller that works on whole arrays goes through here,
+    so no temporary of the kernel work covers all rows at once."""
+    shared = x2 is x1 or _same_bits(x1, x2)
+    for start in range(0, len(x1), block_rows):
+        rows = slice(start, start + block_rows)
+        frame1 = _frame_of(x1[rows], mass)
+        yield rows, frame1, frame1 if shared else _frame_of(x2[rows], mass)
+
+
 def _frame_pair(x1, x2, mass: float | None = None):
-    """Frames of two arrays of shape (..., 3): velocities, or momenta when
-    ``mass`` is given.  Arrays equal bit for bit share one frame."""
-
-    def frame(x):
-        c = _components(x)
-        return _frame(c if mass is None else _velocity(c, mass))
-
-    frame1 = frame(x1)
-    if x2 is x1 or _same_bits(x1, x2):
-        return frame1, frame1
-    return frame1, frame(x2)
+    """Frames of two whole arrays of shape (n, 3), as one block."""
+    (_, frame1, frame2), = _frame_blocks(x1, x2, mass, len(x1))
+    return frame1, frame2
 
 
-def _boost(axis, frame: _Frame):
-    """Components of v(a) = root (a - (a.n) n) + (a.n) n for a component
-    triple ``axis`` (scalars or per-row arrays)."""
-    along = _dot(axis, frame.n)
-    v = []
-    for a, n in zip(axis, frame.n):
-        a_long = along * n
-        v.append(frame.root * (a - a_long) + a_long)
-    return tuple(v)
+def _boost(axes, frame: _Frame) -> np.ndarray:
+    """v(a) = root (a - (a.n) n) + (a.n) n for stacked axes: (A, 3) for
+    fixed axes or (A, 3, rows) for per-row axes; returns (A, 3, rows).
+
+    The whole side is boosted in one broadcast pass.  ``a.n`` adds its
+    three products left to right from +0.0, as ``np.sum(..., axis=-1)``
+    adds a length-3 axis, so three -0.0 products give +0.0."""
+    if axes.ndim == 2:
+        axes = axes[:, :, None]
+    prod = axes * frame.n
+    along = 0.0 + prod[:, 0]
+    along += prod[:, 1]
+    along += prod[:, 2]
+    a_long = along[:, None] * frame.n
+    v = axes - a_long
+    v *= frame.root
+    v += a_long
+    return v
 
 
 def pl_eigenvalue(a: FourVector, kin: ParticleKinematics, j3: float = 0.5) -> float:
@@ -290,7 +320,9 @@ def boosted_spin_axis(a_dir, beta_vec) -> np.ndarray:
     single 3-vectors or arrays of shape (..., 3).  Rows with beta = 0 take
     the rest-frame branch v = a exactly (no momentum direction enters).
     """
-    return np.stack(_boost(_components(a_dir), _frame(_components(beta_vec))), axis=-1)
+    shape, (a, beta) = _broadcast_rows(a_dir, beta_vec)
+    v = _boost(a.T[None], _frame_of(beta, None))[0]
+    return np.stack(v, axis=-1).reshape(shape + (3,))
 
 
 def spin_observable(a_dir, kin: ParticleKinematics) -> np.ndarray:

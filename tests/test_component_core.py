@@ -7,6 +7,7 @@ product and squared norm was ``np.sum(..., axis=-1)`` over arrays of shape
 and builds each frame once; its public outputs must keep the same bytes.
 """
 
+import io
 import itertools
 
 import numpy as np
@@ -17,6 +18,7 @@ from relbell import (
     BellConfig,
     CorrelatedGaussian,
     DegenerateObservableError,
+    InterceptResend,
     JointGaussian,
     ProtocolConfig,
     bell_average_mc,
@@ -97,6 +99,38 @@ def ref_sample_kernels(axes, dist, rng, n):
     kernels = kernels.reshape(-1, n)
     kernels[:, degenerate] = np.nan
     return kernels
+
+
+def ref_protocol_outcomes(transcript):
+    """Bob's and Eve's outcome columns of a run, rebuilt from its recorded
+    choices, its outcome and resend streams and the reference kernels."""
+    config = transcript.config
+    n = transcript.pair_count
+    roles = np.random.SeedSequence(config.seed).spawn(6)
+    rng_outcome = np.random.Generator(np.random.Philox(roles[3]))
+    rng_outcome.integers(0, 2, size=n)
+    u_outcome = rng_outcome.random(n)
+    beta1 = ref_beta_from_momentum(transcript.momentum1, config.distribution.mass)
+    beta2 = ref_beta_from_momentum(transcript.momentum2, config.distribution.mass)
+    alice = config.alice_pool[transcript.alice_basis]
+    bob = config.bob_pool[transcript.bob_basis]
+    partner = bob.copy()
+    attacked = transcript.attacked
+    pool = np.array(config.eve.basis_pool)
+    partner[attacked] = pool[transcript.eve_basis[attacked]]
+    s = transcript.alice_outcome
+    kernel = ref_kernel_from_beta(alice, partner, beta1, beta2)
+    t = np.where(u_outcome < 0.5 * (1.0 + s * kernel), 1, -1).astype(np.int8)
+    rng_eve = np.random.Generator(np.random.Philox(roles[4]))
+    rng_eve.random(n)
+    rng_eve.integers(0, len(pool), size=n)
+    u_resend = rng_eve.random(n)[attacked]
+    at = beta2[attacked]
+    overlap = -ref_kernel_from_beta(partner[attacked], bob[attacked], at, at)
+    bob_outcome = t.copy()
+    bob_outcome[attacked] = np.where(u_resend < 0.5 * (1.0 + t[attacked] * overlap), 1, -1)
+    eve_outcome = np.where(attacked, t, 0).astype(np.int8)
+    return bob_outcome, eve_outcome
 
 
 def same_bytes(x, y):
@@ -221,7 +255,8 @@ class TestKernel:
         bob = (per_row[::-1], DEFAULT_CONFIG.b_prime)
         for b1, b2 in ((beta1, beta2), (beta1, beta1), (beta2, beta1.copy())):
             got = _kernel_matrix(
-                [_components(a) for a in alice], [_components(b) for b in bob],
+                *(np.stack([np.broadcast_to(_components(a).reshape(3, -1), (3, len(b1)))
+                            for a in side]) for side in (alice, bob)),
                 *_frame_pair(b1, b2),
             )
             want = ref_kernel_matrix(alice, bob, b1, b2)
@@ -252,6 +287,17 @@ class TestKernel:
         for kernel in (kernel_from_beta, ref_kernel_from_beta):
             with pytest.raises(DegenerateObservableError):
                 kernel(*args)
+
+    def test_chsh_from_beta_in_small_blocks(self, monkeypatch):
+        # 1000 rows make 15 blocks of 64 and a ragged one of 40
+        monkeypatch.setattr(correlator, "_ARRAY_BLOCK_ROWS", 64)
+        rng = np.random.default_rng(34)
+        beta1 = random_velocities(rng, 1000) * 0.999
+        beta2 = random_velocities(rng, 1000) * 0.999
+        for b1, b2 in ((beta1, beta2), (beta2, beta2.copy()), (np.zeros(3), beta2)):
+            assert same_bytes(
+                chsh_from_beta(DEFAULT_CONFIG, b1, b2), ref_chsh_from_beta(DEFAULT_CONFIG, b1, b2)
+            )
 
     def test_chsh_from_beta(self):
         rng = np.random.default_rng(33)
@@ -340,3 +386,26 @@ class TestProtocolThreshold:
         beta2 = ref_beta_from_momentum(transcript.momentum2, config.distribution.mass)
         want = abs(float(np.mean(ref_chsh_from_beta(config.bell, beta1, beta2))))
         assert repr(transcript.bell_corrected.threshold) == repr(want)
+
+    @pytest.mark.parametrize("beam", sorted(BEAMS))
+    def test_run_in_small_blocks_matches_reference(self, beam, monkeypatch):
+        # 1000 pairs make 15 blocks of 64 and a ragged one of 40; about half
+        # of them are attacked, so the resend rows end on a ragged block too
+        config = ProtocolConfig(
+            1000, BEAMS[beam], seed=8, eve=InterceptResend(attack_probability=0.5)
+        )
+        whole = io.StringIO()
+        run_protocol(config).to_json(whole)
+        monkeypatch.setattr(correlator, "_ARRAY_BLOCK_ROWS", 64)
+        transcript = run_protocol(config)
+        bob_outcome, eve_outcome = ref_protocol_outcomes(transcript)
+        assert 64 < transcript.attacked.sum() < 1000 - 64
+        assert same_bytes(transcript.bob_outcome, bob_outcome)
+        assert same_bytes(transcript.eve_outcome, eve_outcome)
+        beta1 = ref_beta_from_momentum(transcript.momentum1, config.distribution.mass)
+        beta2 = ref_beta_from_momentum(transcript.momentum2, config.distribution.mass)
+        want = abs(float(np.mean(ref_chsh_from_beta(config.bell, beta1, beta2))))
+        assert repr(transcript.bell_corrected.threshold) == repr(want)
+        blocked = io.StringIO()
+        transcript.to_json(blocked)
+        assert blocked.getvalue() == whole.getvalue()
