@@ -56,6 +56,7 @@ from .kinematics import (
     _frame_blocks,
     _frame_of,
     _norm_sq,
+    _side,
 )
 
 #: Default number of momentum samples evaluated per RNG chunk.
@@ -149,8 +150,7 @@ def kernel_from_beta(a_dir, b_dir, beta1, beta2) -> np.ndarray:
     longitudinal component.
     """
     shape, (a, b, x1, x2) = _broadcast_rows(a_dir, b_dir, beta1, beta2)
-    alice, bob = (np.ascontiguousarray(axes.T)[None] for axes in (a, b))
-    return _kernel_rows(alice, bob, x1, x2).reshape(shape)[()]
+    return _kernel_rows(_side(a_dir, a), _side(b_dir, b), x1, x2).reshape(shape)[()]
 
 
 def correlator_integrand(

@@ -199,6 +199,13 @@ def _broadcast_rows(*vectors):
     return shape, [np.broadcast_to(x, shape + (3,)).reshape(-1, 3) for x in arrays]
 
 
+def _side(axis, rows: np.ndarray) -> np.ndarray:
+    """One axis as a stacked side: a single vector stays fixed, (1, 3);
+    otherwise its broadcast ``rows`` (m, 3) become one contiguous
+    (1, 3, m) array."""
+    return rows[:1] if np.ndim(axis) == 1 else rows.T.copy()[None]
+
+
 def _norm_sq(x):
     """|x|^2 over the first axis of a component-major array: one square,
     then the components added left to right.  Squares are never -0.0, so
@@ -321,8 +328,8 @@ def boosted_spin_axis(a_dir, beta_vec) -> np.ndarray:
     the rest-frame branch v = a exactly (no momentum direction enters).
     """
     shape, (a, beta) = _broadcast_rows(a_dir, beta_vec)
-    v = _boost(a.T[None], _frame_of(beta, None))[0]
-    return np.stack(v, axis=-1).reshape(shape + (3,))
+    v = _boost(_side(a_dir, a), _frame_of(beta, None))[0]
+    return v.T.copy().reshape(shape + (3,))
 
 
 def spin_observable(a_dir, kin: ParticleKinematics) -> np.ndarray:
