@@ -63,11 +63,12 @@ from .kinematics import (
 DEFAULT_CHUNK_SIZE = 65536
 
 #: Momentum draws per block of kernel work within a chunk.  A component
-#: array of a block is 32 KiB, so a block's temporaries stay in the per-core
-#: cache and the allocator reuses them from block to block.  Blocks of 16384
-#: draws or whole chunks ran faster on an idle 2-vCPU host, but under load
-#: from other tenants their Monte Carlo op times varied three times as much
-#: from run to run, and their peak memory varied by ~10 MB.
+#: row of a block is 32 KiB and its largest temporary, the (2, 2, 3, rows)
+#: product of the CHSH kernels, 384 KiB, so a block's temporaries stay in
+#: the per-core cache and the allocator reuses them from block to block.
+#: Blocks of 16384 draws or whole chunks ran faster on an idle 2-vCPU host,
+#: but under load from other tenants their Monte Carlo op times varied
+#: three times as much from run to run, and their peak memory by ~10 MB.
 _BLOCK_ROWS = 4096
 
 #: Rows per block for callers that work on whole arrays (the protocol's
