@@ -9,8 +9,10 @@ run length BENCHMARK.json sets, the parent first in even pairs and the
 change first in odd ones, so a slow drift of the host loads both sides
 alike.  The file
 gets every run, the median and quartiles of each end-to-end metric, the
-pairs each side won, one traced run per side, and the tracemalloc peak of
-one 65536-draw crossed-beam Monte Carlo chunk.  Run it on an otherwise idle
+pairs each side won, the metric's BENCHMARK.json bound with a verdict
+against it (``within``, ``outside`` or ``unresolved``, see :func:`verdict`),
+one traced run per side, and the tracemalloc peak of one 65536-draw
+crossed-beam Monte Carlo chunk.  Run it on an otherwise idle
 machine: both sides share its cores with whatever else runs.
 """
 
@@ -71,6 +73,21 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def verdict(parent: list[float], change: list[float], sign: float, bound: float) -> str:
+    """``within`` when the change's median is worse than the parent's by at
+    most ``bound``, a share of the parent's median, and ``outside`` when it
+    is worse by more.  ``unresolved`` when the parent's IQR over its median
+    exceeds ``bound``, so its own spread hides a shift of that size, unless
+    every change run beats every parent run.  ``sign`` is 1 where lower is
+    better and -1 where higher is."""
+    p = quartiles(parent)
+    beats_all = max(sign * v for v in change) < min(sign * v for v in parent)
+    if (p["q3"] - p["q1"]) / abs(p["median"]) > bound and not beats_all:
+        return "unresolved"
+    worse_by = sign * (statistics.median(change) - p["median"]) / abs(p["median"])
+    return "within" if worse_by <= bound else "outside"
+
+
 def summarize(runs: list[dict], spec: list[dict]) -> dict:
     summary = {}
     for metric in spec:
@@ -89,6 +106,9 @@ def summarize(runs: list[dict], spec: list[dict]) -> dict:
             "pairs": len(runs),
             # None when the parent's quartiles coincide (peak_rss_mb is quantized)
             "median_gap_over_parent_iqr": abs(c["median"] - p["median"]) / iqr if iqr else None,
+            "bound": metric["bound"],
+            "parent_iqr_over_median": iqr / abs(p["median"]),
+            "verdict": verdict(parent, change, sign, metric["bound"]),
         }
     return summary
 

@@ -21,10 +21,8 @@ import numpy as np
 from .correlator import (
     DEFAULT_CHUNK_SIZE,
     CorrelatorEstimate,
-    _check_sampling,
+    _estimate,
     _kernel_rows,
-    _mc_means,
-    _rejection_warning,
     kernel_from_beta,
 )
 from .distributions import MomentumDistribution
@@ -56,6 +54,15 @@ def _as_unit_triple(values, name: str) -> tuple[float, float, float]:
     if abs(norm - 1.0) > _UNIT_TOL:
         raise ValueError(f"{name} must be a unit vector, got |{name}| = {norm}")
     return triple
+
+
+def _unit_axes(axes, name: str) -> tuple[tuple[float, float, float], ...]:
+    """A non-empty list of unit axes as a tuple of triples; the ``i``-th
+    axis is named ``name[i]`` in errors."""
+    checked = tuple(_as_unit_triple(axis, f"{name}[{i}]") for i, axis in enumerate(axes))
+    if not checked:
+        raise ValueError(f"{name} must contain at least one axis")
+    return checked
 
 
 @dataclass(frozen=True)
@@ -137,16 +144,9 @@ def bell_average_mc(
     four standard errors are combined in quadrature.  A sharp profile
     gives the exact value with zero error.
     """
-    _check_sampling(samples, workers)
-    means, errors, rejected = _mc_means(
-        _sides(config), dist, samples, seed, chunk_size, workers
-    )
-    return CorrelatorEstimate(
-        value=float(_chsh_sum(means.reshape(2, 2))),
-        standard_error=float(np.sqrt(np.sum(errors * errors))),
-        samples=samples,
-        rejected=rejected,
-        warning=_rejection_warning(rejected, samples),
+    return _estimate(
+        _sides(config), dist, samples, seed, chunk_size, workers,
+        lambda means, errors: (_chsh_sum(means.reshape(2, 2)), np.sqrt(np.sum(errors * errors))),
     )
 
 

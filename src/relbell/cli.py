@@ -5,9 +5,10 @@ Vector flags take comma-separated triples (direction vectors are
 normalized, with a warning when they are off by more than 1e-6); list
 flags take semicolon-separated triples.  A ``--config`` file holds flat
 ``key = value`` lines mirroring the long flag names; explicit flags
-override file values.  Relative ``--out`` paths are resolved against
-``$RELBELL_OUT_DIR`` when it is set.  Flag names and config-file keys must
-match exactly; prefixes are not expanded.  Parsing builds the library objects
+override file values, and a file cannot name another config file.
+Relative ``--out`` paths are resolved against ``$RELBELL_OUT_DIR`` when it
+is set.  Flag names and config-file keys must match exactly; prefixes are
+not expanded.  Parsing builds the library objects
 the flags configure; their constructors do every range check, and what
 they reject is a usage error.  Exit codes: 0 success, 1 usage error, 2
 runtime error.
@@ -266,6 +267,8 @@ def _read_config_file(path: str) -> list[str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise UsageError(f"{path}:{lineno}: empty key")
+        if key == "config":
+            raise UsageError(f"{path}:{lineno}: a config file cannot name another config file")
         args.extend([f"--{key}", value])
     return args
 
@@ -512,7 +515,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - boundary: report and signal failure
-        print(f"error: {exc}", file=sys.stderr)
+        # an exception without text (a bare MemoryError) is named by its type
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0
 

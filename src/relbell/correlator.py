@@ -34,7 +34,12 @@ Averages over momentum profiles are estimated by Monte Carlo with a
 splittable, counter-based generator (Philox keyed through ``SeedSequence``
 spawning, one child per fixed-size chunk), so results are bitwise
 reproducible for a given ``(seed, samples, chunk_size)`` regardless of how
-many worker threads evaluate the chunks.
+many worker threads evaluate the chunks.  :func:`_estimate` is the one
+estimator: it checks the inputs, answers a sharp profile exactly, runs
+every chunk on the worker pool, merges the chunks in order and returns the
+:class:`CorrelatorEstimate`; :func:`correlator_mc` and
+:func:`relbell.bell.bell_average_mc` differ only in how they combine the
+per-pair means and errors.
 """
 
 from __future__ import annotations
@@ -180,7 +185,7 @@ class CorrelatorEstimate:
 
 
 def _check_sampling(samples: int, workers: int = 1, name: str = "samples") -> None:
-    """Range checks on the Monte Carlo inputs, shared by every estimator,
+    """Range checks on the Monte Carlo inputs, shared by :func:`_estimate`,
     the protocol's configured threshold and the command line."""
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {name} = {samples}")
@@ -267,58 +272,54 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return pool
 
 
-def _mc_means(axes, dist, samples: int, seed: int, chunk_size: int, workers: int):
-    """Chunked Monte Carlo means and standard errors for several axis pairs.
+def _estimate(axes, dist, samples: int, seed: int, chunk_size: int, workers: int, combine):
+    """The one Monte Carlo estimator: ``combine(means, errors)`` of the
+    per-pair kernel means over a momentum profile.
 
     ``axes`` is the (Alice, Bob) pair of axis sequences; each side is
-    stacked once here into an (A, 3) array, and results follow the
-    row-major pair order of :func:`_kernel_matrix`.  This is the one place that
-    knows each profile's policy: a :class:`Sharp` profile is exact (its
-    kernels at the fixed momentum are the means, with zero errors), and
-    the rest are sampled, with every pair on the same momentum draws and a
-    :class:`JointGaussian` kernel symmetrized over the particle swap.
-    Chunk streams are spawned up front and partial sums are combined in
-    chunk order, so the result does not depend on ``workers``.  Callers
-    run :func:`_check_sampling` first.
+    stacked once here into an (A, 3) array, and ``means`` and ``errors``
+    follow the row-major pair order of :func:`_kernel_matrix`.  ``combine``
+    maps them to the estimate's value and standard error.  The inputs are
+    checked here, and this is the one place that knows each profile's
+    policy: a :class:`Sharp` profile is exact (its kernels at the fixed
+    momentum are the means, with zero errors), and the rest are sampled,
+    with every pair on the same momentum draws and a :class:`JointGaussian`
+    kernel symmetrized over the particle swap.  Every chunk runs on the
+    pool of ``workers`` threads; chunk streams are spawned up front and
+    partial sums are merged in chunk order, so the result does not depend
+    on ``workers``.  More than 1% of draws resampled adds a warning.
     """
+    _check_sampling(samples, workers)
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     axes = tuple(np.reshape(np.asarray(side, dtype=float), (len(side), 3)) for side in axes)
+    rejected = 0
     if isinstance(dist, Sharp):
         frame = _frame_of(np.array([dist.momentum]), dist.mass)
-        kernels = _nondegenerate(*_kernel_matrix(*axes, frame, frame)).reshape(-1)
-        return kernels, np.zeros_like(kernels), 0
-    sizes = _chunk_sizes(samples, chunk_size)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    jobs = list(zip(children, sizes))
-    if workers > 1:
-        results = list(
-            _pool(workers).map(lambda job: _evaluate_chunk(axes, dist, job[0], job[1]), jobs)
-        )
+        means = _nondegenerate(*_kernel_matrix(*axes, frame, frame)).reshape(-1)
+        errors = np.zeros_like(means)
     else:
-        results = [_evaluate_chunk(axes, dist, ss, n) for ss, n in jobs]
-
-    pair_count = len(axes[0]) * len(axes[1])
-    sums = np.zeros(pair_count)
-    squares = np.zeros(pair_count)
-    rejected = 0
-    for chunk_sum, chunk_sq, chunk_rej in results:
-        sums += chunk_sum
-        squares += chunk_sq
-        rejected += chunk_rej
-    means = sums / samples
-    variances = np.maximum(squares - samples * means * means, 0.0) / (samples - 1)
-    errors = np.sqrt(variances / samples)
-    return means, errors, rejected
-
-
-def _rejection_warning(rejected: int, samples: int) -> str | None:
+        sizes = _chunk_sizes(samples, chunk_size)
+        jobs = zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes)
+        sums = np.zeros(len(axes[0]) * len(axes[1]))
+        squares = np.zeros_like(sums)
+        for chunk_sum, chunk_sq, chunk_rej in _pool(workers).map(
+            lambda job: _evaluate_chunk(axes, dist, *job), jobs
+        ):
+            sums += chunk_sum
+            squares += chunk_sq
+            rejected += chunk_rej
+        means = sums / samples
+        variances = np.maximum(squares - samples * means * means, 0.0) / (samples - 1)
+        errors = np.sqrt(variances / samples)
+    value, error = combine(means, errors)
+    warning = None
     if rejected > 0.01 * samples:
-        return (
+        warning = (
             f"{rejected} degenerate momentum draws were resampled "
             f"({rejected / samples:.1%} of {samples} samples)"
         )
-    return None
+    return CorrelatorEstimate(float(value), float(error), samples, rejected, warning)
 
 
 def correlator_mc(
@@ -338,14 +339,7 @@ def correlator_mc(
     :class:`~relbell.distributions.JointGaussian` profile the kernel is
     symmetrized over the particle swap before averaging.
     """
-    _check_sampling(samples, workers)
-    means, errors, rejected = _mc_means(
-        ((a_dir,), (b_dir,)), dist, samples, seed, chunk_size, workers
-    )
-    return CorrelatorEstimate(
-        value=float(means[0]),
-        standard_error=float(errors[0]),
-        samples=samples,
-        rejected=rejected,
-        warning=_rejection_warning(rejected, samples),
+    return _estimate(
+        ((a_dir,), (b_dir,)), dist, samples, seed, chunk_size, workers,
+        lambda means, errors: (means[0], errors[0]),
     )

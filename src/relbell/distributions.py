@@ -8,8 +8,8 @@ reconstructed; with a positive mass every finite momentum has |beta| < 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import asdict, dataclass
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -25,6 +25,17 @@ def _as_sigma(value, name: str) -> tuple[float, float, float]:
     return triple
 
 
+class _Profile:
+    """The one ``to_dict``: the profile's kind, then its fields in order,
+    with triples as lists."""
+
+    kind: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        fields = {name: list(v) if isinstance(v, tuple) else v for name, v in asdict(self).items()}
+        return {"kind": self.kind, **fields}
+
+
 def _gaussian(rng: np.random.Generator, mean, sigma, n: int) -> np.ndarray:
     """``n`` draws of ``mean + sigma * z``, one per row.  Each column is
     scaled and shifted in place, which gives the bytes of the broadcast
@@ -38,9 +49,10 @@ def _gaussian(rng: np.random.Generator, mean, sigma, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Sharp:
+class Sharp(_Profile):
     """Both particles carry exactly the same fixed momentum."""
 
+    kind: ClassVar[str] = "sharp"
     momentum: tuple[float, float, float]
     mass: float = 1.0
 
@@ -56,12 +68,9 @@ class Sharp:
         p = np.tile(np.array(self.momentum), (n, 1))
         return p, p.copy()
 
-    def to_dict(self) -> dict:
-        return {"kind": "sharp", "momentum": list(self.momentum), "mass": self.mass}
-
 
 @dataclass(frozen=True)
-class CorrelatedGaussian:
+class CorrelatedGaussian(_Profile):
     """Perfectly correlated pair momenta: one Gaussian draw shared by both.
 
     Models a wave packet in which the two momenta are locked together;
@@ -69,6 +78,7 @@ class CorrelatedGaussian:
     all three components).
     """
 
+    kind: ClassVar[str] = "correlated_gaussian"
     mean: tuple[float, float, float]
     sigma: tuple[float, float, float]
     mass: float = 1.0
@@ -86,23 +96,16 @@ class CorrelatedGaussian:
         p = _gaussian(rng, self.mean, self.sigma, n)
         return p, p.copy()
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "correlated_gaussian",
-            "mean": list(self.mean),
-            "sigma": list(self.sigma),
-            "mass": self.mass,
-        }
-
 
 @dataclass(frozen=True)
-class JointGaussian:
+class JointGaussian(_Profile):
     """Independent Gaussian momenta for the two particles.
 
     The correlation kernel is symmetrized over the particle swap
     ``(p1, p2) -> (p2, p1)`` when averaging over this profile.
     """
 
+    kind: ClassVar[str] = "joint_gaussian"
     mean1: tuple[float, float, float]
     sigma1: tuple[float, float, float]
     mean2: tuple[float, float, float]
@@ -119,16 +122,6 @@ class JointGaussian:
     def sample(self, rng: np.random.Generator, n: int):
         p1 = _gaussian(rng, self.mean1, self.sigma1, n)
         return p1, _gaussian(rng, self.mean2, self.sigma2, n)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "joint_gaussian",
-            "mean1": list(self.mean1),
-            "sigma1": list(self.sigma1),
-            "mean2": list(self.mean2),
-            "sigma2": list(self.sigma2),
-            "mass": self.mass,
-        }
 
 
 MomentumDistribution = Union[Sharp, CorrelatedGaussian, JointGaussian]

@@ -36,10 +36,10 @@ from .bell import (
     TSIRELSON_BOUND,
     BellConfig,
     DEFAULT_CONFIG,
-    _as_unit_triple,
     _chsh,
     _chsh_sum,
     _dump_json,
+    _unit_axes,
     _write_csv,
     corrected_threshold,
 )
@@ -74,12 +74,7 @@ class InterceptResend:
     attack_probability: float = 1.0
 
     def __post_init__(self):
-        pool = tuple(
-            _as_unit_triple(axis, f"basis_pool[{i}]") for i, axis in enumerate(self.basis_pool)
-        )
-        if not pool:
-            raise ValueError("basis_pool must contain at least one axis")
-        object.__setattr__(self, "basis_pool", pool)
+        object.__setattr__(self, "basis_pool", _unit_axes(self.basis_pool, "basis_pool"))
         object.__setattr__(self, "attack_probability", float(self.attack_probability))
         if not 0.0 <= self.attack_probability <= 1.0:
             raise ValueError(
@@ -103,12 +98,7 @@ class ProtocolConfig:
     threshold_samples: int = 20_000
 
     def __post_init__(self):
-        key_axes = tuple(
-            _as_unit_triple(axis, f"key_axes[{i}]") for i, axis in enumerate(self.key_axes)
-        )
-        if not key_axes:
-            raise ValueError("key_axes must contain at least one axis")
-        object.__setattr__(self, "key_axes", key_axes)
+        object.__setattr__(self, "key_axes", _unit_axes(self.key_axes, "key_axes"))
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not 0.0 < self.significance < 1.0:

@@ -273,12 +273,6 @@ def _frame_blocks(x1, x2, mass: float | None, block_rows: int):
         yield rows, frame1, frame1 if shared else _frame_of(x2[rows], mass)
 
 
-def _frame_pair(x1, x2, mass: float | None = None):
-    """Frames of two whole arrays of shape (n, 3), as one block."""
-    (_, frame1, frame2), = _frame_blocks(x1, x2, mass, len(x1))
-    return frame1, frame2
-
-
 def _boost(axes, frame: _Frame) -> np.ndarray:
     """v(a) = root (a - (a.n) n) + (a.n) n for stacked axes: (A, 3) for
     fixed axes or (A, 3, rows) for per-row axes; returns (A, 3, rows).

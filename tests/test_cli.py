@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relbell import DEFAULT_CONFIG, bell_average_sharp
+from relbell import DEFAULT_CONFIG, bell_average_sharp, cli
 from relbell.cli import (
     COMMAND_FLAGS,
     UsageError,
@@ -231,6 +231,16 @@ class TestExitCodes:
         assert main(["protocol", "--pairs", "200"]) == 2
         assert "basis pair (0, 0) has 13 test rounds" in capsys.readouterr().err
 
+    def test_runtime_error_without_text_is_named(self, capsys, monkeypatch):
+        # a huge --samples makes the chunk list raise a bare MemoryError();
+        # raise one directly so the test allocates nothing
+        def out_of_memory(run):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli._COMMANDS, "bell", out_of_memory)
+        assert main(["bell"]) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
 
 class TestInvalidInput:
     @settings(max_examples=150, deadline=None)
@@ -375,6 +385,15 @@ class TestConfigFile:
         path.write_text("this is not a setting\n")
         assert main(["bell", "--config", str(path)]) == 1
         assert "key = value" in capsys.readouterr().err
+
+    def test_nested_config_is_usage_error(self, tmp_path, capsys):
+        # the inner file would be parsed and dropped, so the run would
+        # quietly use seed 0
+        (tmp_path / "inner.cfg").write_text("seed = 3\n")
+        outer = tmp_path / "outer.cfg"
+        outer.write_text(f"config = {tmp_path / 'inner.cfg'}\n")
+        assert main(["bell", "--config", str(outer)]) == 1
+        assert "cannot name another config file" in capsys.readouterr().err
 
     def test_missing_file_is_usage_error(self):
         with pytest.raises(UsageError, match="cannot read"):

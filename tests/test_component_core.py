@@ -31,7 +31,7 @@ from relbell import (
 )
 from relbell import correlator, kinematics
 from relbell.correlator import _kernel_matrix
-from relbell.kinematics import DEGENERACY_TOL, _components, _frame_pair
+from relbell.kinematics import DEGENERACY_TOL, _components, _frame_blocks
 
 # ---------------------------------------------------------------------------
 # the reference: the np.sum form
@@ -254,10 +254,11 @@ class TestKernel:
         alice = (DEFAULT_CONFIG.a, per_row, (-0.0, 1.0, 0.0))
         bob = (per_row[::-1], DEFAULT_CONFIG.b_prime)
         for b1, b2 in ((beta1, beta2), (beta1, beta1), (beta2, beta1.copy())):
+            (_, *frames), = _frame_blocks(b1, b2, None, len(b1))
             got = _kernel_matrix(
                 *(np.stack([np.broadcast_to(_components(a).reshape(3, -1), (3, len(b1)))
                             for a in side]) for side in (alice, bob)),
-                *_frame_pair(b1, b2),
+                *frames,
             )
             want = ref_kernel_matrix(alice, bob, b1, b2)
             assert same_bytes(got[0], want[0])
@@ -369,10 +370,10 @@ class TestMonteCarlo:
     def test_signed_zero_momenta_get_two_frames(self):
         p = np.array([[0.0, 1.0, 2.0]])
         q = np.array([[-0.0, 1.0, 2.0]])
-        frame1, frame2 = _frame_pair(p, q, 1.0)
+        (_, frame1, frame2), = _frame_blocks(p, q, 1.0, 1)
         assert frame1 is not frame2
         assert not np.signbit(frame1.n[0]).any() and np.signbit(frame2.n[0]).all()
-        shared = _frame_pair(p, p.copy(), 1.0)
+        (_, *shared), = _frame_blocks(p, p.copy(), 1.0, 1)
         assert shared[0] is shared[1]
 
 

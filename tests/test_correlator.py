@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from relbell import (
+    DEFAULT_CONFIG,
     CorrelatedGaussian,
     DegenerateObservableError,
     DomainError,
@@ -13,6 +14,7 @@ from relbell import (
     ParticleKinematics,
     Sharp,
     beta_from_momentum,
+    bell_average_mc,
     correlator_integrand,
     correlator_mc,
     correlator_sharp,
@@ -256,9 +258,12 @@ class TestMonteCarlo:
             correlator_mc((0, 1, 0), (0, 1, 0), dist, 200, seed=0)
 
     def test_sample_floor(self):
-        dist = Sharp.from_beta((0.1, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            correlator_mc((0, 0, 1), (0, 1, 0), dist, 99, seed=0)
+        for dist in (Sharp.from_beta((0.1, 0.0, 0.0)),
+                     CorrelatedGaussian.from_beta((0.1, 0.0, 0.0), sigma=0.02)):
+            with pytest.raises(ValueError, match="samples must be >= 100"):
+                correlator_mc((0, 0, 1), (0, 1, 0), dist, 99, seed=0)
+            with pytest.raises(ValueError, match="samples must be >= 100"):
+                bell_average_mc(DEFAULT_CONFIG, dist, 99, seed=0)
 
     def test_sharp_matches_velocity_path_bit_for_bit(self):
         # the mass squares to a different double under ** 2 than under m * m;
