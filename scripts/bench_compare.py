@@ -2,18 +2,21 @@
 
     python3 scripts/bench_compare.py PARENT_DIR CHANGE_DIR --out BENCH_topic.json
 
-PARENT_DIR and CHANGE_DIR are two checkouts (for example made with
-``git archive``).  For each workload in BENCHMARK.json, pair ``k < PAIRS``
-runs ``perfbench/run.py --workload W --seed FIRST_SEED+k`` in both at the
-run length BENCHMARK.json sets, the parent first in even pairs and the
-change first in odd ones, so a slow drift of the host loads both sides
-alike.  The file
-gets every run, the median and quartiles of each end-to-end metric, the
-pairs each side won, the metric's BENCHMARK.json bound with a verdict
-against it (``within``, ``outside`` or ``unresolved``, see :func:`verdict`),
-one traced run per side, and the tracemalloc peak of one 65536-draw
-crossed-beam Monte Carlo chunk.  Run it on an otherwise idle
-machine: both sides share its cores with whatever else runs.
+PARENT_DIR and CHANGE_DIR are two checkouts, best made with
+``git worktree add --detach DIR REV`` so that ``git rev-parse`` names their
+revisions; a ``git archive`` checkout records a null revision.  Either way
+each side's ``src_sha256``, perfbench's digest of its ``src/relbell``,
+names the compared code.  For each workload in BENCHMARK.json, pair
+``k < PAIRS`` runs ``perfbench/run.py --workload W --seed FIRST_SEED+k`` in
+both at the run length BENCHMARK.json sets, the parent first in even pairs
+and the change first in odd ones, so a slow drift of the host loads both
+sides alike.  The file gets every run, the median and quartiles of each
+end-to-end metric, the pairs each side won, the metric's BENCHMARK.json
+bound with a verdict against it (``within``, ``outside`` or
+``unresolved``, see :func:`verdict`), one traced run per side, and the
+tracemalloc peak of one 65536-draw crossed-beam Monte Carlo chunk.  Run it
+on an otherwise idle machine: both sides share its cores with whatever
+else runs.
 """
 
 from __future__ import annotations
@@ -53,6 +56,21 @@ tracemalloc.start()
 bell_average_mc(DEFAULT_CONFIG, dist, 65536, 0, chunk_size=65536)
 print(tracemalloc.get_traced_memory()[1])
 """
+
+
+#: perfbench's own digest of the checkout's sources, run in the checkout.
+SRC_DIGEST = """
+import sys
+sys.path.insert(0, "perfbench")
+from run import source_digest
+print(source_digest())
+"""
+
+
+def probe(path: Path, code: str) -> str:
+    """The stdout of ``code`` run by Python in the checkout at ``path``."""
+    return subprocess.run([sys.executable, "-c", code], cwd=path, capture_output=True,
+                          text=True, check=True).stdout.strip()
 
 
 def git_rev(path: Path) -> str | None:
@@ -129,6 +147,8 @@ def main() -> int:
         "provenance": {
             "parent_rev": git_rev(sides["parent"]),
             "change_rev": git_rev(sides["change"]),
+            "parent_src_sha256": probe(sides["parent"], SRC_DIGEST),
+            "change_src_sha256": probe(sides["change"], SRC_DIGEST),
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "numpy": numpy.__version__,
@@ -161,11 +181,7 @@ def main() -> int:
         result = perfbench(path, ["--workload", "mc_threshold", "--seed", str(FIRST_SEED),
                                   "--seconds", seconds, "--trace", "1"])
         record["traced"][side] = {name: result["metrics"][name]["value"] for name in TRACED}
-    record["chunk_peak_bytes"] = {
-        side: int(subprocess.run([sys.executable, "-c", CHUNK_PEAK], cwd=path, capture_output=True,
-                                 text=True, check=True).stdout)
-        for side, path in sides.items()
-    }
+    record["chunk_peak_bytes"] = {side: int(probe(path, CHUNK_PEAK)) for side, path in sides.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -10,14 +10,15 @@ Relative ``--out`` paths are resolved against ``$RELBELL_OUT_DIR`` when it
 is set.  Flag names and config-file keys must match exactly; prefixes are
 not expanded.  Parsing builds the library objects
 the flags configure; their constructors do every range check, and what
-they reject is a usage error.  Exit codes: 0 success, 1 usage error, 2
+they reject is a usage error.  A sharp ``correlate`` or ``bell`` prints the
+``repr`` of its value; every other record goes to stdout as the canonical
+JSON that ``--out`` writes.  Exit codes: 0 success, 1 usage error, 2
 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -36,16 +37,10 @@ from .bell import (
     bell_average_sharp,
     scan_figure,
 )
-from .correlator import (
-    CorrelatorEstimate,
-    _check_sampling,
-    correlator_integrand,
-    correlator_mc,
-    correlator_sharp,
-)
+from .correlator import CorrelatorEstimate, _check_sampling, correlator_mc, kernel_from_beta
 from .distributions import CorrelatedGaussian, JointGaussian, Sharp
 from .ekert import InterceptResend, ProtocolConfig, ProtocolTranscript, run_protocol
-from .kinematics import ParticleKinematics, momentum_for_beta
+from .kinematics import _check_velocity, momentum_for_beta
 
 ENV_OUT_DIR = "RELBELL_OUT_DIR"
 
@@ -373,11 +368,10 @@ def _build_inputs(command: str, params: dict) -> dict:
         _check_scan(params["figure"], params["resolution"], params["mass"], params["beta_max"])
         return {}
     inputs = {"distribution": _build_distribution(command, params)}
-    if command == "correlate":
-        if params["beta2"] is not None:
-            inputs["partner"] = ParticleKinematics.from_beta(params["beta2"], params["mass"])
-    else:
+    if command != "correlate":
         inputs["bell"] = BellConfig(params["a"], params["a_prime"], params["b"], params["b_prime"])
+    elif params["beta2"] is not None:
+        _check_velocity(params["beta2"])
     if "samples" in params:
         _check_sampling(params["samples"], params["workers"])
     if command == "protocol":
@@ -431,42 +425,41 @@ def _write(obj, fmt: str, stream) -> None:
         raise TypeError(f"cannot emit object of type {type(obj).__name__}")
 
 
-def _estimate_output(estimate: CorrelatorEstimate, sharp: bool):
-    """A command's (stdout line, record) for an estimate: a fixed-momentum
-    value prints its ``repr``, a sampled one its record."""
+def _estimate_output(estimate: CorrelatorEstimate):
+    """A command's (stdout, record) for an estimate: a sharp value (no
+    samples) prints its ``repr``, a sampled one its record."""
     record = {key: value for key, value in asdict(estimate).items() if value is not None}
-    return (repr(estimate.value) if sharp else json.dumps(record, sort_keys=True)), record
+    return (record if estimate.samples else repr(estimate.value)), record
 
 
-# Each command returns (stdout line or None, what --out writes); main prints
-# the line and emits the output.
+def _bell_estimate(run: RunConfig) -> CorrelatorEstimate:
+    """The one Bell estimate of ``bell`` and ``threshold``: a sharp beam in
+    closed form at ``--beta``, with zero error and no samples, and any other
+    profile by Monte Carlo."""
+    dist = run.inputs["distribution"]
+    if isinstance(dist, Sharp):
+        return CorrelatorEstimate(bell_average_sharp(run.inputs["bell"], run["beta"]), 0.0, 0)
+    return bell_average_mc(
+        run.inputs["bell"], dist, run["samples"], run["seed"], workers=run["workers"]
+    )
+
+
+# Each command returns (stdout, what --out writes): stdout is a text line,
+# a record that main writes as canonical JSON, or None.
 
 def _cmd_correlate(run: RunConfig):
     dist = run.inputs["distribution"]
-    if not isinstance(dist, Sharp):
-        estimate = correlator_mc(
-            run["a"], run["b"], dist, run["samples"], run["seed"], workers=run["workers"]
-        )
-        return _estimate_output(estimate, sharp=False)
-    if run["beta2"] is None:
-        value = correlator_sharp(run["a"], run["b"], run["beta"])
-    else:
-        value = correlator_integrand(
-            run["a"], run["b"],
-            ParticleKinematics(dist.mass, dist.momentum), run.inputs["partner"],
-        )
-    return _estimate_output(CorrelatorEstimate(value, 0.0, 0), sharp=True)
+    if isinstance(dist, Sharp):
+        beta2 = run["beta2"] or run["beta"]
+        value = float(kernel_from_beta(run["a"], run["b"], run["beta"], beta2))
+        return _estimate_output(CorrelatorEstimate(value, 0.0, 0))
+    return _estimate_output(correlator_mc(
+        run["a"], run["b"], dist, run["samples"], run["seed"], workers=run["workers"]
+    ))
 
 
 def _cmd_bell(run: RunConfig):
-    dist = run.inputs["distribution"]
-    if isinstance(dist, Sharp):
-        value = bell_average_sharp(run.inputs["bell"], run["beta"])
-        return _estimate_output(CorrelatorEstimate(value, 0.0, 0), sharp=True)
-    estimate = bell_average_mc(
-        run.inputs["bell"], dist, run["samples"], run["seed"], workers=run["workers"]
-    )
-    return _estimate_output(estimate, sharp=False)
+    return _estimate_output(_bell_estimate(run))
 
 
 def _cmd_scan(run: RunConfig):
@@ -474,21 +467,18 @@ def _cmd_scan(run: RunConfig):
 
 
 def _cmd_threshold(run: RunConfig):
-    estimate = bell_average_mc(
-        run.inputs["bell"], run.inputs["distribution"],
-        run["samples"], run["seed"], workers=run["workers"],
-    )
+    estimate = _bell_estimate(run)
     record = {
         "threshold": abs(estimate.value),
         "standard_error": estimate.standard_error,
         "samples": estimate.samples,
     }
-    return json.dumps(record, sort_keys=True), record
+    return record, record
 
 
 def _cmd_protocol(run: RunConfig):
     transcript = run_protocol(run.inputs["protocol"])
-    return json.dumps(transcript.summary(), sort_keys=True), transcript
+    return transcript.summary(), transcript
 
 
 _COMMANDS = {
@@ -505,9 +495,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         config = parse_args(argv)
-        line, output = _COMMANDS[config.command](config)
-        if line is not None:
-            print(line)
+        shown, output = _COMMANDS[config.command](config)
+        if isinstance(shown, str):
+            print(shown)
+        elif shown is not None:
+            emit(shown, "json", "-")
         if config["out"] is not None:
             # records have no --format flag and are always JSON
             emit(output, config.params.get("format", "json"), config["out"])

@@ -22,8 +22,8 @@ axes stacked into one array and one frame per particle, boosts each side
 in one broadcast pass, and forms all (Alice, Bob) kernels with one product,
 three adds, one square root and one division; every operation is
 elementwise and in the order of the ``np.sum`` form, so the bytes match it.
-Momentum arrays that are equal bit for bit (as for a correlated beam) get
-one frame, used for both particles.  Every caller works on blocks of rows
+Momentum arrays that are one array (as a correlated beam draws them) or
+equal bit for bit get one frame, used for both particles.  Every caller works on blocks of rows
 through the shared block loop: the Monte Carlo draws the momenta of a chunk
 at once and forms their kernels on blocks of ``_BLOCK_ROWS`` draws, and
 callers that work on whole arrays (:func:`_kernel_rows`: the protocol run

@@ -2,8 +2,10 @@
 
 Each profile knows how to draw per-pair momentum samples ``(p1, p2)`` as
 arrays of shape (n, 3), and how to describe itself as a plain dict
-(``to_dict``, the form transcripts record).  The mass is carried along so velocities can be
-reconstructed; with a positive mass every finite momentum has |beta| < 1.
+(``to_dict``, the form transcripts record); a profile that gives both
+particles one momentum returns one array twice, with no copy.  The mass
+is carried along so velocities can be reconstructed; with a positive mass
+every finite momentum has |beta| < 1.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class Sharp(_Profile):
 
     def sample(self, rng: np.random.Generator, n: int):
         p = np.tile(np.array(self.momentum), (n, 1))
-        return p, p.copy()
+        return p, p
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ class CorrelatedGaussian(_Profile):
 
     def sample(self, rng: np.random.Generator, n: int):
         p = _gaussian(rng, self.mean, self.sigma, n)
-        return p, p.copy()
+        return p, p
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ bytes as that ``np.sum`` form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,11 +65,13 @@ def _as_triple(values, name: str) -> tuple[float, float, float]:
 
 
 def _check_mass(mass: float) -> float:
-    """A positive mass whose square is finite; an infinite ``m^2`` would
-    make every velocity ``p / sqrt(m^2 + |p|^2)`` zero."""
+    """A positive mass whose square is a finite normal float, so about
+    1.49e-154 to 1.34e154.  An infinite ``m^2`` would make every velocity
+    ``p / sqrt(m^2 + |p|^2)`` zero; a subnormal one lets ``m^2`` and
+    ``|p|^2`` both underflow, so that ``E = 0``."""
     mass = float(mass)
-    if not (math.isfinite(mass * mass) and mass > 0.0):
-        raise ValueError(f"mass must be positive with a finite square, got {mass}")
+    if not (sys.float_info.min <= mass * mass < math.inf and mass > 0.0):
+        raise ValueError(f"mass must be positive with a finite square above 2.2e-308, got {mass}")
     return mass
 
 

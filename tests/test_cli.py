@@ -113,7 +113,7 @@ BAD_TEXT = {
     "beta2": ["1.5,0,0", "inf,0,0"],
     "sigma": ["-0.1", "0,-1,0", "nan", "x"],
     "sigma2": ["-0.1", "x"],
-    "mass": ["0", "-1", "nan", "inf", "x", "1e200"],
+    "mass": ["0", "-1", "nan", "inf", "x", "1e200", "1e-170"],
     "dist": ["uniform"],
     "samples": ["99", "-1", "1.5"],
     "seed": ["-1", "x"],
@@ -334,6 +334,33 @@ class TestCommandOutput:
         assert set(record) == {"threshold", "standard_error", "samples"}
         expected = abs(bell_average_sharp(DEFAULT_CONFIG, (0.9, 0.0, 0.0)))
         assert record["threshold"] == pytest.approx(expected, abs=1e-12)
+
+    # the first three beams gave |bell| and threshold one ulp apart when
+    # threshold took the beam's momentum and bell its velocity
+    @pytest.mark.parametrize(
+        "beta", ["0.9,0,0", "-0.87,0.06,-0.04", "-0.04,0.57,0.80", "0.5,0.5,0"]
+    )
+    def test_bell_and_threshold_agree_on_sharp_beams(self, beta, capsys):
+        assert main(["bell", "--beta", beta]) == 0
+        value = float(capsys.readouterr().out)
+        assert main(["threshold", "--beta", beta]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record == {"threshold": abs(value), "standard_error": 0.0, "samples": 0}
+
+    @pytest.mark.parametrize("argv", [
+        ["correlate", "--a", "1,0,0", "--b", "0,1,0", "--dist", "gaussian",
+         "--sigma", "0.05", "--beta", "0.9,0,0", "--samples", "500"],
+        ["bell", "--dist", "gaussian", "--sigma", "0.05", "--beta", "0.9,0,0",
+         "--samples", "500"],
+        ["threshold", "--beta", "0.9,0,0"],
+        ["threshold", "--dist", "gaussian", "--sigma", "0.05", "--beta", "0.9,0,0",
+         "--samples", "500"],
+    ])
+    def test_stdout_record_equals_out_file(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("RELBELL_OUT_DIR", raising=False)
+        path = tmp_path / "record.json"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
 
     def test_protocol_summary(self, capsys):
         argv = ["protocol", "--pairs", "800", "--seed", "7", "--beta", "0.9,0,0"]

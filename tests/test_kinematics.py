@@ -13,6 +13,7 @@ from relbell import (
     ParticleKinematics,
     boosted_spin_axis,
     commutator_norm,
+    correlator_integrand,
     kernel_from_beta,
     minkowski_dot,
     momentum_for_beta,
@@ -116,6 +117,9 @@ class TestParticleKinematics:
         # m^2 overflows: the energy would be inf and the velocity 0
         with pytest.raises(ValueError, match="finite square"):
             ParticleKinematics(1e200, (0.0, 0.0, 0.0))
+        # m^2 and |p|^2 underflow: the energy would be 0
+        with pytest.raises(ValueError, match="finite square"):
+            ParticleKinematics(1e-170, (1e-170, 0.0, 0.0))
         with pytest.raises(ValueError):
             ParticleKinematics(1.0, (1.0, 0.0))
         with pytest.raises(DomainError):
@@ -233,6 +237,42 @@ class TestSpinObservable:
                 np.array([1.0, 0.0, 0.0]),
                 np.array([1.0, 0.0, 0.0]),
             )
+
+
+class TestOperatorAnchors:
+    """The operator layer as an independent check of the kernel core: the
+    Hilbert-space route and the component route must agree."""
+
+    SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+
+    @staticmethod
+    def draws(seed):
+        """1000 draws of (kin1, kin2, a, b): one mass for the pair, and
+        momenta with |p|/m from 1e-2 to 1e2."""
+        rng = np.random.default_rng(seed)
+        for _ in range(1000):
+            mass = rng.uniform(0.1, 10.0)
+            kin1, kin2 = (
+                ParticleKinematics(mass, mass * 10.0 ** rng.uniform(-2, 2) * random_unit(rng))
+                for _ in range(2)
+            )
+            yield kin1, kin2, random_unit(rng), random_unit(rng)
+
+    def test_singlet_expectation_is_the_kernel(self):
+        worst = 0.0
+        for kin1, kin2, a, b in self.draws(21):
+            ab = np.kron(spin_observable(a, kin1), spin_observable(b, kin2))
+            expectation = (self.SINGLET @ ab @ self.SINGLET).real
+            worst = max(worst, abs(expectation - correlator_integrand(a, b, kin1, kin2)))
+        assert worst <= 1e-14
+
+    def test_pl_eigenvalue_is_the_effective_axis_length(self):
+        worst = 0.0
+        for kin, _, a, _ in self.draws(22):
+            ratio = pl_eigenvalue(FourVector(0.0, *a), kin) / (kin.energy / 2.0)
+            length = float(np.linalg.norm(boosted_spin_axis(a, kin.beta_vec)))
+            worst = max(worst, abs(ratio - length) / length)
+        assert worst <= 1e-11
 
 
 class TestCommutatorNorm:

@@ -161,7 +161,7 @@ CLI_SHA256 = {
     "correlate_gaussian": (
         ["correlate", "--a", "1,0,0", "--b", "0.6,0.8,0", "--beta", "0.9,0,0",
          "--dist", "gaussian", "--sigma", "0.1", "--samples", "2000", "--seed", "5"],
-        "6c3aeaef08174cbcd6124d53501921b1af30d0584f182a1400516a5be54fce15",
+        "22ba93770a7d30dfca6dc141f0f758ee7d8686270c7be58473876237610d4698",
         "22ba93770a7d30dfca6dc141f0f758ee7d8686270c7be58473876237610d4698",
     ),
     "bell_sharp": (
@@ -171,30 +171,30 @@ CLI_SHA256 = {
     ),
     "bell_gaussian": (
         ["bell", *_GAUSSIAN, "--samples", "2000", "--seed", "7"],
-        "7ea626f15482de874aad4d099b8cea94f9bd2962f8def4589b7823c377746f11",
+        "955083a9dd133de2e07a1e0cba8b884dde1d1b568de852e2ee348d8f93d4a32d",
         "955083a9dd133de2e07a1e0cba8b884dde1d1b568de852e2ee348d8f93d4a32d",
     ),
     "bell_joint": (
         ["bell", "--beta", "0.9,0,0", "--dist", "joint", "--sigma", "0.1",
          "--beta2", "0,0.8,0.3", "--samples", "2000", "--seed", "7"],
-        "6b916902235b82c05a355612be27fcc9bab0bbcbf6746b8a6791a1ae41a267c1",
+        "cf2cf112cddad0b1e28024fa0ce50fe4334cd6aeebe1730c025be10c44fcfbf0",
         "cf2cf112cddad0b1e28024fa0ce50fe4334cd6aeebe1730c025be10c44fcfbf0",
     ),
     # half the draws are resampled, so the record carries a warning
     "bell_resampled": (
         ["bell", "--beta", "0.9999999999999999,0,0", "--dist", "gaussian",
          "--sigma", "3e7,0,0", "--samples", "2000", "--seed", "7"],
-        "e258a8bab4663f746bc7d4951ab428ea983a3a996adb8442a48a8110e5b29e84",
+        "d1c3141c293adfd61ec953fc6ebf4ac1d146f461ba2c85686ae288d10abe46a3",
         "d1c3141c293adfd61ec953fc6ebf4ac1d146f461ba2c85686ae288d10abe46a3",
     ),
     "threshold_sharp": (
         ["threshold", "--beta", "0.9,0,0"],
-        "cf362fda88b8b718820987dce56e31d2a647d94179f1f9a777e1bed5c7481c1a",
-        "233d3b1260fb859907ae94a9e70dc2669d6d55cd90b11556a77928cf836ff346",
+        "dc6156661573f6837560c5224bfb9d00666aa53e7257b4ec24bff6abd21051eb",
+        "dc6156661573f6837560c5224bfb9d00666aa53e7257b4ec24bff6abd21051eb",
     ),
     "threshold_gaussian": (
         ["threshold", *_GAUSSIAN, "--samples", "2000", "--seed", "7"],
-        "7498fdcdb3b500192153c0a857d41d7df17c0c6189586b27cf717efd06fdac97",
+        "c25fa396f07c88a8bb24b82b228e2a364cdbc62d7e8f5a9b1ebd9322c1592a05",
         "c25fa396f07c88a8bb24b82b228e2a364cdbc62d7e8f5a9b1ebd9322c1592a05",
     ),
     "scan_csv": (
@@ -219,18 +219,18 @@ CLI_SHA256 = {
     ),
     "protocol_json_eve": (
         [*_PROTOCOL, "--beta", "0.9,0,0", "--eve-probability", "0.5"],
-        "fce8812a9fee7ead1b5dd64f7c92a2126297030b2954ebe361c6dd8068dfdd5e",
+        "fe947bc8af00729bdb3471c3ff3c27ec24f473f06c61bbd023bd082b23c6e8d1",
         "ee6f06e0e6bbe9ebf15a9596d70a07b6fd0eb1c9f423b582f6528ac72d2d34ab",
     ),
     "protocol_csv": (
         [*_PROTOCOL, *_GAUSSIAN, "--format", "csv"],
-        "0edcd3816b28d1dae3cdd0e303b465a0c895d2d5eae65cf25596d1ea4ee3fe4e",
+        "2c91406178b815e570b919f3d7bbf9bbafed7dfb5848958566810154b6141407",
         "590c7aa88aa2b37d23dc6d0f7ff48faae495668c1b93ebf5b6f2eef3d4e432a5",
     ),
     "protocol_configured": (
         [*_PROTOCOL, "--beta", "0.5,0.5,0", "--dist", "gaussian", "--sigma", "0.05",
          "--threshold-mode", "configured", "--threshold-samples", "1000"],
-        "0602068440042354e90833beb2910559d9211f32bbc259d3be2e0470a6e01585",
+        "615ce2b0f19e1a3d498d3701bfa5a19e27104ef0207cbc4448beebdfe956383a",
         "39265902a43c1a886a1f952cae9a84e302ba3e0acc37d7bca79a46c644bba793",
     ),
 }
