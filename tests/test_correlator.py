@@ -3,7 +3,6 @@ import threading
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from relbell import (
     DEFAULT_CONFIG,
