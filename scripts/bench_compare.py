@@ -14,7 +14,8 @@ sides alike.  The file gets every run, the median and quartiles of each
 end-to-end metric, the pairs each side won, the metric's BENCHMARK.json
 bound with a verdict against it (``within``, ``outside`` or
 ``unresolved``, see :func:`verdict`), one traced run per side, and the
-tracemalloc peak of one 65536-draw crossed-beam Monte Carlo chunk.  Run it
+tracemalloc peaks of one 65536-draw crossed-beam Monte Carlo chunk and of
+one 2^17-pair intercept-resend protocol run.  Run it
 on an otherwise idle machine: both sides share its cores with whatever
 else runs.
 """
@@ -54,6 +55,21 @@ dist = JointGaussian(momentum_for_beta((0.85, 0.0, 0.0)), 0.04,
                      momentum_for_beta((0.0, 0.85, 0.0)), 0.04)
 tracemalloc.start()
 bell_average_mc(DEFAULT_CONFIG, dist, 65536, 0, chunk_size=65536)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+#: One 2^17-pair intercept-resend protocol run, measured the same way; its
+#: peak shows the per-row arrays a run holds at once.
+PROTOCOL_PEAK = """
+import sys, tracemalloc
+sys.path.insert(0, "src")
+from relbell import CorrelatedGaussian, InterceptResend, ProtocolConfig, run_protocol
+config = ProtocolConfig(pair_count=2**17, seed=0,
+                        distribution=CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), 0.04),
+                        eve=InterceptResend(attack_probability=0.5))
+tracemalloc.start()
+run_protocol(config)
 print(tracemalloc.get_traced_memory()[1])
 """
 
@@ -182,6 +198,9 @@ def main() -> int:
                                   "--seconds", seconds, "--trace", "1"])
         record["traced"][side] = {name: result["metrics"][name]["value"] for name in TRACED}
     record["chunk_peak_bytes"] = {side: int(probe(path, CHUNK_PEAK)) for side, path in sides.items()}
+    record["protocol_peak_bytes"] = {
+        side: int(probe(path, PROTOCOL_PEAK)) for side, path in sides.items()
+    }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -28,7 +28,10 @@ through the shared block loop: the Monte Carlo draws the momenta of a chunk
 at once and forms their kernels on blocks of ``_BLOCK_ROWS`` draws, and
 callers that work on whole arrays (:func:`_kernel_rows`: the protocol run
 and the velocity scans) use blocks of ``_ARRAY_BLOCK_ROWS`` rows, so no
-temporary of the kernel work covers a whole array.
+temporary of the kernel work covers a whole array.  A side of
+:func:`_kernel_rows` is fixed (one set of axes for every row) or indexed
+(a pool of axes and one pool index per row); an indexed side is gathered
+block by block, so per-row axes never fill a whole-array copy either.
 
 Averages over momentum profiles are estimated by Monte Carlo with a
 splittable, counter-based generator (Philox keyed through ``SeedSequence``
@@ -61,7 +64,6 @@ from .kinematics import (
     _frame_blocks,
     _frame_of,
     _norm_sq,
-    _side,
 )
 
 #: Default number of momentum samples evaluated per RNG chunk.
@@ -78,9 +80,10 @@ _BLOCK_ROWS = 4096
 
 #: Rows per block for callers that work on whole arrays (the protocol's
 #: outcome kernels and threshold, the scans).  On a 2-vCPU host a 2^17-pair
-#: protocol run took 10-15% longer in blocks of 4096 rows than of 16384,
-#: and in one whole-array block its tracemalloc peak doubled (65 MiB
-#: against 30).
+#: protocol run took 10-20% longer in blocks of 4096 rows than of 16384,
+#: and in one whole-array block its tracemalloc peak quadrupled (65-70 MiB
+#: against 15-16, honest or half attacked, with the threshold formed on the
+#: pool thread beside the outcome kernels).
 _ARRAY_BLOCK_ROWS = 16384
 
 #: Cap on resampling sweeps for degenerate draws within one chunk.
@@ -132,18 +135,30 @@ def _nondegenerate(kernels: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
     return kernels + 0.0
 
 
+def _block_side(side, rows: slice) -> np.ndarray:
+    """A side's axes for one block: a fixed (A, 3) side as it is, an
+    indexed ``(pool, index)`` side gathered as one (1, 3, rows) array."""
+    if isinstance(side, tuple):
+        pool, index = side
+        return pool.T.take(index[rows], axis=1)[None]
+    return side
+
+
 def _kernel_rows(alice, bob, x1, x2, mass=None, combine=lambda k: k[0, 0]) -> np.ndarray:
     """``combine(kernels)`` for every row of two arrays of shape (n, 3),
     velocities or, when ``mass`` is given, momenta; degenerate rows raise.
 
-    The sides are stacked as for :func:`_kernel_matrix`, with per-row axes
-    of shape (A, 3, n).  The rows go through the shared block loop in
-    blocks of ``_ARRAY_BLOCK_ROWS``; each kernel is a per-row value, so the
+    Each side is fixed, an (A, 3) array of axes stacked as for
+    :func:`_kernel_matrix`, or indexed, a ``(pool, index)`` pair that gives
+    row ``i`` the axis ``pool[index[i]]``.  The rows go through the shared
+    block loop in blocks of ``_ARRAY_BLOCK_ROWS``, and an indexed side's
+    axes are gathered per block as one (1, 3, rows) array, so no per-row
+    axis array covers all rows.  Each kernel is a per-row value, so the
     blocks give the bytes of one whole-array pass.
     """
     out = np.empty(len(x1))
     for rows, frame1, frame2 in _frame_blocks(x1, x2, mass, _ARRAY_BLOCK_ROWS):
-        sides = (axes if axes.ndim == 2 else axes[:, :, rows] for axes in (alice, bob))
+        sides = (_block_side(side, rows) for side in (alice, bob))
         out[rows] = combine(_nondegenerate(*_kernel_matrix(*sides, frame1, frame2)))
     return out
 
@@ -156,7 +171,10 @@ def kernel_from_beta(a_dir, b_dir, beta1, beta2) -> np.ndarray:
     longitudinal component.
     """
     shape, (a, b, x1, x2) = _broadcast_rows(a_dir, b_dir, beta1, beta2)
-    return _kernel_rows(_side(a_dir, a), _side(b_dir, b), x1, x2).reshape(shape)[()]
+    # a single axis is a fixed side; broadcast per-row axes index themselves
+    sides = (rows[:1] if np.ndim(axis) == 1 else (rows, np.arange(len(rows)))
+             for axis, rows in ((a_dir, a), (b_dir, b)))
+    return _kernel_rows(*sides, x1, x2).reshape(shape)[()]
 
 
 def correlator_integrand(
@@ -263,7 +281,10 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     call can start before the last call's threads have handed their arenas
     back; each such overlap adds an arena holding a chunk's memory, so the
     resident size of a run varied by ~7 MB with the timing.  The process id
-    in the key gives a forked child pools of its own.
+    in the key gives a forked child pools of its own.  Besides the Monte
+    Carlo chunks, :func:`relbell.ekert.run_protocol` forms its empirical
+    threshold on the one-thread pool; no job on a pool may wait on a job of
+    that same pool, since with one thread it would wait on itself.
     """
     key = (os.getpid(), workers)
     pool = _POOLS.get(key)

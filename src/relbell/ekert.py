@@ -16,7 +16,11 @@ one-sided normal quantile times the standard error.  The naive threshold
 is the rest-frame maximum 2*sqrt(2); for fast beams the honest value is
 lower, so the naive test flags clean runs.  The corrected threshold uses
 the Bell average attainable at the actual kinematics, either from the
-recorded per-pair momenta (default) or from the configured profile.
+recorded per-pair momenta (default) or from the configured profile.  The
+empirical threshold depends only on the momenta, so :func:`run_protocol`
+forms it on the worker pool's one thread while it draws the rounds and
+waits for it where the corrected check needs it; the configured one is
+computed inline, since its Monte Carlo chunks run on that same thread.
 
 Randomness is drawn from per-role substreams (momenta, Alice's bases,
 Bob's bases, outcomes, Eve) spawned from the run seed, so transcripts are
@@ -27,6 +31,7 @@ byte-identical to no eavesdropper at all.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
@@ -43,7 +48,7 @@ from .bell import (
     _write_csv,
     corrected_threshold,
 )
-from .correlator import _check_sampling, _kernel_rows
+from .correlator import _check_sampling, _kernel_rows, _pool
 from .distributions import MomentumDistribution
 from .errors import DegenerateObservableError, UndersampledTestError
 
@@ -98,6 +103,13 @@ class ProtocolConfig:
     threshold_samples: int = 20_000
 
     def __post_init__(self):
+        for name in ("pair_count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "key_axes", _unit_axes(self.key_axes, "key_axes"))
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
@@ -296,34 +308,42 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
 
     p1, p2 = config.distribution.sample(rng_momenta, n)
     mass = config.distribution.mass
+    # the empirical threshold needs only the momenta, so the pool thread
+    # forms it while this one draws the rounds; the configured one stays
+    # here, since its Monte Carlo chunks run on that same thread
+    threshold_job = (
+        _pool(1).submit(_corrected_threshold, config, p1, p2)
+        if config.threshold_mode == "empirical" else None
+    )
 
     n_key = len(config.key_axes)
     alice_idx = _choose_bases(rng_alice, n, n_key, config.test_fraction)
     bob_idx = _choose_bases(rng_bob, n, n_key, config.test_fraction)
-    # per-row axes as contiguous component rows of shape (3, n)
-    alice_axes = config.alice_pool.T.take(alice_idx, axis=1)
-    bob_axes = config.bob_pool.T.take(bob_idx, axis=1)
 
     s = (2 * rng_outcome.integers(0, 2, size=n) - 1).astype(np.int8)
     u_outcome = rng_outcome.random(n)
 
+    bob_pool = config.bob_pool
+    partner_pool = bob_pool
     eve_basis = np.full(n, -1, dtype=np.int16)
     attacked = np.zeros(n, dtype=bool)
     if config.eve is not None and config.eve.attack_probability > 0.0:
-        pool = np.array(config.eve.basis_pool)
+        eve_pool = np.array(config.eve.basis_pool)
         # fixed three draws regardless of the probability, so attacked sets
         # are nested as the probability rises with the same seed
         u_attack = rng_eve.random(n)
-        eve_pick = rng_eve.integers(0, len(pool), size=n).astype(np.int16)
+        eve_pick = rng_eve.integers(0, len(eve_pool), size=n).astype(np.int16)
         u_resend = rng_eve.random(n)
         attacked = u_attack < config.eve.attack_probability
         eve_basis[attacked] = eve_pick[attacked]
+        partner_pool = np.concatenate((bob_pool, eve_pool))
 
-    partner_axes = bob_axes.copy()
-    if attacked.any():
-        partner_axes[:, attacked] = np.array(config.eve.basis_pool).T[:, eve_basis[attacked]]
-
-    kernel = _kernel_rows(alice_axes[None], partner_axes[None], p1, p2, mass)
+    # the axis particle 2 is measured along: Eve's on attacked rounds, else
+    # Bob's, as an index into Bob's pool followed by Eve's
+    partner_idx = np.where(attacked, len(bob_pool) + eve_basis, bob_idx)
+    kernel = _kernel_rows(
+        (config.alice_pool, alice_idx), (partner_pool, partner_idx), p1, p2, mass
+    )
     t = np.where(u_outcome < 0.5 * (1.0 + s * kernel), 1, -1).astype(np.int8)
 
     bob_outcome = t.copy()
@@ -332,7 +352,7 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
         rows = np.nonzero(attacked)[0]
         # the overlap of Eve's and Bob's effective axes is minus their
         # singlet kernel, both taken at Bob's momentum
-        sides = (axes.take(rows, axis=1)[None] for axes in (partner_axes, bob_axes))
+        sides = ((partner_pool, partner_idx[rows]), (bob_pool, bob_idx[rows]))
         bob_momenta = p2[rows]
         try:
             overlap = -_kernel_rows(*sides, bob_momenta, bob_momenta, mass)
@@ -367,9 +387,8 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     # one set of test statistics serves both checks
     statistics = _test_statistics(transcript)
     transcript.bell_naive = _bell_result(config, statistics, TSIRELSON_BOUND, corrected=False)
-    transcript.bell_corrected = _bell_result(
-        config, statistics, _corrected_threshold(transcript), corrected=True
-    )
+    threshold = threshold_job.result() if threshold_job else _corrected_threshold(config, p1, p2)
+    transcript.bell_corrected = _bell_result(config, statistics, threshold, corrected=True)
     return transcript
 
 
@@ -396,15 +415,12 @@ def _test_statistics(transcript: ProtocolTranscript):
     return tuple(counts), tuple(total / count for total, count in zip(sums, counts))
 
 
-def _corrected_threshold(transcript: ProtocolTranscript) -> float:
+def _corrected_threshold(config: ProtocolConfig, momentum1, momentum2) -> float:
     """The motion-corrected threshold the config selects: the empirical Bell
     average over the recorded momenta, or a Monte Carlo average of the
     configured profile."""
-    config = transcript.config
     if config.threshold_mode == "empirical":
-        bell = _chsh(
-            config.bell, transcript.momentum1, transcript.momentum2, config.distribution.mass
-        )
+        bell = _chsh(config.bell, momentum1, momentum2, config.distribution.mass)
         return abs(float(np.mean(bell)))
     # derive an integer seed disjoint from the five role substreams
     child = np.random.SeedSequence(config.seed).spawn(6)[5]
@@ -454,5 +470,8 @@ def bell_test(
     """
     statistics = _test_statistics(transcript)
     if threshold is None:
-        threshold = _corrected_threshold(transcript) if corrected else TSIRELSON_BOUND
+        threshold = (
+            _corrected_threshold(transcript.config, transcript.momentum1, transcript.momentum2)
+            if corrected else TSIRELSON_BOUND
+        )
     return _bell_result(transcript.config, statistics, threshold, corrected)

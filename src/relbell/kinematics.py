@@ -202,13 +202,6 @@ def _broadcast_rows(*vectors):
     return shape, [np.broadcast_to(x, shape + (3,)).reshape(-1, 3) for x in arrays]
 
 
-def _side(axis, rows: np.ndarray) -> np.ndarray:
-    """One axis as a stacked side: a single vector stays fixed, (1, 3);
-    otherwise its broadcast ``rows`` (m, 3) become one contiguous
-    (1, 3, m) array."""
-    return rows[:1] if np.ndim(axis) == 1 else rows.T.copy()[None]
-
-
 def _norm_sq(x):
     """|x|^2 over the first axis of a component-major array: one square,
     then the components added left to right.  Squares are never -0.0, so
@@ -325,7 +318,9 @@ def boosted_spin_axis(a_dir, beta_vec) -> np.ndarray:
     the rest-frame branch v = a exactly (no momentum direction enters).
     """
     shape, (a, beta) = _broadcast_rows(a_dir, beta_vec)
-    v = _boost(_side(a_dir, a), _frame_of(beta, None))[0]
+    # a single axis stays fixed, (1, 3); per-row axes become one (1, 3, m) array
+    axes = a[:1] if np.ndim(a_dir) == 1 else a.T.copy()[None]
+    v = _boost(axes, _frame_of(beta, None))[0]
     return v.T.copy().reshape(shape + (3,))
 
 

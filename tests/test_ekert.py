@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import threading
 from statistics import NormalDist
 
 import numpy as np
@@ -27,7 +28,9 @@ from relbell import (
     run_protocol,
     verdict,
 )
+from relbell import ekert
 from relbell.ekert import SCHEMA_VERSION
+from test_pinned_bytes import MC_REPRS, TRANSCRIPT_SHA256, mc_reprs, transcript_digests
 
 
 def make_config(**overrides):
@@ -125,6 +128,20 @@ class TestProtocolConfigValidation:
         with pytest.raises(ValueError, match="threshold_samples = 99"):
             make_config(threshold_samples=99)
         make_config(threshold_samples=100)
+
+    def test_seed_must_be_a_nonnegative_integer(self):
+        for bad in (-1, 1.5, "7", True, None):
+            with pytest.raises(ValueError, match="seed"):
+                make_config(seed=bad)
+        assert make_config(seed=np.int64(7)).seed == 7
+        assert type(make_config(seed=np.int64(7)).seed) is int
+
+    def test_pair_count_must_be_an_integer(self):
+        for bad in (2000.0, 4000.5, "4000", False):
+            with pytest.raises(ValueError, match="pair_count must be an integer"):
+                make_config(pair_count=bad)
+        with pytest.raises(ValueError, match="too few test rounds"):
+            make_config(pair_count=-4000)
 
     def test_attack_probability_bounds(self):
         with pytest.raises(ValueError, match="attack_probability"):
@@ -383,3 +400,82 @@ class TestTranscriptSerialization:
         }
         assert summary["pair_count"] == 800
         assert summary["naive_threshold"] == TSIRELSON_BOUND
+
+
+def transcript_json(config) -> str:
+    buffer = io.StringIO()
+    run_protocol(config).to_json(buffer)
+    return buffer.getvalue()
+
+
+def transcripts_in_threads(configs, barrier=None) -> tuple[list, set]:
+    """The JSON of one run per config, each run on a daemon thread of its own
+    and joined with a timeout, so a run that deadlocks fails the caller
+    instead of hanging it; also the names of those threads."""
+    results = [None] * len(configs)
+
+    def call(k):
+        if barrier is not None:
+            barrier.wait(timeout=60)
+        results[k] = transcript_json(configs[k])
+
+    threads = [threading.Thread(target=call, args=(k,), daemon=True)
+               for k in range(len(configs))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads), "a protocol run hung"
+    return results, {thread.name for thread in threads}
+
+
+class TestThresholdOnThePool:
+    """The empirical threshold is formed on the one-thread worker pool while
+    the caller draws the rounds; the configured one stays with the caller."""
+
+    BEAM = CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), sigma=0.05)
+
+    def configs(self):
+        return [
+            make_config(distribution=self.BEAM, eve=eve, threshold_mode=mode,
+                        threshold_samples=2000)
+            for mode in ("empirical", "configured")
+            for eve in (None, InterceptResend(attack_probability=0.5))
+        ]
+
+    def test_concurrent_runs_match_serial_runs(self, monkeypatch):
+        configs = self.configs()
+        serial = [transcripts_in_threads([config])[0][0] for config in configs]
+        names = set()
+        chsh = ekert._chsh
+
+        def recording(*args):
+            names.add(threading.current_thread().name)
+            return chsh(*args)
+
+        monkeypatch.setattr(ekert, "_chsh", recording)
+        concurrent, callers = transcripts_in_threads(
+            configs, threading.Barrier(len(configs))
+        )
+        assert concurrent == serial
+        # the empirical threshold ran on the one pool thread, never a caller's
+        assert len(names) == 1
+        assert not names & (callers | {threading.current_thread().name})
+
+    @pytest.mark.parametrize("failing", [
+        (TestBellTest, "test_undersampled_pair_raises"),
+        (TestInterceptResend, "test_degenerate_resend_axis_raises"),
+        # the test statistics raise while the threshold is still on the pool
+        (None, "undersampled run"),
+    ])
+    def test_failed_run_leaves_the_pool_usable(self, failing):
+        cls, name = failing
+        if cls is None:
+            with pytest.raises(UndersampledTestError):
+                run_protocol(make_config(pair_count=200, distribution=self.BEAM))
+        else:
+            getattr(cls(), name)()
+        assert transcript_digests("correlated", "p_eve_0.5") == TRANSCRIPT_SHA256[
+            "correlated", "p_eve_0.5"
+        ]
+        assert mc_reprs("bell", "joint") == MC_REPRS["bell", "joint"]
