@@ -429,15 +429,16 @@ def transcripts_in_threads(configs, barrier=None) -> tuple[list, set]:
     return results, {thread.name for thread in threads}
 
 
+BEAM = CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), sigma=0.05)
+
+
 class TestThresholdOnThePool:
     """The empirical threshold is formed on the one-thread worker pool while
     the caller draws the rounds; the configured one stays with the caller."""
 
-    BEAM = CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), sigma=0.05)
-
     def configs(self):
         return [
-            make_config(distribution=self.BEAM, eve=eve, threshold_mode=mode,
+            make_config(distribution=BEAM, eve=eve, threshold_mode=mode,
                         threshold_samples=2000)
             for mode in ("empirical", "configured")
             for eve in (None, InterceptResend(attack_probability=0.5))
@@ -462,19 +463,16 @@ class TestThresholdOnThePool:
         assert len(names) == 1
         assert not names & (callers | {threading.current_thread().name})
 
-    @pytest.mark.parametrize("failing", [
-        (TestBellTest, "test_undersampled_pair_raises"),
-        (TestInterceptResend, "test_degenerate_resend_axis_raises"),
+    @pytest.mark.parametrize("fail", [
+        lambda: TestBellTest().test_undersampled_pair_raises(),
+        lambda: TestInterceptResend().test_degenerate_resend_axis_raises(),
         # the test statistics raise while the threshold is still on the pool
-        (None, "undersampled run"),
-    ])
-    def test_failed_run_leaves_the_pool_usable(self, failing):
-        cls, name = failing
-        if cls is None:
-            with pytest.raises(UndersampledTestError):
-                run_protocol(make_config(pair_count=200, distribution=self.BEAM))
-        else:
-            getattr(cls(), name)()
+        lambda: pytest.raises(
+            UndersampledTestError, run_protocol, make_config(pair_count=200, distribution=BEAM)
+        ),
+    ], ids=["undersampled_transcript", "degenerate_resend", "undersampled_run"])
+    def test_failed_run_leaves_the_pool_usable(self, fail):
+        fail()
         assert transcript_digests("correlated", "p_eve_0.5") == TRANSCRIPT_SHA256[
             "correlated", "p_eve_0.5"
         ]
