@@ -2,9 +2,9 @@
 
 The golden scan tables pin the sharp kernel; these pins cover the sampled
 paths: the per-row protocol kernel, the intercept-resend overlap, the
-empirical threshold, the chunked Monte Carlo sums (including the swap
-symmetrization of a joint beam and the resampling of degenerate draws),
-both transcript writers, the JSON form of every scan figure, and what
+empirical threshold, the chunked Monte Carlo sums at a small and at the
+default chunk size (including the swap symmetrization of a joint beam and
+the resampling of degenerate draws), both transcript writers, the JSON form of every scan figure, and what
 each command line command prints and writes with ``--out``.  The
 attacked transcripts (``p_eve_0.5``, ``p_eve_1.0``) pin CSV rows with
 ``attacked`` set.  A refactor must leave every value here
@@ -31,6 +31,7 @@ from relbell import (
     scan_figure,
 )
 from relbell.cli import main
+from relbell.correlator import DEFAULT_CHUNK_SIZE
 
 BEAMS = {
     "correlated": CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), sigma=0.05),
@@ -88,6 +89,18 @@ MC_REPRS = {
     ("correlator", "resampled"): ("-2.005759786178112e-08", "2.464243514952941e-10", 49204),
 }
 
+#: repr of (value, standard_error) and the rejected count, 100_000 samples,
+#: seed 11, at the default chunk size: a full chunk of 65536 draws and a
+#: ragged one of 34464, so each chunk spans many blocks of kernel work.
+MC_DEFAULT_CHUNK_REPRS = {
+    ("bell", "correlated"): ("-2.632200911914604", "0.00015827393146970324", 0),
+    ("bell", "joint"): ("-2.651779127289326", "0.0001403512887817661", 0),
+    ("bell", "resampled"): ("-2.0000000419564192", "4.3198140617801613e-10", 148871),
+    ("correlator", "correlated"): ("-0.39967733548447903", "0.00011118662605016446", 0),
+    ("correlator", "joint"): ("-0.629074121739185", "7.810198320969536e-05", 0),
+    ("correlator", "resampled"): ("-2.0978214440052092e-08", "3.0545698165497555e-10", 148871),
+}
+
 #: SHA-256 of ScanTable.to_json per figure, at the resolution given.
 SCAN_JSON_SHA256 = {
     1: (11, "283c6b8c710690fb920ef559df9a263493c25ebfc49b81ab387ccf4ae5ebb7bb"),
@@ -112,8 +125,8 @@ def transcript_digests(beam: str, eve: str) -> tuple[str, str]:
     return tuple(digests)
 
 
-def mc_reprs(estimator: str, beam: str) -> tuple[str, str, int]:
-    kwargs = dict(samples=2**15, seed=11, chunk_size=4096)
+def mc_reprs(estimator: str, beam: str, **kwargs) -> tuple[str, str, int]:
+    kwargs = dict(samples=2**15, seed=11, chunk_size=4096) | kwargs
     if estimator == "bell":
         est = bell_average_mc(DEFAULT_CONFIG, BEAMS[beam], **kwargs)
     else:
@@ -131,6 +144,14 @@ def test_transcript_bytes(beam, eve):
 @pytest.mark.parametrize("estimator", ["bell", "correlator"])
 def test_monte_carlo_reprs(estimator, beam):
     assert mc_reprs(estimator, beam) == MC_REPRS[estimator, beam]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("beam", sorted(BEAMS))
+@pytest.mark.parametrize("estimator", ["bell", "correlator"])
+def test_monte_carlo_reprs_at_default_chunk(estimator, beam, workers):
+    got = mc_reprs(estimator, beam, samples=100_000, chunk_size=DEFAULT_CHUNK_SIZE, workers=workers)
+    assert got == MC_DEFAULT_CHUNK_REPRS[estimator, beam]
 
 
 @pytest.mark.parametrize("figure", sorted(SCAN_JSON_SHA256))
