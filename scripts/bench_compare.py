@@ -13,11 +13,13 @@ and the change first in odd ones, so a slow drift of the host loads both
 sides alike.  The file gets every run, the median and quartiles of each
 end-to-end metric, the pairs each side won, the metric's BENCHMARK.json
 bound with a verdict against it (``within``, ``outside`` or
-``unresolved``, see :func:`verdict`), one traced run per side, and the
-tracemalloc peaks of one 65536-draw crossed-beam Monte Carlo chunk and of
-one 2^17-pair intercept-resend protocol run.  Run it
-on an otherwise idle machine: both sides share its cores with whatever
-else runs.
+``unresolved``, see :func:`verdict`), one traced run per side, the
+tracemalloc peaks of one 65536-draw Monte Carlo chunk of a crossed and of
+a correlated beam and of one 2^17-pair intercept-resend protocol run, and
+the minor page faults per 2^18-sample ``bell_average_mc`` call at 1 and 2
+workers on both beams, each counted in a fresh process.  Run it on an
+otherwise idle machine: both sides share its cores with whatever else
+runs.
 """
 
 from __future__ import annotations
@@ -44,18 +46,40 @@ TRACED = (
     "ekert.bell_test_corrected_s",
 )
 
-#: One Monte Carlo chunk of a crossed beam, measured with tracemalloc
-#: through the public API, so both sides run the same probe.
-CHUNK_PEAK = """
-import sys, tracemalloc
+#: The two Monte Carlo beams of the probes below, by name: a crossed
+#: joint beam and a correlated one, as the mc_threshold workload draws them.
+BEAMS = """
+import sys
 sys.path.insert(0, "src")
-from relbell import DEFAULT_CONFIG, JointGaussian, bell_average_mc
+from relbell import DEFAULT_CONFIG, CorrelatedGaussian, JointGaussian, bell_average_mc
 from relbell.kinematics import momentum_for_beta
-dist = JointGaussian(momentum_for_beta((0.85, 0.0, 0.0)), 0.04,
-                     momentum_for_beta((0.0, 0.85, 0.0)), 0.04)
+BEAMS = dict(
+    crossed=JointGaussian(momentum_for_beta((0.85, 0.0, 0.0)), 0.04,
+                          momentum_for_beta((0.0, 0.85, 0.0)), 0.04),
+    correlated=CorrelatedGaussian.from_beta((0.85, 0.0, 0.0), 0.04),
+)
+"""
+
+#: One Monte Carlo chunk of a beam, measured with tracemalloc through the
+#: public API, so both sides run the same probe.
+CHUNK_PEAK = BEAMS + """
+import tracemalloc
 tracemalloc.start()
-bell_average_mc(DEFAULT_CONFIG, dist, 65536, 0, chunk_size=65536)
+bell_average_mc(DEFAULT_CONFIG, BEAMS[{beam!r}], 65536, 0, chunk_size=65536)
 print(tracemalloc.get_traced_memory()[1])
+"""
+
+#: Process-wide minor page faults per 2^18-sample call of a beam at a worker
+#: count: the mean of 4 calls after one warm-up call, which starts the pool.
+CALL_FAULTS = BEAMS + """
+import resource
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+bell_average_mc(DEFAULT_CONFIG, BEAMS[{beam!r}], 2**18, 0, workers={workers})
+before = faults()
+for seed in range(1, 5):
+    bell_average_mc(DEFAULT_CONFIG, BEAMS[{beam!r}], 2**18, seed, workers={workers})
+print((faults() - before) / 4)
 """
 
 
@@ -197,7 +221,14 @@ def main() -> int:
         result = perfbench(path, ["--workload", "mc_threshold", "--seed", str(FIRST_SEED),
                                   "--seconds", seconds, "--trace", "1"])
         record["traced"][side] = {name: result["metrics"][name]["value"] for name in TRACED}
-    record["chunk_peak_bytes"] = {side: int(probe(path, CHUNK_PEAK)) for side, path in sides.items()}
+    for beam, key in (("crossed", "chunk_peak_bytes"), ("correlated", "correlated_chunk_peak_bytes")):
+        record[key] = {side: int(probe(path, CHUNK_PEAK.format(beam=beam)))
+                       for side, path in sides.items()}
+    record["call_minflt"] = {
+        side: {f"{beam}_w{workers}": float(probe(path, CALL_FAULTS.format(beam=beam, workers=workers)))
+               for beam in ("correlated", "crossed") for workers in (1, 2)}
+        for side, path in sides.items()
+    }
     record["protocol_peak_bytes"] = {
         side: int(probe(path, PROTOCOL_PEAK)) for side, path in sides.items()
     }

@@ -16,19 +16,20 @@ reduces to
 Setting ``b = a`` gives exactly -1 for any momentum: the pair stays
 perfectly anti-correlated along a shared axis.
 
-Every kernel in the package comes from :func:`_kernel_matrix`, which works
-on the component core of :mod:`relbell.kinematics`.  It takes each side's
-axes stacked into one array and one frame per particle, boosts each side
-in one broadcast pass, and forms all (Alice, Bob) kernels with one product,
-three adds, one square root and one division; every operation is
-elementwise and in the order of the ``np.sum`` form, so the bytes match it.
-Momentum arrays that are one array (as a correlated beam draws them) or
-equal bit for bit get one frame, used for both particles.  Every caller works on blocks of rows
-through the shared block loop: the Monte Carlo draws the momenta of a chunk
-at once and forms their kernels on blocks of ``_BLOCK_ROWS`` draws, and
-callers that work on whole arrays (:func:`_kernel_rows`: the protocol run
-and the velocity scans) use blocks of ``_ARRAY_BLOCK_ROWS`` rows, so no
-temporary of the kernel work covers a whole array.  A side of
+Every kernel in the package comes from :func:`_pair_kernels`, on axes
+boosted by :func:`_boosted` with the component core of
+:mod:`relbell.kinematics`: a side's axes are stacked into one array and
+boosted in one broadcast pass per frame, and all (Alice, Bob) kernels come
+from one product, three adds, one square root and one division; every
+operation is elementwise and in the order of the ``np.sum`` form, so the
+bytes match it.  :func:`_kernel_matrix` boosts Alice's side in one frame
+and Bob's in another; the Monte Carlo (:func:`_swap_kernels`) stacks both
+sides' axes and boosts them once per frame.  Momentum arrays that are one
+array (as a correlated beam draws them) or equal bit for bit get one
+frame, used for both particles.  Callers that work on whole arrays
+(:func:`_kernel_rows`: the protocol run and the velocity scans) go
+through the shared block loop in blocks of ``_ARRAY_BLOCK_ROWS`` rows, so
+no temporary of the kernel work covers a whole array.  A side of
 :func:`_kernel_rows` is fixed (one set of axes for every row) or indexed
 (a pool of axes and one pool index per row); an indexed side is gathered
 block by block, so per-row axes never fill a whole-array copy either.
@@ -42,18 +43,24 @@ estimator: it checks the inputs, answers a sharp profile exactly, runs
 every chunk on the worker pool, merges the chunks in order and returns the
 :class:`CorrelatorEstimate`; :func:`correlator_mc` and
 :func:`relbell.bell.bell_average_mc` differ only in how they combine the
-per-pair means and errors.
+per-pair means and errors.  A chunk is streamed (:func:`_evaluate_chunk`):
+it is cut into the leaves of numpy's pairwise-summation tree, of at most
+``_BLOCK_ROWS`` draws, and each leaf is drawn through the profile's
+``sample_blocks``, its kernels formed and the leaf reduced on the spot.
+The leaf sums are added up the same tree, so the chunk's sums have the
+bytes of ``np.sum`` over a chunk-wide kernel array that is never formed.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import JointGaussian, MomentumDistribution, Sharp
+from .distributions import MomentumDistribution, Sharp
 from .errors import DegenerateObservableError
 from .kinematics import (
     DEGENERACY_TOL,
@@ -69,14 +76,17 @@ from .kinematics import (
 #: Default number of momentum samples evaluated per RNG chunk.
 DEFAULT_CHUNK_SIZE = 65536
 
-#: Momentum draws per block of kernel work within a chunk.  A component
-#: row of a block is 32 KiB and its largest temporary, the (2, 2, 3, rows)
-#: product of the CHSH kernels, 384 KiB, so a block's temporaries stay in
-#: the per-core cache and the allocator reuses them from block to block.
-#: Blocks of 16384 draws or whole chunks ran faster on an idle 2-vCPU host,
-#: but under load from other tenants their Monte Carlo op times varied
-#: three times as much from run to run, and their peak memory by ~10 MB.
-_BLOCK_ROWS = 4096
+#: Most draws per leaf of a Monte Carlo chunk (see :func:`_leaf_sizes`).  It
+#: must be at least 128, numpy's own pairwise-summation block, for a leaf's
+#: ``np.sum`` to be a subtree of the chunk's.  A component row of a leaf is
+#: 64 KiB, and its largest temporaries, a side's boosted axes and the
+#: (2, 2, 3, rows) product of the CHSH kernels, 768 KiB each.  In three
+#: rotations of 20 s mc_threshold runs on a 2-vCPU host shared with other
+#: tenants, leaves of 8192 draws gave op_p50_s 0.11-0.17 s at a peak RSS of
+#: 56.8-57.0 MB, leaves of 4096 draws 0.14-0.18 s at 51.0-51.2 MB, and the
+#: earlier path (a chunk's momenta and kernels drawn and stored at once,
+#: formed in blocks of 4096) 0.16-0.25 s at 57.1 MB.
+_BLOCK_ROWS = 8192
 
 #: Rows per block for callers that work on whole arrays (the protocol's
 #: outcome kernels and threshold, the scans).  On a 2-vCPU host a 2^17-pair
@@ -93,23 +103,27 @@ _MAX_RESAMPLE_SWEEPS = 100
 _DEGENERACY_TOL_SQ = DEGENERACY_TOL * DEGENERACY_TOL
 
 
-def _kernel_matrix(alice, bob, frame1, frame2):
-    """Singlet kernel for every (Alice, Bob) axis pair, with a degeneracy mask.
+def _boosted(axes, frame):
+    """Stacked axes boosted into ``frame`` (see :func:`_boost`): the
+    effective axes, (A, 3, rows), and their squared lengths, (A, rows)."""
+    v = _boost(axes, frame)
+    return v, _norm_sq(v.swapaxes(0, 1))
 
-    ``alice`` and ``bob`` are each side's axes stacked: (A, 3) for fixed
-    axes or (A, 3, rows) for per-row axes.  Alice's side is boosted in
-    ``frame1``, Bob's in ``frame2``, each in one broadcast pass.  Returns
-    ``(kernels, degenerate)``: ``kernels`` has shape (A, B, rows), and
-    ``degenerate`` marks the rows where any effective axis is shorter than
-    ``DEGENERACY_TOL``.  The kernels of those rows are meaningless; raising
-    on them or resampling them is the caller's policy.  Normalizing by one
-    square root of the product of squared norms makes the shared-axis case
-    land on -1 exactly.
+
+def _short(sq) -> np.ndarray:
+    """The rows where any effective axis is shorter than ``DEGENERACY_TOL``,
+    from squared lengths of shape (A, rows)."""
+    return np.any(sq < _DEGENERACY_TOL_SQ, axis=0)
+
+
+def _pair_kernels(v1, sq1, v2, sq2) -> np.ndarray:
+    """-v1.v2 / (|v1| |v2|) for every pair of two boosted sides, (A, B, rows).
+
+    One product, three adds, one square root and one division, each
+    elementwise and in the order of the ``np.sum`` form, so the bytes match
+    it.  Normalizing by one square root of the product of squared lengths
+    makes the shared-axis case land on -1 exactly.
     """
-    v1 = _boost(alice, frame1)
-    v2 = _boost(bob, frame2)
-    sq1, sq2 = (_norm_sq(v.swapaxes(0, 1)) for v in (v1, v2))
-    degenerate = np.any(sq1 < _DEGENERACY_TOL_SQ, axis=0) | np.any(sq2 < _DEGENERACY_TOL_SQ, axis=0)
     prod = v1[:, None] * v2[None]
     kernels = 0.0 + prod[:, :, 0]
     kernels += prod[:, :, 1]
@@ -119,7 +133,47 @@ def _kernel_matrix(alice, bob, frame1, frame2):
     np.sqrt(norms, out=norms)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(kernels, norms, out=kernels)
-    return kernels, degenerate
+    return kernels
+
+
+def _kernel_matrix(alice, bob, frame1, frame2):
+    """Singlet kernel for every (Alice, Bob) axis pair, with a degeneracy mask.
+
+    ``alice`` and ``bob`` are each side's axes stacked: (A, 3) for fixed
+    axes or (A, 3, rows) for per-row axes.  Alice's side is boosted in
+    ``frame1``, Bob's in ``frame2``, each in one broadcast pass.  Returns
+    ``(kernels, degenerate)``: ``kernels`` has shape (A, B, rows), and
+    ``degenerate`` marks the rows where any effective axis is shorter than
+    ``DEGENERACY_TOL``.  The kernels of those rows are meaningless; raising
+    on them or resampling them is the caller's policy.
+    """
+    (v1, sq1), (v2, sq2) = _boosted(alice, frame1), _boosted(bob, frame2)
+    return _pair_kernels(v1, sq1, v2, sq2), _short(sq1) | _short(sq2)
+
+
+def _swap_kernels(axes, count: int, frame1, frame2):
+    """Per-pair kernel rows of one block of draws, symmetrized over the
+    particle swap, and the block's degeneracy mask.
+
+    ``axes`` is both sides' fixed axes stacked, Alice's ``count`` first,
+    so each frame boosts them in one pass: one pass when the two particles
+    share a frame, two otherwise.  Where the frames differ the kernel is
+    the mean of Alice in ``frame1`` against Bob in ``frame2`` and of the
+    swap; with one frame the swap changes nothing, and one product serves.
+    Returns (pairs, rows) kernels in the row-major pair order of
+    :func:`_kernel_matrix`.
+    """
+    v1, sq1 = _boosted(axes, frame1)
+    degenerate = _short(sq1)
+    if frame2 is frame1:
+        kernels = _pair_kernels(v1[:count], sq1[:count], v1[count:], sq1[count:])
+    else:
+        v2, sq2 = _boosted(axes, frame2)
+        degenerate |= _short(sq2)
+        kernels = _pair_kernels(v1[:count], sq1[:count], v2[count:], sq2[count:])
+        kernels += _pair_kernels(v2[:count], sq2[:count], v1[count:], sq1[count:])
+        kernels *= 0.5
+    return kernels.reshape(-1, kernels.shape[-1]), degenerate
 
 
 def _nondegenerate(kernels: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
@@ -202,12 +256,29 @@ class CorrelatorEstimate:
     warning: str | None = None
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a bool or a value that is not an integer raises
+    a ``ValueError`` that names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_seed(seed) -> int:
+    """A seed as an int: a nonnegative integer, as ``SeedSequence`` takes."""
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _check_sampling(samples: int, workers: int = 1, name: str = "samples") -> None:
-    """Range checks on the Monte Carlo inputs, shared by :func:`_estimate`,
-    the protocol's configured threshold and the command line."""
-    if samples < 100:
+    """Type and range checks on the Monte Carlo inputs, shared by
+    :func:`_estimate`, the protocol's configured threshold and the command
+    line."""
+    if _integer(samples, name) < 100:
         raise ValueError(f"samples must be >= 100, got {name} = {samples}")
-    if workers < 1:
+    if _integer(workers, "workers") < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
@@ -216,57 +287,116 @@ def _chunk_sizes(samples: int, chunk_size: int) -> list[int]:
     return [chunk_size] * full + ([rest] if rest else [])
 
 
-def _sample_kernels(axes, dist, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Kernel rows, one per axis pair, over ``n`` fresh momentum draws.
+def _halves(n: int) -> tuple[int, int]:
+    """How ``np.sum`` splits a contiguous run of ``n > 128`` values: it adds
+    the pairwise sums of the first ``half`` values and of the rest, with
+    ``half`` the multiple of 8 at or below ``n // 2``."""
+    half = n // 2
+    half -= half % 8
+    return half, n - half
 
-    ``axes`` holds each side's fixed axes stacked, as (A, 3) arrays.
-    Columns of degenerate draws are NaN so the caller can resample them.
-    The draws are made at once; the frames and kernels are formed on
-    blocks of ``_BLOCK_ROWS`` draws, so the temporaries of a block stay in
-    cache and are reused instead of mapping fresh pages for every chunk.
-    Each kernel is a per-row value, so the blocks give the bytes of one
-    whole-chunk pass.
-    """
+
+def _leaf_sizes(n: int) -> list[int]:
+    """The leaves, left to right, of numpy's pairwise-summation tree over
+    ``n`` values (:func:`_halves`), split until each has at most
+    ``_BLOCK_ROWS`` values.  A leaf of at most ``_BLOCK_ROWS >= 128``
+    values is one subtree, so its ``np.sum`` is that subtree's sum."""
+    if n <= _BLOCK_ROWS:
+        return [n]
+    return [size for half in _halves(n) for size in _leaf_sizes(half)]
+
+
+def _tree_sum(n: int, leaves):
+    """The leaf sums from the iterator ``leaves`` added up the tree of
+    :func:`_leaf_sizes`, so the total has the bytes of ``np.sum`` over all
+    ``n`` values."""
+    if n <= _BLOCK_ROWS:
+        return next(leaves)
+    left, right = _halves(n)
+    total = _tree_sum(left, leaves)
+    return total + _tree_sum(right, leaves)
+
+
+def _leaf_stats(kernels: np.ndarray) -> np.ndarray:
+    """Per-pair (sum, sum of squares) of one leaf's kernel rows, as one
+    (2, pairs) array; the kernels are squared in place."""
+    stats = np.empty((2, len(kernels)))
+    kernels.sum(axis=1, out=stats[0])
+    kernels *= kernels
+    kernels.sum(axis=1, out=stats[1])
+    return stats
+
+
+def _sample_kernels(axes, count: int, dist, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Kernel rows, one per axis pair, over ``n`` fresh momentum draws made
+    at once; the columns of degenerate draws are NaN.  This is the redraw
+    of :func:`_evaluate_chunk`, formed on blocks of ``_BLOCK_ROWS`` draws."""
     p1, p2 = dist.sample(rng, n)
-    kernels = np.empty((len(axes[0]) * len(axes[1]), n))
+    kernels = np.empty((count * (len(axes) - count), n))
     for rows, frame1, frame2 in _frame_blocks(p1, p2, dist.mass, _BLOCK_ROWS):
-        block, degenerate = _kernel_matrix(*axes, frame1, frame2)
-        if isinstance(dist, JointGaussian):
-            # symmetrize over the particle swap, in place
-            swapped, degenerate_swapped = _kernel_matrix(*axes, frame2, frame1)
-            block += swapped
-            block *= 0.5
-            degenerate |= degenerate_swapped
-        block = block.reshape(len(kernels), -1)
+        block, degenerate = _swap_kernels(axes, count, frame1, frame2)
         block[:, degenerate] = np.nan
         kernels[:, rows] = block
     return kernels
 
 
-def _evaluate_chunk(axes, dist, seed_seq, n: int):
-    """Per-pair (sum, sum of squares) over one chunk, with resampling.
+def _redraw(axes, count: int, dist, rng: np.random.Generator, held: list) -> int:
+    """Redraw the NaN columns of the held kernel rows from the chunk stream
+    until none is left; returns how many draws were redrawn.
 
-    Degenerate momentum draws are redrawn from the same chunk stream until
-    clean; the redraw count is reported so callers can surface a warning.
+    Each sweep draws as many momenta as there are NaN columns, in chunk
+    order across the held leaves, as one block.
     """
-    rng = np.random.Generator(np.random.Philox(seed_seq))
-    kernels = _sample_kernels(axes, dist, rng, n)
     rejected = 0
     for _ in range(_MAX_RESAMPLE_SWEEPS):
-        bad = np.isnan(kernels[0])
-        count = int(np.count_nonzero(bad))
-        if count == 0:
-            break
-        rejected += count
-        kernels[:, bad] = _sample_kernels(axes, dist, rng, count)
-    else:
-        raise DegenerateObservableError(
-            "could not draw nondegenerate momenta after "
-            f"{_MAX_RESAMPLE_SWEEPS} resampling sweeps"
-        )
-    sums = kernels.sum(axis=1)
-    kernels *= kernels
-    return sums, kernels.sum(axis=1), rejected
+        bad = [np.isnan(kernels[0]) for kernels in held]
+        counts = [int(np.count_nonzero(mask)) for mask in bad]
+        total = sum(counts)
+        if total == 0:
+            return rejected
+        rejected += total
+        fresh = _sample_kernels(axes, count, dist, rng, total)
+        start = 0
+        for kernels, mask, k in zip(held, bad, counts):
+            kernels[:, mask] = fresh[:, start:start + k]
+            start += k
+    raise DegenerateObservableError(
+        "could not draw nondegenerate momenta after "
+        f"{_MAX_RESAMPLE_SWEEPS} resampling sweeps"
+    )
+
+
+def _evaluate_chunk(axes, count: int, dist, seed_seq, n: int):
+    """Per-pair (sum, sum of squares) over one chunk, with resampling.
+
+    ``axes`` is both sides' fixed axes stacked, Alice's ``count`` first.
+    The chunk is cut into the leaves of numpy's pairwise-summation tree
+    (:func:`_leaf_sizes`); each leaf is drawn, its kernels formed and the
+    leaf reduced on the spot, and the leaf sums are added up the same tree,
+    so the sums have the bytes of ``np.sum`` over the chunk's kernel rows
+    while no array of the kernel work covers the chunk.  A leaf with
+    degenerate draws is held; after every first-pass draw, those draws are
+    redrawn from the same chunk stream until clean (:func:`_redraw`), and
+    the held leaves are reduced then.  The redraw count is reported so
+    callers can surface a warning.
+    """
+    rng = np.random.Generator(np.random.Philox(seed_seq))
+    sizes = _leaf_sizes(n)
+    leaves, held = [], []
+    for p1, p2 in dist.sample_blocks(rng, sizes):
+        (_, frame1, frame2), = _frame_blocks(p1, p2, dist.mass, len(p1))
+        kernels, degenerate = _swap_kernels(axes, count, frame1, frame2)
+        if degenerate.any():
+            kernels[:, degenerate] = np.nan
+            held.append(len(leaves))
+            leaves.append(kernels)
+        else:
+            leaves.append(_leaf_stats(kernels))
+    rejected = _redraw(axes, count, dist, rng, [leaves[i] for i in held])
+    for i in held:
+        leaves[i] = _leaf_stats(leaves[i])
+    sums, squares = _tree_sum(n, iter(leaves))
+    return sums, squares, rejected
 
 
 #: Worker pools by (process id, worker count), kept from call to call.
@@ -304,14 +434,17 @@ def _estimate(axes, dist, samples: int, seed: int, chunk_size: int, workers: int
     checked here, and this is the one place that knows each profile's
     policy: a :class:`Sharp` profile is exact (its kernels at the fixed
     momentum are the means, with zero errors), and the rest are sampled,
-    with every pair on the same momentum draws and a :class:`JointGaussian`
-    kernel symmetrized over the particle swap.  Every chunk runs on the
+    with every pair on the same momentum draws and the kernel symmetrized
+    over the particle swap, which changes nothing where both particles
+    share one momentum.  ``samples``, ``chunk_size`` and ``workers`` must
+    be integers and ``seed`` a nonnegative one.  Every chunk runs on the
     pool of ``workers`` threads; chunk streams are spawned up front and
     partial sums are merged in chunk order, so the result does not depend
     on ``workers``.  More than 1% of draws resampled adds a warning.
     """
     _check_sampling(samples, workers)
-    if chunk_size < 1:
+    seed = _check_seed(seed)
+    if _integer(chunk_size, "chunk_size") < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     axes = tuple(np.reshape(np.asarray(side, dtype=float), (len(side), 3)) for side in axes)
     rejected = 0
@@ -322,10 +455,11 @@ def _estimate(axes, dist, samples: int, seed: int, chunk_size: int, workers: int
     else:
         sizes = _chunk_sizes(samples, chunk_size)
         jobs = zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes)
+        stacked = np.concatenate(axes)
         sums = np.zeros(len(axes[0]) * len(axes[1]))
         squares = np.zeros_like(sums)
         for chunk_sum, chunk_sq, chunk_rej in _pool(workers).map(
-            lambda job: _evaluate_chunk(axes, dist, *job), jobs
+            lambda job: _evaluate_chunk(stacked, len(axes[0]), dist, *job), jobs
         ):
             sums += chunk_sum
             squares += chunk_sq

@@ -6,6 +6,15 @@ arrays of shape (n, 3), and how to describe itself as a plain dict
 particles one momentum returns one array twice, with no copy.  The mass
 is carried along so velocities can be reconstructed; with a positive mass
 every finite momentum has |beta| < 1.
+
+A profile draws in blocks: ``sample_blocks(rng, sizes)`` yields the pairs
+of consecutive blocks of draws, one block at a time, and the blocks hold
+the bytes of one ``sample(rng, sum(sizes))`` draw, which is its one-block
+case.  A correlated beam draws each block in turn (blocks of a standard
+normal draw continue one stream); a joint beam draws ``p1`` for all blocks
+first, as ``sample`` does, and then ``p2`` block by block.  The Monte
+Carlo draws a chunk this way, so no momentum array of a correlated beam
+covers the chunk.
 """
 
 from __future__ import annotations
@@ -28,10 +37,14 @@ def _as_sigma(value, name: str) -> tuple[float, float, float]:
 
 
 class _Profile:
-    """The one ``to_dict``: the profile's kind, then its fields in order,
-    with triples as lists."""
+    """The one ``to_dict`` (the profile's kind, then its fields in order,
+    with triples as lists) and the one ``sample``."""
 
     kind: ClassVar[str]
+
+    def sample(self, rng: np.random.Generator, n: int):
+        """``(p1, p2)`` for ``n`` pairs: the one-block case of ``sample_blocks``."""
+        return next(self.sample_blocks(rng, (n,)))
 
     def to_dict(self) -> dict:
         fields = {name: list(v) if isinstance(v, tuple) else v for name, v in asdict(self).items()}
@@ -66,9 +79,10 @@ class Sharp(_Profile):
     def from_beta(cls, beta_vec, mass: float = 1.0) -> "Sharp":
         return cls(momentum_for_beta(beta_vec, mass), mass)
 
-    def sample(self, rng: np.random.Generator, n: int):
-        p = np.tile(np.array(self.momentum), (n, 1))
-        return p, p
+    def sample_blocks(self, rng: np.random.Generator, sizes):
+        for n in sizes:
+            p = np.tile(np.array(self.momentum), (n, 1))
+            yield p, p
 
 
 @dataclass(frozen=True)
@@ -94,9 +108,10 @@ class CorrelatedGaussian(_Profile):
     def from_beta(cls, beta_vec, sigma, mass: float = 1.0) -> "CorrelatedGaussian":
         return cls(momentum_for_beta(beta_vec, mass), sigma, mass)
 
-    def sample(self, rng: np.random.Generator, n: int):
-        p = _gaussian(rng, self.mean, self.sigma, n)
-        return p, p
+    def sample_blocks(self, rng: np.random.Generator, sizes):
+        for n in sizes:
+            p = _gaussian(rng, self.mean, self.sigma, n)
+            yield p, p
 
 
 @dataclass(frozen=True)
@@ -121,9 +136,12 @@ class JointGaussian(_Profile):
         object.__setattr__(self, "sigma2", _as_sigma(self.sigma2, "sigma2"))
         object.__setattr__(self, "mass", _check_mass(self.mass))
 
-    def sample(self, rng: np.random.Generator, n: int):
-        p1 = _gaussian(rng, self.mean1, self.sigma1, n)
-        return p1, _gaussian(rng, self.mean2, self.sigma2, n)
+    def sample_blocks(self, rng: np.random.Generator, sizes):
+        p1 = _gaussian(rng, self.mean1, self.sigma1, sum(sizes))
+        start = 0
+        for n in sizes:
+            yield p1[start:start + n], _gaussian(rng, self.mean2, self.sigma2, n)
+            start += n
 
 
 MomentumDistribution = Union[Sharp, CorrelatedGaussian, JointGaussian]

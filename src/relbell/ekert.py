@@ -31,7 +31,6 @@ byte-identical to no eavesdropper at all.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
@@ -48,7 +47,7 @@ from .bell import (
     _write_csv,
     corrected_threshold,
 )
-from .correlator import _check_sampling, _kernel_rows, _pool
+from .correlator import _check_sampling, _check_seed, _integer, _kernel_rows, _pool
 from .distributions import MomentumDistribution
 from .errors import DegenerateObservableError, UndersampledTestError
 
@@ -103,13 +102,9 @@ class ProtocolConfig:
     threshold_samples: int = 20_000
 
     def __post_init__(self):
-        for name in ("pair_count", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("pair_count", "threshold_samples"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         object.__setattr__(self, "key_axes", _unit_axes(self.key_axes, "key_axes"))
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")

@@ -282,7 +282,8 @@ def _boost(axes, frame: _Frame) -> np.ndarray:
     along = 0.0 + prod[:, 0]
     along += prod[:, 1]
     along += prod[:, 2]
-    a_long = along[:, None] * frame.n
+    # a_long takes the product's buffer, which the sum above is done with
+    a_long = np.multiply(along[:, None], frame.n, out=prod)
     v = axes - a_long
     v *= frame.root
     v += a_long

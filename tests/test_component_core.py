@@ -88,8 +88,18 @@ def ref_chsh_from_beta(config, beta1, beta2):
     return ((k[0, 0] + k[0, 1]) + k[1, 0]) - k[1, 1]
 
 
+def ref_sample(dist, rng, n):
+    """A Gaussian beam's ``n`` draws in the broadcast form: a correlated
+    beam's one draw twice, a joint beam's ``p1`` then its ``p2``."""
+    if isinstance(dist, JointGaussian):
+        p1 = rng.standard_normal((n, 3)) * np.array(dist.sigma1) + np.array(dist.mean1)
+        return p1, rng.standard_normal((n, 3)) * np.array(dist.sigma2) + np.array(dist.mean2)
+    p = rng.standard_normal((n, 3)) * np.array(dist.sigma) + np.array(dist.mean)
+    return p, p
+
+
 def ref_sample_kernels(axes, dist, rng, n):
-    beta1, beta2 = (ref_beta_from_momentum(p, dist.mass) for p in dist.sample(rng, n))
+    beta1, beta2 = (ref_beta_from_momentum(p, dist.mass) for p in ref_sample(dist, rng, n))
     kernels, degenerate = ref_kernel_matrix(*axes, beta1, beta2)
     if isinstance(dist, JointGaussian):
         swapped, degenerate_swapped = ref_kernel_matrix(*axes, beta2, beta1)
@@ -99,6 +109,29 @@ def ref_sample_kernels(axes, dist, rng, n):
     kernels = kernels.reshape(-1, n)
     kernels[:, degenerate] = np.nan
     return kernels
+
+
+def ref_bell_average_mc(config, dist, samples, seed, chunk_size):
+    """``bell_average_mc`` as whole-chunk passes: each chunk's reference
+    kernels with its degenerate draws redrawn from the chunk stream, then
+    one ``np.sum`` along each pair's row.  Returns the value, the standard
+    error and the rejected count."""
+    sides = (config.a, config.a_prime), (config.b, config.b_prime)
+    full, rest = divmod(samples, chunk_size)
+    sizes = [chunk_size] * full + ([rest] if rest else [])
+    sums, squares, rejected = np.zeros(4), np.zeros(4), 0
+    for child, n in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes):
+        rng = np.random.Generator(np.random.Philox(child))
+        kernels = ref_sample_kernels(sides, dist, rng, n)
+        while (count := int(np.count_nonzero(bad := np.isnan(kernels[0])))) > 0:
+            rejected += count
+            kernels[:, bad] = ref_sample_kernels(sides, dist, rng, count)
+        sums += np.sum(kernels, axis=1)
+        squares += np.sum(kernels * kernels, axis=1)
+    means = sums / samples
+    errors = np.sqrt(np.maximum(squares - samples * means * means, 0.0) / (samples - 1) / samples)
+    m = means.reshape(2, 2)
+    return ((m[0, 0] + m[0, 1]) + m[1, 0]) - m[1, 1], np.sqrt(np.sum(errors * errors)), rejected
 
 
 def ref_protocol_outcomes(transcript):
@@ -320,37 +353,67 @@ BEAMS = {
 }
 
 
-class TestMonteCarlo:
-    @pytest.mark.parametrize("beam", sorted(BEAMS))
-    def test_bell_average_mc_matches_reference(self, beam, monkeypatch):
-        dist = BEAMS[beam]
-        runs = {}
-        for workers in (1, 2):
-            runs["new", workers] = bell_average_mc(
-                DEFAULT_CONFIG, dist, 5003, 17, chunk_size=999, workers=workers
-            )
-        monkeypatch.setattr(correlator, "_sample_kernels", ref_sample_kernels)
-        for workers in (1, 2):
-            runs["ref", workers] = bell_average_mc(
-                DEFAULT_CONFIG, dist, 5003, 17, chunk_size=999, workers=workers
-            )
-        want = runs["ref", 1]
-        for key, got in runs.items():
-            assert repr(got.value) == repr(want.value), key
-            assert repr(got.standard_error) == repr(want.standard_error), key
-            assert got.rejected == want.rejected, key
+#: The Monte Carlo beams, and one whose draws are often degenerate: gamma
+#: straddles the cutoff of the transverse axis, so about half are redrawn.
+MC_BEAMS = {**BEAMS, "resampled": CorrelatedGaussian((9.5e7, 0.0, 0.0), (3e7, 0.0, 0.0))}
 
-    @pytest.mark.parametrize("beam", sorted(BEAMS))
+
+def same_estimate(got, want):
+    value, error, rejected = want
+    return (repr(got.value), repr(got.standard_error), got.rejected) == (
+        repr(float(value)), repr(float(error)), rejected)
+
+
+class TestMonteCarlo:
+    @pytest.mark.parametrize("beam", sorted(MC_BEAMS))
+    def test_bell_average_mc_matches_reference(self, beam):
+        dist = MC_BEAMS[beam]
+        want = ref_bell_average_mc(DEFAULT_CONFIG, dist, 5003, 17, 999)
+        for workers in (1, 2):
+            got = bell_average_mc(DEFAULT_CONFIG, dist, 5003, 17, chunk_size=999, workers=workers)
+            assert same_estimate(got, want), workers
+        if beam == "resampled":
+            assert want[2] > 1000
+
+    @pytest.mark.parametrize("beam", sorted(MC_BEAMS))
     def test_blocks_within_a_chunk_match_reference(self, beam, monkeypatch):
-        # 999 draws per chunk make 15 blocks of 64 and a ragged one of 39
-        dist = BEAMS[beam]
-        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 64)
+        # leaves of at most 128 draws, numpy's own pairwise block, cut each
+        # 999-draw chunk into nine, of 64 to 128 draws
+        dist = MC_BEAMS[beam]
+        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 128)
+        assert correlator._leaf_sizes(999) == [120, 128, 120, 128, 120, 128, 120, 64, 71]
         got = bell_average_mc(DEFAULT_CONFIG, dist, 5003, 17, chunk_size=999, workers=2)
-        monkeypatch.setattr(correlator, "_sample_kernels", ref_sample_kernels)
-        want = bell_average_mc(DEFAULT_CONFIG, dist, 5003, 17, chunk_size=999)
-        assert repr(got.value) == repr(want.value)
-        assert repr(got.standard_error) == repr(want.standard_error)
-        assert got.rejected == want.rejected
+        assert same_estimate(got, ref_bell_average_mc(DEFAULT_CONFIG, dist, 5003, 17, 999))
+
+    @pytest.mark.parametrize("beam", ["correlated", "crossed"])
+    def test_default_chunk_matches_reference(self, beam):
+        # a full chunk of eight leaves and a ragged one of 34464 draws
+        dist = MC_BEAMS[beam]
+        got = bell_average_mc(DEFAULT_CONFIG, dist, 100_000, 4, workers=2)
+        assert same_estimate(got, ref_bell_average_mc(DEFAULT_CONFIG, dist, 100_000, 4, 65536))
+
+    @pytest.mark.parametrize("block_rows", [128, 1024, 8192])
+    def test_leaf_tree_reproduces_np_sum(self, block_rows, monkeypatch):
+        # values spread over 16 decades, so a different order of additions
+        # rounds differently
+        monkeypatch.setattr(correlator, "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(41)
+        for n in (1, 7, 8, 100, 128, 129, 1000, 2000, 4096, 8192, 8193, 12345, 34464, 65535, 65536):
+            x = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-8, 8, (4, n))
+            sizes = correlator._leaf_sizes(n)
+            assert sum(sizes) == n and max(sizes) <= block_rows
+            starts = np.cumsum([0] + sizes[:-1])
+            leaves = iter([x[:, a:a + k].sum(axis=1) for a, k in zip(starts, sizes)])
+            assert same_bytes(correlator._tree_sum(n, leaves), x.sum(axis=1)), n
+
+    def test_blocks_draw_the_stream_of_one_draw(self):
+        sizes = correlator._leaf_sizes(100_000 - 65536)
+        for dist in (MC_BEAMS["correlated"], MC_BEAMS["crossed"]):
+            whole = dist.sample(np.random.default_rng(5), sum(sizes))
+            blocks = list(dist.sample_blocks(np.random.default_rng(5), sizes))
+            for got, want in zip(zip(*blocks), whole):
+                assert same_bytes(np.concatenate(got), want)
+            assert same_bytes(whole[0], ref_sample(dist, np.random.default_rng(5), sum(sizes))[0])
 
     @pytest.mark.parametrize("beam, frames_per_chunk", [
         ("correlated", 1), ("crossed", 2), ("joint_equal", 1),

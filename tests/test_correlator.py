@@ -264,6 +264,29 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match="samples must be >= 100"):
                 bell_average_mc(DEFAULT_CONFIG, dist, 99, seed=0)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("samples", 1000.5), ("samples", 1000.0), ("samples", "1000"), ("samples", True),
+        ("chunk_size", 512.0), ("chunk_size", None), ("chunk_size", False),
+        ("workers", 2.0), ("workers", True),
+        ("seed", -1), ("seed", 1.5), ("seed", "7"), ("seed", True),
+    ])
+    def test_inputs_are_checked_up_front(self, field, bad):
+        # each raises a ValueError naming the field, sharp profiles included
+        kwargs = dict(samples=1000, seed=0, chunk_size=4096, workers=1) | {field: bad}
+        samples, seed = kwargs.pop("samples"), kwargs.pop("seed")
+        for dist in (Sharp.from_beta((0.1, 0.0, 0.0)),
+                     CorrelatedGaussian.from_beta((0.1, 0.0, 0.0), sigma=0.02)):
+            with pytest.raises(ValueError, match=field):
+                bell_average_mc(DEFAULT_CONFIG, dist, samples, seed, **kwargs)
+            with pytest.raises(ValueError, match=field):
+                correlator_mc((0, 0, 1), (0, 1, 0), dist, samples, seed, **kwargs)
+
+    def test_numpy_integers_are_integers(self):
+        dist = CorrelatedGaussian.from_beta((0.1, 0.0, 0.0), sigma=0.02)
+        est = bell_average_mc(DEFAULT_CONFIG, dist, np.int64(1000), np.uint32(3),
+                              chunk_size=np.int32(400), workers=np.int8(2))
+        assert est == bell_average_mc(DEFAULT_CONFIG, dist, 1000, 3, chunk_size=400)
+
     def test_sharp_matches_velocity_path_bit_for_bit(self):
         # the mass squares to a different double under ** 2 than under m * m;
         # both routes must form the energy the same way

@@ -136,6 +136,12 @@ class TestProtocolConfigValidation:
         assert make_config(seed=np.int64(7)).seed == 7
         assert type(make_config(seed=np.int64(7)).seed) is int
 
+    def test_threshold_samples_must_be_an_integer(self):
+        for bad in (1000.5, 20_000.0, "20000", True):
+            with pytest.raises(ValueError, match="threshold_samples must be an integer"):
+                make_config(threshold_samples=bad)
+        assert type(make_config(threshold_samples=np.int64(1000)).threshold_samples) is int
+
     def test_pair_count_must_be_an_integer(self):
         for bad in (2000.0, 4000.5, "4000", False):
             with pytest.raises(ValueError, match="pair_count must be an integer"):
