@@ -3,8 +3,9 @@
     python3 scripts/bench_compare.py PARENT_DIR CHANGE_DIR --out BENCH_topic.json
 
 PARENT_DIR and CHANGE_DIR are two checkouts, best made with
-``git worktree add --detach DIR REV`` so that ``git rev-parse`` names their
-revisions; a ``git archive`` checkout records a null revision.  Either way
+``git worktree add --detach DIR REV`` (or ``git clone`` and a checkout of
+REV) so that ``git rev-parse`` names their revisions; a ``git archive``
+checkout records a null revision.  Either way
 each side's ``src_sha256``, perfbench's digest of its ``src/relbell``,
 names the compared code.  For each workload in BENCHMARK.json, pair
 ``k < PAIRS`` runs ``perfbench/run.py --workload W --seed FIRST_SEED+k`` in
@@ -17,7 +18,8 @@ bound with a verdict against it (``within``, ``outside`` or
 tracemalloc peaks of one 65536-draw Monte Carlo chunk of a crossed and of
 a correlated beam and of one 2^17-pair intercept-resend protocol run, and
 the minor page faults per 2^18-sample ``bell_average_mc`` call at 1 and 2
-workers on both beams, each counted in a fresh process.  Run it on an
+workers on both beams, each counted in a fresh process, and the absolute
+error of zero-spread Monte Carlo anchors against mpmath.  Run it on an
 otherwise idle machine: both sides share its cores with whatever else
 runs.
 """
@@ -95,6 +97,38 @@ config = ProtocolConfig(pair_count=2**17, seed=0,
 tracemalloc.start()
 run_protocol(config)
 print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+#: |c - c_ref| per |p|/m of a zero-spread correlated beam along x, through
+#: the public bell_average_mc, against a 50-digit mpmath reference of the
+#: same beam (each axis keeps its x component and has its transverse part
+#: divided by gamma); null where the side raises on a degenerate axis.
+MC_ANCHOR = """
+import json, sys
+sys.path.insert(0, "src")
+import mpmath as mp
+from relbell import DEFAULT_CONFIG, CorrelatedGaussian, DegenerateObservableError, bell_average_mc
+mp.mp.dps = 50
+def reference(ratio):
+    gamma = mp.sqrt(1 + mp.mpf(ratio) ** 2)
+    def axis(a):
+        return [mp.mpf(a[0]), mp.mpf(a[1]) / gamma, mp.mpf(a[2]) / gamma]
+    def kernel(a, b):
+        va, vb = axis(a), axis(b)
+        return -mp.fdot(va, vb) / mp.sqrt(mp.fdot(va, va) * mp.fdot(vb, vb))
+    c = DEFAULT_CONFIG
+    return (kernel(c.a, c.b) + kernel(c.a, c.b_prime)
+            + kernel(c.a_prime, c.b) - kernel(c.a_prime, c.b_prime))
+errors = {}
+for ratio in (1e3, 1e5, 1e7, 1e8, 1e10):
+    try:
+        est = bell_average_mc(DEFAULT_CONFIG, CorrelatedGaussian((ratio, 0.0, 0.0), 0.0), 1000, 0)
+    except DegenerateObservableError:
+        errors[repr(ratio)] = None
+    else:
+        errors[repr(ratio)] = float(abs(est.value - reference(ratio)))
+print(json.dumps(errors))
 """
 
 
@@ -231,6 +265,9 @@ def main() -> int:
     }
     record["protocol_peak_bytes"] = {
         side: int(probe(path, PROTOCOL_PEAK)) for side, path in sides.items()
+    }
+    record["mc_anchor_abs_err"] = {
+        side: json.loads(probe(path, MC_ANCHOR)) for side, path in sides.items()
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -16,23 +16,38 @@ reduces to
 Setting ``b = a`` gives exactly -1 for any momentum: the pair stays
 perfectly anti-correlated along a shared axis.
 
-Every kernel in the package comes from :func:`_pair_kernels`, on axes
-boosted by :func:`_boosted` with the component core of
-:mod:`relbell.kinematics`: a side's axes are stacked into one array and
-boosted in one broadcast pass per frame, and all (Alice, Bob) kernels come
-from one product, three adds, one square root and one division; every
-operation is elementwise and in the order of the ``np.sum`` form, so the
-bytes match it.  :func:`_kernel_matrix` boosts Alice's side in one frame
-and Bob's in another; the Monte Carlo (:func:`_swap_kernels`) stacks both
-sides' axes and boosts them once per frame.  Momentum arrays that are one
-array (as a correlated beam draws them) or equal bit for bit get one
-frame, used for both particles.  Callers that work on whole arrays
-(:func:`_kernel_rows`: the protocol run and the velocity scans) go
-through the shared block loop in blocks of ``_ARRAY_BLOCK_ROWS`` rows, so
-no temporary of the kernel work covers a whole array.  A side of
+There is one kernel per kind of input.  Velocities (the scans and
+:func:`kernel_from_beta`, and the velocities that the protocol run and a
+:class:`Sharp` profile form from their momenta) go through
+:func:`_pair_kernels`, on axes boosted by :func:`_boosted`
+with the component core of :mod:`relbell.kinematics`: a side's axes are
+stacked into one array and boosted in one broadcast pass per frame, and
+all (Alice, Bob) kernels come from one product, three adds, one square
+root and one division; every operation is elementwise and in the order of
+the ``np.sum`` form, so the bytes match it.  :func:`_kernel_matrix` boosts
+Alice's side in one frame and Bob's in another.  Callers that work on
+whole arrays (:func:`_kernel_rows`: the protocol run and the velocity
+scans) go through the shared block loop in blocks of ``_ARRAY_BLOCK_ROWS``
+rows, so no temporary of the kernel work covers a whole array.  A side of
 :func:`_kernel_rows` is fixed (one set of axes for every row) or indexed
 (a pool of axes and one pool index per row); an indexed side is gathered
 block by block, so per-row axes never fill a whole-array copy either.
+
+The Monte Carlo forms its kernels from the sampled momenta, with no
+velocity and no boosted axes (:func:`_leaf_kernels`).  With ``x = p/m``,
+``gamma^2 = 1 + |x|^2`` and ``s_a = a.x``, the Pauli-Lubanski identity
+gives ``E v(a)/m = a + s_a x / (gamma + 1)`` and
+``|E v(a)/m|^2 = a.a + s_a^2``, so one projection ``a.x`` per axis and
+draw (:func:`_project`) carries everything:
+
+    shared momentum:  K = -(a.b + s_a s_b) / sqrt((a.a + s_a^2)(b.b + s_b^2))
+
+and two momenta take the product of the two ``E v/m`` (see
+:func:`_crossed_kernels`), symmetrized over the particle swap.  Momentum
+arrays that are one array (as a correlated beam draws them) or equal bit
+for bit are projected once.  Nothing rounds through ``beta``, so the
+kernels keep full precision at any ``gamma``, and a transverse axis is
+degenerate only where ``m/E`` falls below ``DEGENERACY_TOL``.
 
 Averages over momentum profiles are estimated by Monte Carlo with a
 splittable, counter-based generator (Philox keyed through ``SeedSequence``
@@ -57,6 +72,7 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +87,7 @@ from .kinematics import (
     _frame_blocks,
     _frame_of,
     _norm_sq,
+    _same_bits,
 )
 
 #: Default number of momentum samples evaluated per RNG chunk.
@@ -79,13 +96,14 @@ DEFAULT_CHUNK_SIZE = 65536
 #: Most draws per leaf of a Monte Carlo chunk (see :func:`_leaf_sizes`).  It
 #: must be at least 128, numpy's own pairwise-summation block, for a leaf's
 #: ``np.sum`` to be a subtree of the chunk's.  A component row of a leaf is
-#: 64 KiB, and its largest temporaries, a side's boosted axes and the
-#: (2, 2, 3, rows) product of the CHSH kernels, 768 KiB each.  In three
-#: rotations of 20 s mc_threshold runs on a 2-vCPU host shared with other
-#: tenants, leaves of 8192 draws gave op_p50_s 0.11-0.17 s at a peak RSS of
-#: 56.8-57.0 MB, leaves of 4096 draws 0.14-0.18 s at 51.0-51.2 MB, and the
-#: earlier path (a chunk's momenta and kernels drawn and stored at once,
-#: formed in blocks of 4096) 0.16-0.25 s at 57.1 MB.
+#: 64 KiB, and its largest temporaries, the (A, rows) projections and the
+#: (2, 2, rows) CHSH kernels, 256 KiB each.  Measured when the kernels
+#: still came from boosted velocity axes, in three rotations of 20 s
+#: mc_threshold runs on a 2-vCPU host shared with other tenants: leaves of
+#: 8192 draws gave op_p50_s 0.11-0.17 s at a peak RSS of 56.8-57.0 MB,
+#: leaves of 4096 draws 0.14-0.18 s at 51.0-51.2 MB, and the earlier path
+#: (a chunk's momenta and kernels drawn and stored at once, formed in
+#: blocks of 4096) 0.16-0.25 s at 57.1 MB.
 _BLOCK_ROWS = 8192
 
 #: Rows per block for callers that work on whole arrays (the protocol's
@@ -149,31 +167,6 @@ def _kernel_matrix(alice, bob, frame1, frame2):
     """
     (v1, sq1), (v2, sq2) = _boosted(alice, frame1), _boosted(bob, frame2)
     return _pair_kernels(v1, sq1, v2, sq2), _short(sq1) | _short(sq2)
-
-
-def _swap_kernels(axes, count: int, frame1, frame2):
-    """Per-pair kernel rows of one block of draws, symmetrized over the
-    particle swap, and the block's degeneracy mask.
-
-    ``axes`` is both sides' fixed axes stacked, Alice's ``count`` first,
-    so each frame boosts them in one pass: one pass when the two particles
-    share a frame, two otherwise.  Where the frames differ the kernel is
-    the mean of Alice in ``frame1`` against Bob in ``frame2`` and of the
-    swap; with one frame the swap changes nothing, and one product serves.
-    Returns (pairs, rows) kernels in the row-major pair order of
-    :func:`_kernel_matrix`.
-    """
-    v1, sq1 = _boosted(axes, frame1)
-    degenerate = _short(sq1)
-    if frame2 is frame1:
-        kernels = _pair_kernels(v1[:count], sq1[:count], v1[count:], sq1[count:])
-    else:
-        v2, sq2 = _boosted(axes, frame2)
-        degenerate |= _short(sq2)
-        kernels = _pair_kernels(v1[:count], sq1[:count], v2[count:], sq2[count:])
-        kernels += _pair_kernels(v2[:count], sq2[:count], v1[count:], sq1[count:])
-        kernels *= 0.5
-    return kernels.reshape(-1, kernels.shape[-1]), degenerate
 
 
 def _nondegenerate(kernels: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
@@ -327,20 +320,182 @@ def _leaf_stats(kernels: np.ndarray) -> np.ndarray:
     return stats
 
 
-def _sample_kernels(axes, count: int, dist, rng: np.random.Generator, n: int) -> np.ndarray:
+class _Axes(NamedTuple):
+    """Both sides' fixed axes, as the Monte Carlo kernels use them:
+    ``stacked``, (A, 3), holds Alice's ``count`` axes and then Bob's;
+    ``aa`` is each axis's ``a.a``, (A, 1), and ``nab`` is ``-(a.b)`` for
+    every (Alice, Bob) pair, (count, B, 1)."""
+
+    stacked: np.ndarray
+    count: int
+    aa: np.ndarray
+    nab: np.ndarray
+
+
+def _mc_axes(alice: np.ndarray, bob: np.ndarray) -> _Axes:
+    """The :class:`_Axes` of two stacked sides, (A, 3) and (B, 3)."""
+    stacked = np.concatenate((alice, bob))
+    prod = alice[:, None] * bob[None]
+    nab = -((prod[..., 0] + prod[..., 1]) + prod[..., 2])
+    return _Axes(stacked, len(alice), _norm_sq(stacked.T)[:, None], nab[:, :, None])
+
+
+#: Rows whose ``|p/m|^2`` reaches this are projected in units of their
+#: largest momentum component instead of the mass (see :func:`_project`).
+#: Below it no product of the kernels overflows for axes of length up to
+#: ~1e15: the largest is a product of norms, at most
+#: ``|a|^2 |b|^2 gamma1^2 gamma2^2``.
+_SCALED_ABOVE = 1e120
+
+
+class _Projections(NamedTuple):
+    """One particle's per-draw terms (:func:`_project`), in units of a scale
+    ``M`` that is the mass ``m`` unless the row overflows: ``y = p/M``
+    (3, rows), ``c = m/M`` (1.0, or one per row), the projections
+    ``t = a.y`` (A, rows), ``sq = c^2 a.a + t^2`` (A, rows), which is
+    ``c^2 |E v(a)/m|^2``, and ``gsq = c^2 + |y|^2`` (rows,), which is
+    ``c^2 gamma^2``."""
+
+    y: np.ndarray
+    c: float | np.ndarray
+    t: np.ndarray
+    sq: np.ndarray
+    gsq: np.ndarray
+
+
+def _project(axes: _Axes, p: np.ndarray, mass: float) -> _Projections:
+    """The :class:`_Projections` of momenta ``p``, (rows, 3).
+
+    With ``M = m`` (so ``c = 1``) this is ``s = a.p/m`` and
+    ``gamma^2 = 1 + |p/m|^2``.  Where ``|p/m|^2`` reaches
+    ``_SCALED_ABOVE`` (or overflows) the leaf takes a per-row ``M``: the
+    mass on the other rows, whose bytes do not change, and the larger of
+    the mass and the largest ``|p_k|`` on those, so no term overflows.
+    """
+    y = np.empty((3, len(p)))
+    with np.errstate(over="ignore"):
+        np.divide(p.T, mass, out=y)
+        gsq = _norm_sq(y)
+    c = 1.0
+    if not gsq.max() < _SCALED_ABOVE:  # NaN too
+        big = np.abs(p).max(axis=1)
+        scale = np.where(gsq < _SCALED_ABOVE, mass, np.maximum(big, mass))
+        np.divide(p.T, scale, out=y)
+        c = mass / scale
+        gsq = _norm_sq(y)
+    gsq += c * c
+    a = axes.stacked[:, :, None]
+    t = a[:, 0] * y[0]
+    sq = np.multiply(a[:, 1], y[1])
+    t += sq
+    t += np.multiply(a[:, 2], y[2], out=sq)
+    np.multiply(t, t, out=sq)
+    sq += axes.aa * (c * c)
+    return _Projections(y, c, t, sq, gsq)
+
+
+def _degenerate(one: _Projections) -> np.ndarray:
+    """The draws where some effective axis is shorter than
+    ``DEGENERACY_TOL``: ``|v(a)|^2 = sq / gsq``, and dividing every axis by
+    the same ``gsq`` keeps the smallest one smallest."""
+    shortest = one.sq.min(axis=0)
+    shortest /= one.gsq
+    return shortest < _DEGENERACY_TOL_SQ
+
+
+def _outer(u, v, out=None) -> np.ndarray:
+    """``u_i v_j`` for every pair of rows of u (I, rows) and v (J, rows)."""
+    return np.multiply(u[:, None], v[None], out=out)
+
+
+def _shared_kernels(axes: _Axes, one: _Projections) -> np.ndarray:
+    """Kernels of draws where both particles have one momentum:
+    ``-(a.b + s_a s_b) / sqrt((a.a + s_a^2)(b.b + s_b^2))``, (A, B, rows).
+    One square root of the product of norms makes ``b = a`` land on -1
+    exactly."""
+    k = axes.count
+    kernels = _outer(one.t[:k], one.t[k:])
+    np.subtract(axes.nab * (one.c * one.c), kernels, out=kernels)
+    norms = _outer(one.sq[:k], one.sq[k:])
+    np.sqrt(norms, out=norms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernels /= norms
+    return kernels
+
+
+def _crossed_kernels(axes: _Axes, one: _Projections, two: _Projections) -> np.ndarray:
+    """Kernels of draws with two momenta, symmetrized over the particle
+    swap: ``(K12 + K21) / 2``, (A, B, rows).
+
+    With ``g_i = 1/(gamma_i + 1)`` and ``d = x1.x2``, ``K12`` is
+    ``-N12 / sqrt((a.a + s1a^2)(b.b + s2b^2))`` with
+    ``N12 = a.b + g1 s1a s1b + g2 s2a s2b + g1 g2 d s1a s2b``, the product
+    ``(a + g1 s1a x1).(b + g2 s2b x2)`` of the two ``E v/m``.  ``K21``
+    takes ``s2a s1b`` in the last term and swaps the norms.  The terms are
+    formed in units of each particle's ``M`` (:class:`_Projections`), which
+    scales ``N12`` and its norm alike.
+    """
+    k = axes.count
+    a1, b1, a2, b2 = one.t[:k], one.t[k:], two.t[:k], two.t[k:]
+    g1, g2 = (np.sqrt(side.gsq) + side.c for side in (one, two))
+    np.reciprocal(g1, out=g1)
+    np.reciprocal(g2, out=g2)
+    prod = one.y * two.y
+    e = g1 * g2
+    e *= (prod[0] + prod[1]) + prod[2]
+    g1 *= two.c
+    g2 *= one.c
+    # -N12 and -N21 share -(a.b + g1 s1a s1b + g2 s2a s2b)
+    scaled = g1 * a1
+    n21 = _outer(scaled, b1)
+    np.subtract(axes.nab * (one.c * two.c), n21, out=n21)
+    tmp = _outer(np.multiply(g2, a2, out=scaled), b2)
+    n21 -= tmp
+    n12 = n21 - _outer(np.multiply(e, a1, out=scaled), b2, out=tmp)
+    n21 -= _outer(np.multiply(e, a2, out=scaled), b1, out=tmp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n, sq1, sq2 in ((n12, one.sq, two.sq), (n21, two.sq, one.sq)):
+            norms = _outer(sq1[:k], sq2[k:], out=tmp)
+            np.sqrt(norms, out=norms)
+            n /= norms
+    n21 += n12
+    n21 *= 0.5
+    return n21
+
+
+def _leaf_kernels(axes: _Axes, p1: np.ndarray, p2: np.ndarray, mass: float):
+    """Per-pair kernel rows of one block of draws, (pairs, rows) in the
+    row-major pair order of :func:`_kernel_matrix`, and its degeneracy
+    mask.  Momenta that are one array or equal bit for bit are projected
+    once and take :func:`_shared_kernels`; two momenta are projected
+    apiece and take :func:`_crossed_kernels`."""
+    one = _project(axes, p1, mass)
+    degenerate = _degenerate(one)
+    if p2 is p1 or _same_bits(p1, p2):
+        kernels = _shared_kernels(axes, one)
+    else:
+        two = _project(axes, p2, mass)
+        degenerate |= _degenerate(two)
+        kernels = _crossed_kernels(axes, one, two)
+    return kernels.reshape(-1, kernels.shape[-1]), degenerate
+
+
+def _sample_kernels(axes: _Axes, dist, rng: np.random.Generator, n: int) -> np.ndarray:
     """Kernel rows, one per axis pair, over ``n`` fresh momentum draws made
     at once; the columns of degenerate draws are NaN.  This is the redraw
     of :func:`_evaluate_chunk`, formed on blocks of ``_BLOCK_ROWS`` draws."""
     p1, p2 = dist.sample(rng, n)
-    kernels = np.empty((count * (len(axes) - count), n))
-    for rows, frame1, frame2 in _frame_blocks(p1, p2, dist.mass, _BLOCK_ROWS):
-        block, degenerate = _swap_kernels(axes, count, frame1, frame2)
+    kernels = np.empty((axes.count * (len(axes.stacked) - axes.count), n))
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        q1 = p1[rows]
+        block, degenerate = _leaf_kernels(axes, q1, q1 if p2 is p1 else p2[rows], dist.mass)
         block[:, degenerate] = np.nan
         kernels[:, rows] = block
     return kernels
 
 
-def _redraw(axes, count: int, dist, rng: np.random.Generator, held: list) -> int:
+def _redraw(axes: _Axes, dist, rng: np.random.Generator, held: list) -> int:
     """Redraw the NaN columns of the held kernel rows from the chunk stream
     until none is left; returns how many draws were redrawn.
 
@@ -355,7 +510,7 @@ def _redraw(axes, count: int, dist, rng: np.random.Generator, held: list) -> int
         if total == 0:
             return rejected
         rejected += total
-        fresh = _sample_kernels(axes, count, dist, rng, total)
+        fresh = _sample_kernels(axes, dist, rng, total)
         start = 0
         for kernels, mask, k in zip(held, bad, counts):
             kernels[:, mask] = fresh[:, start:start + k]
@@ -366,11 +521,11 @@ def _redraw(axes, count: int, dist, rng: np.random.Generator, held: list) -> int
     )
 
 
-def _evaluate_chunk(axes, count: int, dist, seed_seq, n: int):
+def _evaluate_chunk(axes: _Axes, dist, seed_seq, n: int):
     """Per-pair (sum, sum of squares) over one chunk, with resampling.
 
-    ``axes`` is both sides' fixed axes stacked, Alice's ``count`` first.
-    The chunk is cut into the leaves of numpy's pairwise-summation tree
+    ``axes`` holds both sides' fixed axes (:class:`_Axes`).  The chunk is
+    cut into the leaves of numpy's pairwise-summation tree
     (:func:`_leaf_sizes`); each leaf is drawn, its kernels formed and the
     leaf reduced on the spot, and the leaf sums are added up the same tree,
     so the sums have the bytes of ``np.sum`` over the chunk's kernel rows
@@ -384,15 +539,14 @@ def _evaluate_chunk(axes, count: int, dist, seed_seq, n: int):
     sizes = _leaf_sizes(n)
     leaves, held = [], []
     for p1, p2 in dist.sample_blocks(rng, sizes):
-        (_, frame1, frame2), = _frame_blocks(p1, p2, dist.mass, len(p1))
-        kernels, degenerate = _swap_kernels(axes, count, frame1, frame2)
+        kernels, degenerate = _leaf_kernels(axes, p1, p2, dist.mass)
         if degenerate.any():
             kernels[:, degenerate] = np.nan
             held.append(len(leaves))
             leaves.append(kernels)
         else:
             leaves.append(_leaf_stats(kernels))
-    rejected = _redraw(axes, count, dist, rng, [leaves[i] for i in held])
+    rejected = _redraw(axes, dist, rng, [leaves[i] for i in held])
     for i in held:
         leaves[i] = _leaf_stats(leaves[i])
     sums, squares = _tree_sum(n, iter(leaves))
@@ -455,11 +609,11 @@ def _estimate(axes, dist, samples: int, seed: int, chunk_size: int, workers: int
     else:
         sizes = _chunk_sizes(samples, chunk_size)
         jobs = zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes)
-        stacked = np.concatenate(axes)
+        mc_axes = _mc_axes(*axes)
         sums = np.zeros(len(axes[0]) * len(axes[1]))
         squares = np.zeros_like(sums)
         for chunk_sum, chunk_sq, chunk_rej in _pool(workers).map(
-            lambda job: _evaluate_chunk(stacked, len(axes[0]), dist, *job), jobs
+            lambda job: _evaluate_chunk(mc_axes, dist, *job), jobs
         ):
             sums += chunk_sum
             squares += chunk_sq

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -334,6 +335,25 @@ class TestCommandOutput:
         assert set(record) == {"threshold", "standard_error", "samples"}
         expected = abs(bell_average_sharp(DEFAULT_CONFIG, (0.9, 0.0, 0.0)))
         assert record["threshold"] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ["--dist", "gaussian", "--sigma", "1e200"],
+        ["--dist", "joint", "--sigma", "1e200", "--beta2", "0,0.8,0"],
+    ])
+    def test_overflowing_momenta_give_a_finite_threshold(self, argv, capsys):
+        # m^2 + |p|^2 overflows for every draw: the rest value 2.828... was
+        # printed here once, and the momentum form without scaling gives NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["threshold", *argv, "--samples", "1000"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        threshold = json.loads(out)["threshold"]
+        assert math.isfinite(threshold) and threshold < 2.0 + 1e-12
+        if argv[1] == "gaussian":
+            # every draw is ultra relativistic, so each axis collapses onto
+            # the shared momentum direction and every draw gives -2
+            assert abs(threshold - 2.0) < 1e-12
 
     # the first three beams gave |bell| and threshold one ulp apart when
     # threshold took the beam's momentum and bell its velocity

@@ -5,6 +5,9 @@ product and squared norm was ``np.sum(..., axis=-1)`` over arrays of shape
 (..., 3), and every call rebuilt the velocity direction and
 ``sqrt(1 - beta^2)``.  The component core works on separate x/y/z arrays
 and builds each frame once; its public outputs must keep the same bytes.
+The Monte Carlo forms its kernels from the momenta instead
+(:func:`ref_momentum_kernels`, one axis pair at a time), and its estimates
+must keep the bytes of that form summed with one ``np.sum`` per chunk.
 """
 
 import io
@@ -29,7 +32,7 @@ from relbell import (
     kernel_from_beta,
     run_protocol,
 )
-from relbell import correlator, kinematics
+from relbell import correlator
 from relbell.correlator import _kernel_matrix
 from relbell.kinematics import DEGENERACY_TOL, _components, _frame_blocks
 
@@ -98,14 +101,51 @@ def ref_sample(dist, rng, n):
     return p, p
 
 
+def ref_dot(u, v):
+    """u.v over the last axis of length 3, added left to right."""
+    return (u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]) + u[..., 2] * v[..., 2]
+
+
+def ref_momentum_kernels(alice_dirs, bob_dirs, p1, p2, mass):
+    """The Monte Carlo kernels from momenta, one pair at a time: with
+    ``x = p/m``, ``s_a = a.x``, ``g = 1/(gamma + 1)`` and ``d = x1.x2``,
+
+        K12 = -(a.b + g1 s1a s1b + g2 s2a s2b + g1 g2 d s1a s2b)
+              / sqrt((a.a + s1a^2)(b.b + s2b^2)),
+
+    ``K21`` with ``s2a s1b`` in the last term and the norms swapped, and the
+    kernel ``(K12 + K21) / 2``; momenta equal bit for bit take
+    ``-(a.b + s_a s_b) / sqrt((a.a + s_a^2)(b.b + s_b^2))``.  A draw is
+    degenerate where some ``|v(a)|^2 = (a.a + s_a^2) / gamma^2`` is below
+    ``DEGENERACY_TOL^2``.  Returns (A, B, rows) kernels and the mask."""
+    x1, x2 = p1 / mass, p2 / mass
+    shared = same_bytes(p1, p2)
+    gsq1, gsq2 = ref_dot(x1, x1) + 1.0, ref_dot(x2, x2) + 1.0
+    g1, g2 = 1.0 / (np.sqrt(gsq1) + 1.0), 1.0 / (np.sqrt(gsq2) + 1.0)
+    e = g1 * g2 * ref_dot(x1, x2)
+    degenerate = np.zeros(len(p1), dtype=bool)
+    for axis in (*alice_dirs, *bob_dirs):
+        axis = np.asarray(axis, dtype=float)
+        for x, gsq in ((x1, gsq1), (x2, gsq2)):
+            degenerate |= (ref_dot(axis, axis) + ref_dot(axis, x) ** 2) / gsq < DEGENERACY_TOL**2
+    kernels = np.empty((len(alice_dirs), len(bob_dirs), len(p1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, a in enumerate(np.asarray(alice_dirs, dtype=float)):
+            for j, b in enumerate(np.asarray(bob_dirs, dtype=float)):
+                ab, aa, bb = ref_dot(a, b), ref_dot(a, a), ref_dot(b, b)
+                s1a, s1b, s2a, s2b = ref_dot(a, x1), ref_dot(b, x1), ref_dot(a, x2), ref_dot(b, x2)
+                if shared:
+                    kernels[i, j] = -(ab + s1a * s1b) / np.sqrt((aa + s1a**2) * (bb + s1b**2))
+                    continue
+                common = (ab + g1 * s1a * s1b) + g2 * s2a * s2b
+                k12 = -(common + e * s1a * s2b) / np.sqrt((aa + s1a**2) * (bb + s2b**2))
+                k21 = -(common + e * s2a * s1b) / np.sqrt((aa + s2a**2) * (bb + s1b**2))
+                kernels[i, j] = (k12 + k21) / 2
+    return kernels, degenerate
+
+
 def ref_sample_kernels(axes, dist, rng, n):
-    beta1, beta2 = (ref_beta_from_momentum(p, dist.mass) for p in ref_sample(dist, rng, n))
-    kernels, degenerate = ref_kernel_matrix(*axes, beta1, beta2)
-    if isinstance(dist, JointGaussian):
-        swapped, degenerate_swapped = ref_kernel_matrix(*axes, beta2, beta1)
-        kernels += swapped
-        kernels *= 0.5
-        degenerate |= degenerate_swapped
+    kernels, degenerate = ref_momentum_kernels(*axes, *ref_sample(dist, rng, n), dist.mass)
     kernels = kernels.reshape(-1, n)
     kernels[:, degenerate] = np.nan
     return kernels
@@ -354,8 +394,9 @@ BEAMS = {
 
 
 #: The Monte Carlo beams, and one whose draws are often degenerate: gamma
-#: straddles the cutoff of the transverse axis, so about half are redrawn.
-MC_BEAMS = {**BEAMS, "resampled": CorrelatedGaussian((9.5e7, 0.0, 0.0), (3e7, 0.0, 0.0))}
+#: straddles 1e14, the cutoff m/E < DEGENERACY_TOL of the transverse axis,
+#: so about half are redrawn.
+MC_BEAMS = {**BEAMS, "resampled": CorrelatedGaussian((9.5e13, 0.0, 0.0), (3e13, 0.0, 0.0))}
 
 
 def same_estimate(got, want):
@@ -392,6 +433,35 @@ class TestMonteCarlo:
         got = bell_average_mc(DEFAULT_CONFIG, dist, 100_000, 4, workers=2)
         assert same_estimate(got, ref_bell_average_mc(DEFAULT_CONFIG, dist, 100_000, 4, 65536))
 
+    def test_old_resampled_beam_needs_no_redraw(self):
+        # gamma ~ 1e8 leaves the transverse axis b a length m/E ~ 1e-8; the
+        # velocity form rounded beta to 1 there and redrew 148871 of 100k
+        # draws, reading -2.0000000419564192 (biased by ~1.6e-8)
+        dist = CorrelatedGaussian((9.5e7, 0.0, 0.0), (3e7, 0.0, 0.0))
+        est = bell_average_mc(DEFAULT_CONFIG, dist, 100_000, 11)
+        assert (est.rejected, est.warning) == (0, None)
+        children = np.random.SeedSequence(11).spawn(2)
+        p = np.concatenate([ref_sample(dist, np.random.Generator(np.random.Philox(child)), n)[0]
+                            for child, n in zip(children, (65536, 34464))])
+        # the same draws through v(a) = (a.n) n + eps (a - (a.n) n), with
+        # eps = m/E taken from |p|/m without forming beta
+        norm = np.linalg.norm(p, axis=-1, keepdims=True)
+        n, eps = p / norm, 1.0 / np.hypot(1.0, norm / dist.mass)
+
+        def axis(a):
+            along = (n @ np.asarray(a))[:, None] * n
+            return along + eps * (np.asarray(a) - along)
+
+        def mean_kernel(a, b):
+            va, vb = axis(a), axis(b)
+            dot = np.sum(va * vb, axis=-1)
+            return np.mean(-dot / np.sqrt(np.sum(va * va, axis=-1) * np.sum(vb * vb, axis=-1)))
+
+        c = DEFAULT_CONFIG
+        want = (mean_kernel(c.a, c.b) + mean_kernel(c.a, c.b_prime)
+                + mean_kernel(c.a_prime, c.b) - mean_kernel(c.a_prime, c.b_prime))
+        assert abs(est.value - want) <= 1e-14
+
     @pytest.mark.parametrize("block_rows", [128, 1024, 8192])
     def test_leaf_tree_reproduces_np_sum(self, block_rows, monkeypatch):
         # values spread over 16 decades, so a different order of additions
@@ -419,14 +489,16 @@ class TestMonteCarlo:
         ("correlated", 1), ("crossed", 2), ("joint_equal", 1),
     ])
     def test_equal_momenta_share_one_frame(self, beam, frames_per_chunk, monkeypatch):
+        # one projection pass per leaf for one momentum array or bit-equal
+        # arrays, two for a crossed beam; each 250-draw chunk is one leaf
         built = []
-        frame = kinematics._frame
+        project = correlator._project
 
-        def counting_frame(beta):
+        def counting_project(*args):
             built.append(1)
-            return frame(beta)
+            return project(*args)
 
-        monkeypatch.setattr(kinematics, "_frame", counting_frame)
+        monkeypatch.setattr(correlator, "_project", counting_project)
         bell_average_mc(DEFAULT_CONFIG, BEAMS[beam], 1000, 5, chunk_size=250)
         assert len(built) == 4 * frames_per_chunk
 

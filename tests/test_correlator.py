@@ -244,8 +244,9 @@ class TestMonteCarlo:
 
     def test_degenerate_draws_are_resampled_with_warning(self):
         # beam with gamma straddling the degeneracy cutoff for a transverse
-        # axis: a large fraction of draws must be redrawn and flagged
-        dist = CorrelatedGaussian((9.5e7, 0.0, 0.0), (3e7, 0.0, 0.0))
+        # axis (m/E < 1e-14): a large fraction of draws must be redrawn and
+        # flagged
+        dist = CorrelatedGaussian((9.5e13, 0.0, 0.0), (3e13, 0.0, 0.0))
         est = correlator_mc((0, 1, 0), (0, 1, 0), dist, 2000, seed=5)
         assert est.rejected > 20
         assert est.warning is not None
@@ -296,6 +297,83 @@ class TestMonteCarlo:
         assert est.value == float(kernel_from_beta((1, 0, 0), (0, 1, 0), beta, beta))
         assert est.standard_error == 0.0
         assert est.rejected == 0
+
+
+def mp_chsh_along_x(ratio, config=DEFAULT_CONFIG):
+    """CHSH of one momentum ``|p|/m = ratio`` along x shared by both
+    particles, to 50 digits: each axis keeps its x component and has its
+    transverse part divided by gamma."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        gamma = mp.sqrt(1 + mp.mpf(ratio) ** 2)
+
+        def axis(a):
+            return [mp.mpf(a[0]), mp.mpf(a[1]) / gamma, mp.mpf(a[2]) / gamma]
+
+        def kernel(a, b):
+            va, vb = axis(a), axis(b)
+            dot = sum(x * y for x, y in zip(va, vb))
+            return -dot / mp.sqrt(sum(x * x for x in va) * sum(y * y for y in vb))
+
+        c = config
+        return float(kernel(c.a, c.b) + kernel(c.a, c.b_prime)
+                     + kernel(c.a_prime, c.b) - kernel(c.a_prime, c.b_prime))
+
+
+def mp_kernel(a, b, p1, p2, mass):
+    """The swap-symmetrized kernel at two momenta to 50 digits, from the
+    effective axes ``E v(a)/m = a + (a.x) x / (gamma + 1)``, ``x = p/m``."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        def axis(a, p):
+            a = [mp.mpf(float(c)) for c in a]
+            x = [mp.mpf(float(c)) / mp.mpf(mass) for c in p]
+            gamma = mp.sqrt(1 + sum(c * c for c in x))
+            s = sum(u * v for u, v in zip(a, x))
+            return [u + s * v / (gamma + 1) for u, v in zip(a, x)]
+
+        def kernel(a, b, p, q):
+            va, vb = axis(a, p), axis(b, q)
+            dot = sum(x * y for x, y in zip(va, vb))
+            return -dot / mp.sqrt(sum(x * x for x in va) * sum(y * y for y in vb))
+
+        return float((kernel(a, b, p1, p2) + kernel(a, b, p2, p1)) / 2)
+
+
+class TestMomentumFrame:
+    """The Monte Carlo kernels are formed from the momenta, so they keep
+    full precision at any gamma that does not make an axis degenerate."""
+
+    @pytest.mark.parametrize("ratio", [1e3, 1e5, 1e7, 1e8, 1e10])
+    def test_zero_spread_beam_matches_mpmath(self, ratio):
+        # at 1e8 the velocity rounds to 1, yet the transverse axis keeps a
+        # length m/E = 1e-8, far above DEGENERACY_TOL
+        est = bell_average_mc(DEFAULT_CONFIG, CorrelatedGaussian((ratio, 0.0, 0.0), 0.0), 1000, 0)
+        assert est.rejected == 0
+        assert abs(est.value - mp_chsh_along_x(ratio)) <= 1e-14
+
+    def test_kernels_match_mpmath_up_to_overflowing_momenta(self):
+        # |p|/m from 1e-2 to 1e300 and masses down to 1e-150: the rows past
+        # _SCALED_ABOVE are projected in units of their largest component
+        rng = np.random.default_rng(51)
+        axes = correlator._mc_axes(
+            np.array([DEFAULT_CONFIG.a, DEFAULT_CONFIG.a_prime]),
+            np.array([DEFAULT_CONFIG.b, DEFAULT_CONFIG.b_prime]),
+        )
+        pairs = [(a, b) for a in (DEFAULT_CONFIG.a, DEFAULT_CONFIG.a_prime)
+                 for b in (DEFAULT_CONFIG.b, DEFAULT_CONFIG.b_prime)]
+        for mass in (1.0, 1e-150, 7.3):
+            ratios = 10.0 ** rng.uniform(-2, 300, (2, 40, 1))
+            p1, p2 = np.minimum(random_unit(rng, 80).reshape(2, 40, 3) * ratios * mass, 1e300)
+            assert (p1 / mass > 1e60).any() and (p1 / mass < 1e60).any()
+            with np.errstate(all="raise", under="ignore"):
+                for q in (p1, p2):
+                    kernels, degenerate = correlator._leaf_kernels(axes, p1, q, mass)
+                    assert not degenerate.any()
+                    for row in range(len(p1)):
+                        for k, (a, b) in enumerate(pairs):
+                            want = mp_kernel(a, b, p1[row], q[row], mass)
+                            assert abs(kernels[k, row] - want) <= 1e-14, (mass, row, k)
 
 
 class TestDistributions:

@@ -20,6 +20,7 @@ from relbell import (
     pl_eigenvalue,
     spin_observable,
 )
+from relbell import correlator
 from relbell.kinematics import PAULI_X, PAULI_Y, PAULI_Z
 
 PAULI = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
@@ -273,6 +274,18 @@ class TestOperatorAnchors:
             length = float(np.linalg.norm(boosted_spin_axis(a, kin.beta_vec)))
             worst = max(worst, abs(ratio - length) / length)
         assert worst <= 1e-11
+
+
+    def test_pl_eigenvalue_is_the_monte_carlo_axis_length(self):
+        # the Monte Carlo's |v(a)|^2 = (a.a + s_a^2) / gamma^2, formed from
+        # the momentum with no velocity, is the squared Pauli-Lubanski ratio
+        worst = 0.0
+        for kin, _, a, _ in self.draws(22):
+            proj = correlator._project(correlator._mc_axes(a[None], a[None]),
+                                       kin.momentum_vec[None], kin.mass)
+            ratio = pl_eigenvalue(FourVector(0.0, *a), kin) / (kin.energy / 2.0)
+            worst = max(worst, abs(proj.sq[0, 0] / proj.gsq[0] - ratio**2) / ratio**2)
+        assert worst <= 1e-12
 
 
 class TestCommutatorNorm:

@@ -39,9 +39,9 @@ BEAMS = {
     "joint": JointGaussian(
         momentum_for_beta((0.9, 0.0, 0.0)), 0.1, momentum_for_beta((0.0, 0.8, 0.3)), 0.1
     ),
-    # gamma straddles the degeneracy cutoff of the transverse axis b, so
-    # many draws are resampled
-    "resampled": CorrelatedGaussian((9.5e7, 0.0, 0.0), (3e7, 0.0, 0.0)),
+    # gamma straddles 1e14, the degeneracy cutoff m/E < DEGENERACY_TOL of
+    # the transverse axis b, so many draws are resampled
+    "resampled": CorrelatedGaussian((9.5e13, 0.0, 0.0), (3e13, 0.0, 0.0)),
 }
 
 EVES = {
@@ -83,22 +83,22 @@ TRANSCRIPT_SHA256 = {
 MC_REPRS = {
     ("bell", "correlated"): ("-2.6321040657626766", "0.00027416682973755655", 0),
     ("bell", "joint"): ("-2.6516124684181595", "0.0002430576398369364", 0),
-    ("bell", "resampled"): ("-2.000000040115193", "3.7653596529182755e-10", 49204),
+    ("bell", "resampled"): ("-2.000000000000032", "3.1837973411620354e-16", 25334),
     ("correlator", "correlated"): ("-0.39956735036187085", "0.0001925411880484384", 0),
     ("correlator", "joint"): ("-0.6289479650774807", "0.00013467038986968846", 0),
-    ("correlator", "resampled"): ("-2.005759786178112e-08", "2.464243514952941e-10", 49204),
+    ("correlator", "resampled"): ("-1.606723574395337e-14", "2.251284689859375e-16", 25334),
 }
 
 #: repr of (value, standard_error) and the rejected count, 100_000 samples,
 #: seed 11, at the default chunk size: a full chunk of 65536 draws and a
 #: ragged one of 34464, so each chunk spans many blocks of kernel work.
 MC_DEFAULT_CHUNK_REPRS = {
-    ("bell", "correlated"): ("-2.632200911914604", "0.00015827393146970324", 0),
-    ("bell", "joint"): ("-2.651779127289326", "0.0001403512887817661", 0),
-    ("bell", "resampled"): ("-2.0000000419564192", "4.3198140617801613e-10", 148871),
-    ("correlator", "correlated"): ("-0.39967733548447903", "0.00011118662605016446", 0),
+    ("bell", "correlated"): ("-2.632200911914604", "0.0001582739314696837", 0),
+    ("bell", "joint"): ("-2.651779127289326", "0.0001403512887817635", 0),
+    ("bell", "resampled"): ("-2.0000000000000338", "4.228888611409203e-16", 76632),
+    ("correlator", "correlated"): ("-0.39967733548447903", "0.00011118662605016283", 0),
     ("correlator", "joint"): ("-0.629074121739185", "7.810198320969536e-05", 0),
-    ("correlator", "resampled"): ("-2.0978214440052092e-08", "3.0545698165497555e-10", 148871),
+    ("correlator", "resampled"): ("-1.693828971931564e-14", "2.9902758140100103e-16", 76632),
 }
 
 #: SHA-256 of ScanTable.to_json per figure, at the resolution given.
@@ -192,21 +192,22 @@ CLI_SHA256 = {
     ),
     "bell_gaussian": (
         ["bell", *_GAUSSIAN, "--samples", "2000", "--seed", "7"],
-        "955083a9dd133de2e07a1e0cba8b884dde1d1b568de852e2ee348d8f93d4a32d",
-        "955083a9dd133de2e07a1e0cba8b884dde1d1b568de852e2ee348d8f93d4a32d",
+        "8dc16ed218812e97026ce39eafd4b6c3df10c4bc66a68f48b3b4be9ddb373bb9",
+        "8dc16ed218812e97026ce39eafd4b6c3df10c4bc66a68f48b3b4be9ddb373bb9",
     ),
     "bell_joint": (
         ["bell", "--beta", "0.9,0,0", "--dist", "joint", "--sigma", "0.1",
          "--beta2", "0,0.8,0.3", "--samples", "2000", "--seed", "7"],
-        "cf2cf112cddad0b1e28024fa0ce50fe4334cd6aeebe1730c025be10c44fcfbf0",
-        "cf2cf112cddad0b1e28024fa0ce50fe4334cd6aeebe1730c025be10c44fcfbf0",
+        "5d553b13a52bb9d32f36c993311459572c315670c41ac924ac50374aa5f3d365",
+        "5d553b13a52bb9d32f36c993311459572c315670c41ac924ac50374aa5f3d365",
     ),
-    # half the draws are resampled, so the record carries a warning
+    # about a third of the draws have |p|/m > 1e14 and are resampled, so
+    # the record carries a warning
     "bell_resampled": (
         ["bell", "--beta", "0.9999999999999999,0,0", "--dist", "gaussian",
-         "--sigma", "3e7,0,0", "--samples", "2000", "--seed", "7"],
-        "d1c3141c293adfd61ec953fc6ebf4ac1d146f461ba2c85686ae288d10abe46a3",
-        "d1c3141c293adfd61ec953fc6ebf4ac1d146f461ba2c85686ae288d10abe46a3",
+         "--sigma", "1e14,0,0", "--samples", "2000", "--seed", "7"],
+        "1b1cf650b446de21dd932ce1355e507aab30fae966ab47be0becb376c7c538e8",
+        "1b1cf650b446de21dd932ce1355e507aab30fae966ab47be0becb376c7c538e8",
     ),
     "threshold_sharp": (
         ["threshold", "--beta", "0.9,0,0"],
@@ -215,8 +216,8 @@ CLI_SHA256 = {
     ),
     "threshold_gaussian": (
         ["threshold", *_GAUSSIAN, "--samples", "2000", "--seed", "7"],
-        "c25fa396f07c88a8bb24b82b228e2a364cdbc62d7e8f5a9b1ebd9322c1592a05",
-        "c25fa396f07c88a8bb24b82b228e2a364cdbc62d7e8f5a9b1ebd9322c1592a05",
+        "9d23e99f1f585c002880c4980b9f7550dd1107bebeb8a5a2a4af5e429388b6b7",
+        "9d23e99f1f585c002880c4980b9f7550dd1107bebeb8a5a2a4af5e429388b6b7",
     ),
     "scan_csv": (
         ["scan", "--figure", "1", "--resolution", "5"],
