@@ -19,7 +19,8 @@ tracemalloc peaks of one 65536-draw Monte Carlo chunk of a crossed and of
 a correlated beam and of one 2^17-pair intercept-resend protocol run, and
 the minor page faults per 2^18-sample ``bell_average_mc`` call at 1 and 2
 workers on both beams, each counted in a fresh process, and the absolute
-error of zero-spread Monte Carlo anchors against mpmath.  Run it on an
+error against mpmath of zero-spread anchors, through the Monte Carlo and
+through the empirical threshold of a protocol run.  Run it on an
 otherwise idle machine: both sides share its cores with whatever else
 runs.
 """
@@ -100,16 +101,16 @@ print(tracemalloc.get_traced_memory()[1])
 """
 
 
-#: |c - c_ref| per |p|/m of a zero-spread correlated beam along x, through
-#: the public bell_average_mc, against a 50-digit mpmath reference of the
-#: same beam (each axis keeps its x component and has its transverse part
-#: divided by gamma); null where the side raises on a degenerate axis.
-MC_ANCHOR = """
+#: A 50-digit mpmath reference for a zero-spread correlated beam along x:
+#: the CHSH value at |p|/m = ratio, each axis keeping its x component and
+#: having its transverse part divided by gamma.
+ANCHOR_REFERENCE = """
 import json, sys
 sys.path.insert(0, "src")
 import mpmath as mp
-from relbell import DEFAULT_CONFIG, CorrelatedGaussian, DegenerateObservableError, bell_average_mc
+from relbell import DEFAULT_CONFIG, CorrelatedGaussian, DegenerateObservableError
 mp.mp.dps = 50
+RATIOS = (1e3, 1e5, 1e7, 1e8, 1e10)
 def reference(ratio):
     gamma = mp.sqrt(1 + mp.mpf(ratio) ** 2)
     def axis(a):
@@ -120,14 +121,36 @@ def reference(ratio):
     c = DEFAULT_CONFIG
     return (kernel(c.a, c.b) + kernel(c.a, c.b_prime)
             + kernel(c.a_prime, c.b) - kernel(c.a_prime, c.b_prime))
+"""
+
+#: |c - c_ref| per |p|/m of that beam through the public bell_average_mc;
+#: null where the side raises on a degenerate axis.
+MC_ANCHOR = ANCHOR_REFERENCE + """
+from relbell import bell_average_mc
 errors = {}
-for ratio in (1e3, 1e5, 1e7, 1e8, 1e10):
+for ratio in RATIOS:
     try:
         est = bell_average_mc(DEFAULT_CONFIG, CorrelatedGaussian((ratio, 0.0, 0.0), 0.0), 1000, 0)
     except DegenerateObservableError:
         errors[repr(ratio)] = None
     else:
         errors[repr(ratio)] = float(abs(est.value - reference(ratio)))
+print(json.dumps(errors))
+"""
+
+#: |threshold - |c_ref|| per |p|/m of that beam: the empirical threshold
+#: of a 2000-pair run_protocol; null where the side raises.
+PROTOCOL_ANCHOR = ANCHOR_REFERENCE + """
+from relbell import ProtocolConfig, run_protocol
+errors = {}
+for ratio in RATIOS:
+    config = ProtocolConfig(2000, CorrelatedGaussian((ratio, 0.0, 0.0), 0.0), seed=0)
+    try:
+        threshold = run_protocol(config).bell_corrected.threshold
+    except DegenerateObservableError:
+        errors[repr(ratio)] = None
+    else:
+        errors[repr(ratio)] = float(abs(threshold - abs(reference(ratio))))
 print(json.dumps(errors))
 """
 
@@ -266,9 +289,8 @@ def main() -> int:
     record["protocol_peak_bytes"] = {
         side: int(probe(path, PROTOCOL_PEAK)) for side, path in sides.items()
     }
-    record["mc_anchor_abs_err"] = {
-        side: json.loads(probe(path, MC_ANCHOR)) for side, path in sides.items()
-    }
+    for key, code in (("mc_anchor_abs_err", MC_ANCHOR), ("protocol_anchor_abs_err", PROTOCOL_ANCHOR)):
+        record[key] = {side: json.loads(probe(path, code)) for side, path in sides.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

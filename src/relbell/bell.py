@@ -110,10 +110,10 @@ def _chsh_sum(k) -> np.ndarray:
     return ((k[0, 0] + k[0, 1]) + k[1, 0]) - k[1, 1]
 
 
-def _chsh(config: BellConfig, x1, x2, mass: float | None = None) -> np.ndarray:
-    """Bell average per row of two arrays of shape (n, 3), velocities or,
-    when ``mass`` is given, momenta; degenerate rows raise."""
-    return _kernel_rows(*_sides(config), x1, x2, mass, combine=_chsh_sum)
+def _chsh(config: BellConfig, x1, x2) -> np.ndarray:
+    """Bell average per row of two velocity arrays of shape (n, 3);
+    degenerate rows raise."""
+    return _kernel_rows(*_sides(config), x1, x2, combine=_chsh_sum)
 
 
 def chsh_from_beta(config: BellConfig, beta1, beta2) -> np.ndarray:

@@ -16,38 +16,43 @@ reduces to
 Setting ``b = a`` gives exactly -1 for any momentum: the pair stays
 perfectly anti-correlated along a shared axis.
 
-There is one kernel per kind of input.  Velocities (the scans and
-:func:`kernel_from_beta`, and the velocities that the protocol run and a
-:class:`Sharp` profile form from their momenta) go through
+There is one kernel per kind of input.  Velocities (the scans,
+:func:`kernel_from_beta`, and the fixed momentum of a :class:`Sharp`
+profile, which is turned into its velocity first) go through
 :func:`_pair_kernels`, on axes boosted by :func:`_boosted`
 with the component core of :mod:`relbell.kinematics`: a side's axes are
 stacked into one array and boosted in one broadcast pass per frame, and
 all (Alice, Bob) kernels come from one product, three adds, one square
 root and one division; every operation is elementwise and in the order of
 the ``np.sum`` form, so the bytes match it.  :func:`_kernel_matrix` boosts
-Alice's side in one frame and Bob's in another.  Callers that work on
-whole arrays (:func:`_kernel_rows`: the protocol run and the velocity
-scans) go through the shared block loop in blocks of ``_ARRAY_BLOCK_ROWS``
-rows, so no temporary of the kernel work covers a whole array.  A side of
-:func:`_kernel_rows` is fixed (one set of axes for every row) or indexed
-(a pool of axes and one pool index per row); an indexed side is gathered
-block by block, so per-row axes never fill a whole-array copy either.
+Alice's side in one frame and Bob's in another.  Velocity callers that
+work on whole arrays (:func:`_kernel_rows`) go through the shared block
+loop in blocks of ``_ARRAY_BLOCK_ROWS`` rows, so no temporary of the
+kernel work covers a whole array.  A side of :func:`_kernel_rows` is fixed
+(one set of axes for every row) or indexed (a pool of axes and one pool
+index per row); an indexed side is gathered block by block, so per-row
+axes never fill a whole-array copy either.
 
-The Monte Carlo forms its kernels from the sampled momenta, with no
-velocity and no boosted axes (:func:`_leaf_kernels`).  With ``x = p/m``,
+Every sampled or recorded momentum takes the projection form instead, with
+no velocity and no boosted axes: the Monte Carlo (:func:`_leaf_kernels`)
+and the protocol run's outcome kernels, resend overlaps and empirical
+threshold (:func:`_momentum_rows`).  With ``x = p/m``,
 ``gamma^2 = 1 + |x|^2`` and ``s_a = a.x``, the Pauli-Lubanski identity
 gives ``E v(a)/m = a + s_a x / (gamma + 1)`` and
 ``|E v(a)/m|^2 = a.a + s_a^2``, so one projection ``a.x`` per axis and
-draw (:func:`_project`) carries everything:
+draw (:func:`_project`, on fixed or per-row axes) carries everything:
 
     shared momentum:  K = -(a.b + s_a s_b) / sqrt((a.a + s_a^2)(b.b + s_b^2))
 
-and two momenta take the product of the two ``E v/m`` (see
-:func:`_crossed_kernels`), symmetrized over the particle swap.  Momentum
-arrays that are one array (as a correlated beam draws them) or equal bit
-for bit are projected once.  Nothing rounds through ``beta``, so the
-kernels keep full precision at any ``gamma``, and a transverse axis is
-degenerate only where ``m/E`` falls below ``DEGENERACY_TOL``.
+and two momenta take the product of the two ``E v/m``,
+``K12 = K(a, b; p1, p2)`` (:func:`_k12_kernels`).  The protocol takes
+``K12`` as it is, Alice's axis on particle 1 and Bob's on particle 2; the
+Monte Carlo symmetrizes it over the particle swap
+(:func:`_crossed_kernels`).  Momentum arrays that are one array (as a
+correlated beam draws them) or equal bit for bit are projected once and
+take the shared form.  Nothing rounds through ``beta``, so the kernels
+keep full precision at any ``gamma``, and a transverse axis is degenerate
+only where ``m/E`` falls below ``DEGENERACY_TOL``.
 
 Averages over momentum profiles are estimated by Monte Carlo with a
 splittable, counter-based generator (Philox keyed through ``SeedSequence``
@@ -103,15 +108,17 @@ DEFAULT_CHUNK_SIZE = 65536
 #: 8192 draws gave op_p50_s 0.11-0.17 s at a peak RSS of 56.8-57.0 MB,
 #: leaves of 4096 draws 0.14-0.18 s at 51.0-51.2 MB, and the earlier path
 #: (a chunk's momenta and kernels drawn and stored at once, formed in
-#: blocks of 4096) 0.16-0.25 s at 57.1 MB.
+#: blocks of 4096) 0.16-0.25 s at 57.1 MB.  The protocol's momentum rows
+#: (:func:`_momentum_rows`) go in blocks of the same size: twelve rotations
+#: of one protocol_run op on a 2-vCPU host gave medians of 0.094, 0.085,
+#: 0.089 and 0.101 s in blocks of 4096, 8192, 16384 and 32768 rows.
 _BLOCK_ROWS = 8192
 
-#: Rows per block for callers that work on whole arrays (the protocol's
-#: outcome kernels and threshold, the scans).  On a 2-vCPU host a 2^17-pair
-#: protocol run took 10-20% longer in blocks of 4096 rows than of 16384,
-#: and in one whole-array block its tracemalloc peak quadrupled (65-70 MiB
-#: against 15-16, honest or half attacked, with the threshold formed on the
-#: pool thread beside the outcome kernels).
+#: Rows per block for the velocity callers that work on whole arrays (the
+#: scans, :func:`kernel_from_beta`).  On a 2-vCPU host a 2^17-pair protocol
+#: run, when it still went through the velocity kernel, took 10-20% longer
+#: in blocks of 4096 rows than of 16384, and in one whole-array block its
+#: tracemalloc peak quadrupled (65-70 MiB against 15-16).
 _ARRAY_BLOCK_ROWS = 16384
 
 #: Cap on resampling sweeps for degenerate draws within one chunk.
@@ -191,9 +198,9 @@ def _block_side(side, rows: slice) -> np.ndarray:
     return side
 
 
-def _kernel_rows(alice, bob, x1, x2, mass=None, combine=lambda k: k[0, 0]) -> np.ndarray:
-    """``combine(kernels)`` for every row of two arrays of shape (n, 3),
-    velocities or, when ``mass`` is given, momenta; degenerate rows raise.
+def _kernel_rows(alice, bob, x1, x2, combine=lambda k: k[0, 0]) -> np.ndarray:
+    """``combine(kernels)`` for every row of two velocity arrays of shape
+    (n, 3); degenerate rows raise.
 
     Each side is fixed, an (A, 3) array of axes stacked as for
     :func:`_kernel_matrix`, or indexed, a ``(pool, index)`` pair that gives
@@ -204,7 +211,7 @@ def _kernel_rows(alice, bob, x1, x2, mass=None, combine=lambda k: k[0, 0]) -> np
     blocks give the bytes of one whole-array pass.
     """
     out = np.empty(len(x1))
-    for rows, frame1, frame2 in _frame_blocks(x1, x2, mass, _ARRAY_BLOCK_ROWS):
+    for rows, frame1, frame2 in _frame_blocks(x1, x2, _ARRAY_BLOCK_ROWS):
         sides = (_block_side(side, rows) for side in (alice, bob))
         out[rows] = combine(_nondegenerate(*_kernel_matrix(*sides, frame1, frame2)))
     return out
@@ -321,10 +328,11 @@ def _leaf_stats(kernels: np.ndarray) -> np.ndarray:
 
 
 class _Axes(NamedTuple):
-    """Both sides' fixed axes, as the Monte Carlo kernels use them:
-    ``stacked``, (A, 3), holds Alice's ``count`` axes and then Bob's;
-    ``aa`` is each axis's ``a.a``, (A, 1), and ``nab`` is ``-(a.b)`` for
-    every (Alice, Bob) pair, (count, B, 1)."""
+    """Both sides' axes, as the momentum kernels use them: ``stacked``
+    holds Alice's ``count`` axes and then Bob's, (A, 3, 1) for fixed axes
+    or (A, 3, rows) for per-row ones; ``aa`` is each axis's ``a.a``,
+    (A, 1) or (A, rows), and ``nab`` is ``-(a.b)`` for every (Alice, Bob)
+    pair, (count, B, 1) or (count, B, rows)."""
 
     stacked: np.ndarray
     count: int
@@ -333,11 +341,39 @@ class _Axes(NamedTuple):
 
 
 def _mc_axes(alice: np.ndarray, bob: np.ndarray) -> _Axes:
-    """The :class:`_Axes` of two stacked sides, (A, 3) and (B, 3)."""
+    """The :class:`_Axes` of two fixed sides, (A, 3) and (B, 3)."""
     stacked = np.concatenate((alice, bob))
     prod = alice[:, None] * bob[None]
     nab = -((prod[..., 0] + prod[..., 1]) + prod[..., 2])
-    return _Axes(stacked, len(alice), _norm_sq(stacked.T)[:, None], nab[:, :, None])
+    return _Axes(stacked[:, :, None], len(alice), _norm_sq(stacked.T)[:, None], nab[:, :, None])
+
+
+def _block_axes(alice, bob):
+    """A function of a block's ``rows`` that gives the block's
+    :class:`_Axes`.  Two fixed sides, (A, 3) arrays, give the same axes to
+    every block.  Two indexed sides, ``(pool, index)`` pairs, give one axis
+    per side and row; each pool axis's ``a.a`` and each pool pair's
+    ``-(a.b)`` are formed once, on the pools, and gathered per row."""
+    if not isinstance(alice, tuple):
+        fixed = _mc_axes(alice, bob)
+        return lambda rows: fixed
+    (pool1, index1), (pool2, index2) = alice, bob
+    table = _mc_axes(pool1, pool2)
+    xyz = table.stacked[:, :, 0].T.copy()
+    aa = table.aa[:, 0]
+    nab = table.nab.reshape(-1)
+    # one index per side into the stacked pools, and one per row into the
+    # flattened pair table, made once in numpy's own index type
+    index = np.stack((index1, index2), dtype=np.intp)
+    pair = index[0] * len(pool2) + index[1]
+    index[1] += len(pool1)
+
+    def gathered(rows: slice) -> _Axes:
+        block = index[:, rows]
+        return _Axes(xyz.take(block, axis=1).transpose(1, 0, 2), 1, aa.take(block),
+                     nab.take(pair[rows])[None, None])
+
+    return gathered
 
 
 #: Rows whose ``|p/m|^2`` reaches this are projected in units of their
@@ -384,7 +420,7 @@ def _project(axes: _Axes, p: np.ndarray, mass: float) -> _Projections:
         c = mass / scale
         gsq = _norm_sq(y)
     gsq += c * c
-    a = axes.stacked[:, :, None]
+    a = axes.stacked
     t = a[:, 0] * y[0]
     sq = np.multiply(a[:, 1], y[1])
     t += sq
@@ -394,11 +430,12 @@ def _project(axes: _Axes, p: np.ndarray, mass: float) -> _Projections:
     return _Projections(y, c, t, sq, gsq)
 
 
-def _degenerate(one: _Projections) -> np.ndarray:
-    """The draws where some effective axis is shorter than
-    ``DEGENERACY_TOL``: ``|v(a)|^2 = sq / gsq``, and dividing every axis by
-    the same ``gsq`` keeps the smallest one smallest."""
-    shortest = one.sq.min(axis=0)
+def _degenerate(one: _Projections, side: slice = slice(None)) -> np.ndarray:
+    """The draws where some effective axis of ``side`` (every stacked axis
+    by default) is shorter than ``DEGENERACY_TOL``: ``|v(a)|^2 = sq / gsq``,
+    and dividing every axis by the same ``gsq`` keeps the smallest one
+    smallest."""
+    shortest = one.sq[side].min(axis=0)
     shortest /= one.gsq
     return shortest < _DEGENERACY_TOL_SQ
 
@@ -423,18 +460,13 @@ def _shared_kernels(axes: _Axes, one: _Projections) -> np.ndarray:
     return kernels
 
 
-def _crossed_kernels(axes: _Axes, one: _Projections, two: _Projections) -> np.ndarray:
-    """Kernels of draws with two momenta, symmetrized over the particle
-    swap: ``(K12 + K21) / 2``, (A, B, rows).
-
-    With ``g_i = 1/(gamma_i + 1)`` and ``d = x1.x2``, ``K12`` is
-    ``-N12 / sqrt((a.a + s1a^2)(b.b + s2b^2))`` with
-    ``N12 = a.b + g1 s1a s1b + g2 s2a s2b + g1 g2 d s1a s2b``, the product
-    ``(a + g1 s1a x1).(b + g2 s2b x2)`` of the two ``E v/m``.  ``K21``
-    takes ``s2a s1b`` in the last term and swaps the norms.  The terms are
-    formed in units of each particle's ``M`` (:class:`_Projections`), which
-    scales ``N12`` and its norm alike.
-    """
+def _crossed_terms(axes: _Axes, one: _Projections, two: _Projections):
+    """What the numerators of :func:`_k12_kernels` and
+    :func:`_crossed_kernels` share: ``-(a.b + g1 s1a s1b + g2 s2a s2b)``,
+    (A, B, rows), and ``e = g1 g2 d``, (rows,), in units of each
+    particle's ``M`` (:class:`_Projections`), which scales every numerator
+    and its norm alike; also two spare buffers, (A, rows) and
+    (A, B, rows)."""
     k = axes.count
     a1, b1, a2, b2 = one.t[:k], one.t[k:], two.t[:k], two.t[k:]
     g1, g2 = (np.sqrt(side.gsq) + side.c for side in (one, two))
@@ -445,19 +477,50 @@ def _crossed_kernels(axes: _Axes, one: _Projections, two: _Projections) -> np.nd
     e *= (prod[0] + prod[1]) + prod[2]
     g1 *= two.c
     g2 *= one.c
-    # -N12 and -N21 share -(a.b + g1 s1a s1b + g2 s2a s2b)
     scaled = g1 * a1
-    n21 = _outer(scaled, b1)
-    np.subtract(axes.nab * (one.c * two.c), n21, out=n21)
+    common = _outer(scaled, b1)
+    np.subtract(axes.nab * (one.c * two.c), common, out=common)
     tmp = _outer(np.multiply(g2, a2, out=scaled), b2)
-    n21 -= tmp
-    n12 = n21 - _outer(np.multiply(e, a1, out=scaled), b2, out=tmp)
-    n21 -= _outer(np.multiply(e, a2, out=scaled), b1, out=tmp)
+    common -= tmp
+    return common, e, scaled, tmp
+
+
+def _normalized(n, sq1, sq2, k: int, tmp) -> np.ndarray:
+    """``n / sqrt(sq1_a sq2_b)`` in place, over Alice's ``sq1[:k]`` and
+    Bob's ``sq2[k:]``, with ``tmp`` as the buffer of the norms."""
+    norms = _outer(sq1[:k], sq2[k:], out=tmp)
+    np.sqrt(norms, out=norms)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for n, sq1, sq2 in ((n12, one.sq, two.sq), (n21, two.sq, one.sq)):
-            norms = _outer(sq1[:k], sq2[k:], out=tmp)
-            np.sqrt(norms, out=norms)
-            n /= norms
+        n /= norms
+    return n
+
+
+def _k12_kernels(axes: _Axes, one: _Projections, two: _Projections) -> np.ndarray:
+    """``K12 = K(a, b; p1, p2)`` of draws with two momenta, Alice's axis
+    on particle 1 and Bob's on particle 2, (A, B, rows).
+
+    With ``g_i = 1/(gamma_i + 1)`` and ``d = x1.x2``, ``K12`` is
+    ``-N12 / sqrt((a.a + s1a^2)(b.b + s2b^2))`` with
+    ``N12 = a.b + g1 s1a s1b + g2 s2a s2b + g1 g2 d s1a s2b``, the product
+    ``(a + g1 s1a x1).(b + g2 s2b x2)`` of the two ``E v/m``.
+    """
+    k = axes.count
+    n12, e, scaled, tmp = _crossed_terms(axes, one, two)
+    n12 -= _outer(np.multiply(e, one.t[:k], out=scaled), two.t[k:], out=tmp)
+    return _normalized(n12, one.sq, two.sq, k, tmp)
+
+
+def _crossed_kernels(axes: _Axes, one: _Projections, two: _Projections) -> np.ndarray:
+    """Kernels of draws with two momenta, symmetrized over the particle
+    swap: ``(K12 + K21) / 2``, (A, B, rows), with ``K12`` as in
+    :func:`_k12_kernels`; ``K21`` takes ``s2a s1b`` in the last term of
+    ``N12`` and swaps the norms."""
+    k = axes.count
+    n21, e, scaled, tmp = _crossed_terms(axes, one, two)
+    n12 = n21 - _outer(np.multiply(e, one.t[:k], out=scaled), two.t[k:], out=tmp)
+    n21 -= _outer(np.multiply(e, two.t[:k], out=scaled), one.t[k:], out=tmp)
+    _normalized(n12, one.sq, two.sq, k, tmp)
+    _normalized(n21, two.sq, one.sq, k, tmp)
     n21 += n12
     n21 *= 0.5
     return n21
@@ -478,6 +541,39 @@ def _leaf_kernels(axes: _Axes, p1: np.ndarray, p2: np.ndarray, mass: float):
         degenerate |= _degenerate(two)
         kernels = _crossed_kernels(axes, one, two)
     return kernels.reshape(-1, kernels.shape[-1]), degenerate
+
+
+def _momentum_rows(alice, bob, p1, p2, mass: float, combine=lambda k: k[0, 0]) -> np.ndarray:
+    """``combine(kernels)`` for every row of two momentum arrays of shape
+    (n, 3), in the projection form; degenerate rows raise.
+
+    Both sides are fixed, (A, 3) arrays of stacked axes, or both indexed,
+    ``(pool, index)`` pairs that give row ``i`` the axis
+    ``pool[index[i]]`` (:func:`_block_axes`).  Momenta that are one
+    array or equal bit for bit take :func:`_shared_kernels`; two momenta
+    take the unsymmetrized :func:`_k12_kernels`, Alice's axis on particle 1
+    and Bob's on particle 2.  A row is degenerate where one of Alice's
+    axes is shorter than ``DEGENERACY_TOL`` at ``p1`` or one of Bob's at
+    ``p2``.  The rows go in blocks of ``_BLOCK_ROWS``, so no temporary
+    covers all rows; each kernel is a per-row value, so the blocks give
+    the bytes of one whole-array pass.
+    """
+    shared = p2 is p1 or _same_bits(p1, p2)
+    axes_of = _block_axes(alice, bob)
+    out = np.empty(len(p1))
+    for start in range(0, len(p1), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        axes = axes_of(rows)
+        one = _project(axes, p1[rows], mass)
+        if shared:
+            kernels, degenerate = _shared_kernels(axes, one), _degenerate(one)
+        else:
+            two = _project(axes, p2[rows], mass)
+            k = axes.count
+            kernels = _k12_kernels(axes, one, two)
+            degenerate = _degenerate(one, slice(k)) | _degenerate(two, slice(k, None))
+        out[rows] = combine(_nondegenerate(kernels, degenerate))
+    return out
 
 
 def _sample_kernels(axes: _Axes, dist, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -566,9 +662,10 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     back; each such overlap adds an arena holding a chunk's memory, so the
     resident size of a run varied by ~7 MB with the timing.  The process id
     in the key gives a forked child pools of its own.  Besides the Monte
-    Carlo chunks, :func:`relbell.ekert.run_protocol` forms its empirical
-    threshold on the one-thread pool; no job on a pool may wait on a job of
-    that same pool, since with one thread it would wait on itself.
+    Carlo chunks, :func:`relbell.ekert.run_protocol` draws its role streams
+    and then forms its empirical threshold on the one-thread pool; no job
+    on a pool may wait on a job of that same pool, since with one thread it
+    would wait on itself.
     """
     key = (os.getpid(), workers)
     pool = _POOLS.get(key)

@@ -16,11 +16,20 @@ one-sided normal quantile times the standard error.  The naive threshold
 is the rest-frame maximum 2*sqrt(2); for fast beams the honest value is
 lower, so the naive test flags clean runs.  The corrected threshold uses
 the Bell average attainable at the actual kinematics, either from the
-recorded per-pair momenta (default) or from the configured profile.  The
-empirical threshold depends only on the momenta, so :func:`run_protocol`
-forms it on the worker pool's one thread while it draws the rounds and
-waits for it where the corrected check needs it; the configured one is
-computed inline, since its Monte Carlo chunks run on that same thread.
+recorded per-pair momenta (default) or from the configured profile.
+
+Every kernel of a run is formed from the momenta, in the projection form
+of :mod:`relbell.correlator`, with no velocity: the outcome kernel of each
+round (Alice's axis at ``p1``, the partner's, Bob's or Eve's, at ``p2``),
+the resend overlap at Bob's momentum, and the empirical threshold, which a
+standalone :func:`bell_test` forms the same way.  Two momenta take the
+unsymmetrized kernel ``K(a, b; p1, p2)``, so the threshold describes the
+outcomes it judges.  :func:`run_protocol` draws the role streams on the
+worker pool's one thread while it draws the momenta itself; the empirical
+threshold, which needs only the momenta, is queued behind those draws on
+the same thread, and the run waits for it where the corrected check needs
+it.  The configured threshold is computed inline, since its Monte Carlo
+chunks run on that same thread.
 
 Randomness is drawn from per-role substreams (momenta, Alice's bases,
 Bob's bases, outcomes, Eve) spawned from the run seed, so transcripts are
@@ -40,14 +49,14 @@ from .bell import (
     TSIRELSON_BOUND,
     BellConfig,
     DEFAULT_CONFIG,
-    _chsh,
     _chsh_sum,
     _dump_json,
+    _sides,
     _unit_axes,
     _write_csv,
     corrected_threshold,
 )
-from .correlator import _check_sampling, _check_seed, _integer, _kernel_rows, _pool
+from .correlator import _check_sampling, _check_seed, _integer, _momentum_rows, _pool
 from .distributions import MomentumDistribution
 from .errors import DegenerateObservableError, UndersampledTestError
 
@@ -291,52 +300,61 @@ def _choose_bases(rng: np.random.Generator, n: int, n_key: int, test_fraction: f
     return np.where(is_test, n_key + test_pick, key_pick).astype(np.int16)
 
 
+def _draw_roles(config: ProtocolConfig, rng_alice, rng_bob, rng_outcome, rng_eve):
+    """Every draw of a run but the momenta, each role from its own stream:
+    Alice's and Bob's bases, Alice's outcome signs and the uniforms of
+    Bob's outcomes, and, when an attack can fire, Eve's three draws
+    (``None`` otherwise)."""
+    n = config.pair_count
+    n_key = len(config.key_axes)
+    alice_idx = _choose_bases(rng_alice, n, n_key, config.test_fraction)
+    bob_idx = _choose_bases(rng_bob, n, n_key, config.test_fraction)
+    s = (2 * rng_outcome.integers(0, 2, size=n) - 1).astype(np.int8)
+    u_outcome = rng_outcome.random(n)
+    eve = None
+    if config.eve is not None and config.eve.attack_probability > 0.0:
+        # fixed three draws regardless of the probability, so attacked sets
+        # are nested as the probability rises with the same seed
+        u_attack = rng_eve.random(n)
+        eve_pick = rng_eve.integers(0, len(config.eve.basis_pool), size=n).astype(np.int16)
+        eve = u_attack, eve_pick, rng_eve.random(n)
+    return alice_idx, bob_idx, s, u_outcome, eve
+
+
 def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     """Execute a full run and attach both Bell verdicts to the transcript."""
     n = config.pair_count
-    roles = np.random.SeedSequence(config.seed).spawn(6)
-    rng_momenta = np.random.Generator(np.random.Philox(roles[0]))
-    rng_alice = np.random.Generator(np.random.Philox(roles[1]))
-    rng_bob = np.random.Generator(np.random.Philox(roles[2]))
-    rng_outcome = np.random.Generator(np.random.Philox(roles[3]))
-    rng_eve = np.random.Generator(np.random.Philox(roles[4]))
-
+    rng_momenta, *role_rngs = (
+        np.random.Generator(np.random.Philox(child))
+        for child in np.random.SeedSequence(config.seed).spawn(6)[:5]
+    )
+    # the pool thread draws the roles' streams while this one draws the
+    # momenta, and then forms the empirical threshold, which needs only the
+    # momenta; the configured one stays here, since its Monte Carlo chunks
+    # run on that same thread, and no pool job waits on another
+    roles_job = _pool(1).submit(_draw_roles, config, *role_rngs)
     p1, p2 = config.distribution.sample(rng_momenta, n)
     mass = config.distribution.mass
-    # the empirical threshold needs only the momenta, so the pool thread
-    # forms it while this one draws the rounds; the configured one stays
-    # here, since its Monte Carlo chunks run on that same thread
     threshold_job = (
         _pool(1).submit(_corrected_threshold, config, p1, p2)
         if config.threshold_mode == "empirical" else None
     )
-
-    n_key = len(config.key_axes)
-    alice_idx = _choose_bases(rng_alice, n, n_key, config.test_fraction)
-    bob_idx = _choose_bases(rng_bob, n, n_key, config.test_fraction)
-
-    s = (2 * rng_outcome.integers(0, 2, size=n) - 1).astype(np.int8)
-    u_outcome = rng_outcome.random(n)
+    alice_idx, bob_idx, s, u_outcome, eve = roles_job.result()
 
     bob_pool = config.bob_pool
     partner_pool = bob_pool
     eve_basis = np.full(n, -1, dtype=np.int16)
     attacked = np.zeros(n, dtype=bool)
-    if config.eve is not None and config.eve.attack_probability > 0.0:
-        eve_pool = np.array(config.eve.basis_pool)
-        # fixed three draws regardless of the probability, so attacked sets
-        # are nested as the probability rises with the same seed
-        u_attack = rng_eve.random(n)
-        eve_pick = rng_eve.integers(0, len(eve_pool), size=n).astype(np.int16)
-        u_resend = rng_eve.random(n)
+    if eve is not None:
+        u_attack, eve_pick, u_resend = eve
         attacked = u_attack < config.eve.attack_probability
         eve_basis[attacked] = eve_pick[attacked]
-        partner_pool = np.concatenate((bob_pool, eve_pool))
+        partner_pool = np.concatenate((bob_pool, np.array(config.eve.basis_pool)))
 
     # the axis particle 2 is measured along: Eve's on attacked rounds, else
     # Bob's, as an index into Bob's pool followed by Eve's
     partner_idx = np.where(attacked, len(bob_pool) + eve_basis, bob_idx)
-    kernel = _kernel_rows(
+    kernel = _momentum_rows(
         (config.alice_pool, alice_idx), (partner_pool, partner_idx), p1, p2, mass
     )
     t = np.where(u_outcome < 0.5 * (1.0 + s * kernel), 1, -1).astype(np.int8)
@@ -348,9 +366,9 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
         # the overlap of Eve's and Bob's effective axes is minus their
         # singlet kernel, both taken at Bob's momentum
         sides = ((partner_pool, partner_idx[rows]), (bob_pool, bob_idx[rows]))
-        bob_momenta = p2[rows]
+        bob_momenta = p2.take(rows, axis=0)
         try:
-            overlap = -_kernel_rows(*sides, bob_momenta, bob_momenta, mass)
+            overlap = -_momentum_rows(*sides, bob_momenta, bob_momenta, mass)
         except DegenerateObservableError as err:
             raise DegenerateObservableError(
                 "a resend axis became degenerate at the sampled momentum"
@@ -359,7 +377,7 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
         bob_outcome[rows] = resent.astype(np.int8)
         eve_outcome[rows] = t[rows]
 
-    sift_mask = (alice_idx == bob_idx) & (alice_idx < n_key)
+    sift_mask = (alice_idx == bob_idx) & (alice_idx < len(config.key_axes))
     sifted_indices = np.nonzero(sift_mask)[0]
     alice_key_bits = ((s[sift_mask] + 1) // 2).astype(np.uint8)
     bob_key_bits = ((1 - bob_outcome[sift_mask]) // 2).astype(np.uint8)
@@ -415,8 +433,7 @@ def _corrected_threshold(config: ProtocolConfig, momentum1, momentum2) -> float:
     average over the recorded momenta, or a Monte Carlo average of the
     configured profile."""
     if config.threshold_mode == "empirical":
-        bell = _chsh(config.bell, momentum1, momentum2, config.distribution.mass)
-        return abs(float(np.mean(bell)))
+        return _empirical_threshold(config, momentum1, momentum2)
     # derive an integer seed disjoint from the five role substreams
     child = np.random.SeedSequence(config.seed).spawn(6)[5]
     return corrected_threshold(
@@ -425,6 +442,15 @@ def _corrected_threshold(config: ProtocolConfig, momentum1, momentum2) -> float:
         config.threshold_samples,
         int(child.generate_state(1, np.uint64)[0]),
     )
+
+
+def _empirical_threshold(config: ProtocolConfig, momentum1, momentum2) -> float:
+    """|Bell average| over the recorded momenta, in the projection form
+    with ``K12`` for two momenta, as the outcomes are drawn."""
+    bell = _momentum_rows(
+        *_sides(config.bell), momentum1, momentum2, config.distribution.mass, _chsh_sum
+    )
+    return abs(float(np.mean(bell)))
 
 
 def _bell_result(

@@ -19,20 +19,22 @@ longitudinal part is untouched.  Its length is
 ``beta -> 1``: in that limit every axis collapses onto the momentum
 direction and all spin observables commute.
 
-Every velocity and effective axis in the package comes from one component
+Every velocity and boosted axis in the package comes from one component
 core, which is component-major: x, y and z run along the first axis of one
 array, so a block of rows is one contiguous (3, rows) array.
 :func:`_velocity` turns momenta into velocities, :func:`_frame` turns
 velocities into their *frame* (the unit direction ``n`` and the factor
 ``sqrt(1 - beta^2)``), and :func:`_boost` forms ``v(a)`` for a whole side
-of stacked axes in one broadcast pass.  Callers that work on whole arrays
-go through one block loop, :func:`_frame_blocks`, which copies each block
-of rows into that layout and builds its frames once; two arrays that are
-equal bit for bit share one frame.  The core adds the three components of
+of stacked axes in one broadcast pass.  Callers that work on whole
+velocity arrays go through one block loop, :func:`_frame_blocks`, which
+copies each block of rows into that layout and builds its frames once;
+two arrays that are equal bit for bit share one frame.  The core adds the three components of
 a dot product left to right from ``+0.0``, which is how
 ``np.sum(..., axis=-1)`` adds a length-3 axis, so the public
 :func:`beta_from_momentum` and :func:`boosted_spin_axis` return the same
-bytes as that ``np.sum`` form.
+bytes as that ``np.sum`` form.  Sampled and recorded momenta do not go
+through this core: their kernels come from the projection form of
+:mod:`relbell.correlator`.
 """
 
 from __future__ import annotations
@@ -256,17 +258,17 @@ def _same_bits(x, y) -> bool:
     return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
-def _frame_blocks(x1, x2, mass: float | None, block_rows: int):
+def _frame_blocks(x1, x2, block_rows: int):
     """The shared block loop: ``(rows, frame1, frame2)`` for each block of
-    ``block_rows`` rows of two arrays of shape (n, 3), velocities or, when
-    ``mass`` is given, momenta.  Arrays equal bit for bit share one frame
-    per block.  Every caller that works on whole arrays goes through here,
-    so no temporary of the kernel work covers all rows at once."""
+    ``block_rows`` rows of two velocity arrays of shape (n, 3).  Arrays
+    equal bit for bit share one frame per block.  Every velocity caller
+    that works on whole arrays goes through here, so no temporary of the
+    kernel work covers all rows at once."""
     shared = x2 is x1 or _same_bits(x1, x2)
     for start in range(0, len(x1), block_rows):
         rows = slice(start, start + block_rows)
-        frame1 = _frame_of(x1[rows], mass)
-        yield rows, frame1, frame1 if shared else _frame_of(x2[rows], mass)
+        frame1 = _frame_of(x1[rows], None)
+        yield rows, frame1, frame1 if shared else _frame_of(x2[rows], None)
 
 
 def _boost(axes, frame: _Frame) -> np.ndarray:
@@ -302,7 +304,8 @@ def pl_eigenvalue(a: FourVector, kin: ParticleKinematics, j3: float = 0.5) -> fl
     if j3 <= 0 or abs(2.0 * j3 - round(2.0 * j3)) > 1e-12:
         raise ValueError(f"j3 must be a positive half-integer, got {j3}")
     p = kin.four_momentum
-    radicand = minkowski_dot(a, p) ** 2 - minkowski_dot(a, a) * minkowski_dot(p, p)
+    # on shell p.p = m^2; forming E^2 - |p|^2 instead cancels at large |p|/m
+    radicand = minkowski_dot(a, p) ** 2 - minkowski_dot(a, a) * (kin.mass * kin.mass)
     if radicand < 0.0:
         raise DomainError(
             f"(a.p)^2 - a^2 p^2 = {radicand} < 0 for a = {a}, p = {p}; "

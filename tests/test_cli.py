@@ -355,6 +355,29 @@ class TestCommandOutput:
             # the shared momentum direction and every draw gives -2
             assert abs(threshold - 2.0) < 1e-12
 
+    @pytest.mark.parametrize("argv", [
+        ["--dist", "gaussian", "--sigma", "1e200"],
+        ["--dist", "joint", "--sigma", "1e200", "--beta2", "0,0.8,0"],
+    ])
+    def test_overflowing_momenta_give_the_protocol_its_threshold(self, argv, capsys):
+        # m^2 + |p|^2 overflowed here once, with a RuntimeWarning, and the
+        # run judged every pair at rest against 2.828427124746191
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["protocol", "--pairs", "2000", "--seed", "3", *argv]) == 0
+            assert main(["threshold", *argv]) == 0
+        run, beam = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+        if argv[1] == "gaussian":
+            # every draw gives CHSH -2, on the recorded momenta as in the MC
+            assert run["threshold"] == beam["threshold"] == 2.0
+        else:
+            # each draw's CHSH is random: in the ultra relativistic limit
+            # it is 2 (n1.n2) times a sign, with variance 5/6 over
+            # independent isotropic directions, so the two thresholds agree
+            # within their errors
+            error = math.hypot(math.sqrt(5 / 6 / 2000), beam["standard_error"])
+            assert abs(run["threshold"] - beam["threshold"]) < 4 * error
+
     # the first three beams gave |bell| and threshold one ulp apart when
     # threshold took the beam's momentum and bell its velocity
     @pytest.mark.parametrize(

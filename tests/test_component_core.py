@@ -106,28 +106,33 @@ def ref_dot(u, v):
     return (u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]) + u[..., 2] * v[..., 2]
 
 
-def ref_momentum_kernels(alice_dirs, bob_dirs, p1, p2, mass):
-    """The Monte Carlo kernels from momenta, one pair at a time: with
-    ``x = p/m``, ``s_a = a.x``, ``g = 1/(gamma + 1)`` and ``d = x1.x2``,
+def ref_momentum_kernels(alice_dirs, bob_dirs, p1, p2, mass, swap_average=True):
+    """The kernels from momenta, one pair at a time: with ``x = p/m``,
+    ``s_a = a.x``, ``g = 1/(gamma + 1)`` and ``d = x1.x2``,
 
         K12 = -(a.b + g1 s1a s1b + g2 s2a s2b + g1 g2 d s1a s2b)
               / sqrt((a.a + s1a^2)(b.b + s2b^2)),
 
     ``K21`` with ``s2a s1b`` in the last term and the norms swapped, and the
-    kernel ``(K12 + K21) / 2``; momenta equal bit for bit take
-    ``-(a.b + s_a s_b) / sqrt((a.a + s_a^2)(b.b + s_b^2))``.  A draw is
-    degenerate where some ``|v(a)|^2 = (a.a + s_a^2) / gamma^2`` is below
-    ``DEGENERACY_TOL^2``.  Returns (A, B, rows) kernels and the mask."""
+    Monte Carlo kernel ``(K12 + K21) / 2``, or ``K12`` alone, as the
+    protocol takes it, when ``swap_average`` is false; momenta equal bit
+    for bit take ``-(a.b + s_a s_b) / sqrt((a.a + s_a^2)(b.b + s_b^2))``.
+    An axis may be one triple or one per row.  A draw is degenerate where
+    some ``|v(a)|^2 = (a.a + s_a^2) / gamma^2`` is below
+    ``DEGENERACY_TOL^2``: every axis at both momenta for the Monte Carlo,
+    Alice's at ``p1`` and Bob's at ``p2`` for ``K12``.  Returns (A, B, rows)
+    kernels and the mask."""
     x1, x2 = p1 / mass, p2 / mass
     shared = same_bytes(p1, p2)
     gsq1, gsq2 = ref_dot(x1, x1) + 1.0, ref_dot(x2, x2) + 1.0
     g1, g2 = 1.0 / (np.sqrt(gsq1) + 1.0), 1.0 / (np.sqrt(gsq2) + 1.0)
     e = g1 * g2 * ref_dot(x1, x2)
     degenerate = np.zeros(len(p1), dtype=bool)
-    for axis in (*alice_dirs, *bob_dirs):
-        axis = np.asarray(axis, dtype=float)
-        for x, gsq in ((x1, gsq1), (x2, gsq2)):
-            degenerate |= (ref_dot(axis, axis) + ref_dot(axis, x) ** 2) / gsq < DEGENERACY_TOL**2
+    for side, own in ((alice_dirs, (x1, gsq1)), (bob_dirs, (x2, gsq2))):
+        for axis in side:
+            axis = np.asarray(axis, dtype=float)
+            for x, gsq in ((x1, gsq1), (x2, gsq2)) if swap_average or shared else (own,):
+                degenerate |= (ref_dot(axis, axis) + ref_dot(axis, x) ** 2) / gsq < DEGENERACY_TOL**2
     kernels = np.empty((len(alice_dirs), len(bob_dirs), len(p1)))
     with np.errstate(divide="ignore", invalid="ignore"):
         for i, a in enumerate(np.asarray(alice_dirs, dtype=float)):
@@ -140,8 +145,28 @@ def ref_momentum_kernels(alice_dirs, bob_dirs, p1, p2, mass):
                 common = (ab + g1 * s1a * s1b) + g2 * s2a * s2b
                 k12 = -(common + e * s1a * s2b) / np.sqrt((aa + s1a**2) * (bb + s2b**2))
                 k21 = -(common + e * s2a * s1b) / np.sqrt((aa + s2a**2) * (bb + s1b**2))
-                kernels[i, j] = (k12 + k21) / 2
+                kernels[i, j] = (k12 + k21) / 2 if swap_average else k12
     return kernels, degenerate
+
+
+def ref_protocol_kernels(alice_dirs, bob_dirs, p1, p2, mass):
+    """The protocol's kernels: ``K12``, or the shared form for momenta
+    equal bit for bit; degenerate rows raise."""
+    kernels, degenerate = ref_momentum_kernels(alice_dirs, bob_dirs, p1, p2, mass, False)
+    if np.any(degenerate):
+        raise DegenerateObservableError("degenerate")
+    return kernels + 0.0
+
+
+def ref_protocol_threshold(transcript):
+    """The empirical threshold of a run: |mean CHSH| of the reference
+    kernels over the recorded momenta."""
+    config = transcript.config
+    sides = (config.bell.a, config.bell.a_prime), (config.bell.b, config.bell.b_prime)
+    k = ref_protocol_kernels(
+        *sides, transcript.momentum1, transcript.momentum2, config.distribution.mass
+    )
+    return abs(float(np.mean(((k[0, 0] + k[0, 1]) + k[1, 0]) - k[1, 1])))
 
 
 def ref_sample_kernels(axes, dist, rng, n):
@@ -176,15 +201,15 @@ def ref_bell_average_mc(config, dist, samples, seed, chunk_size):
 
 def ref_protocol_outcomes(transcript):
     """Bob's and Eve's outcome columns of a run, rebuilt from its recorded
-    choices, its outcome and resend streams and the reference kernels."""
+    choices, its outcome and resend streams and the protocol's reference
+    kernels."""
     config = transcript.config
     n = transcript.pair_count
     roles = np.random.SeedSequence(config.seed).spawn(6)
     rng_outcome = np.random.Generator(np.random.Philox(roles[3]))
     rng_outcome.integers(0, 2, size=n)
     u_outcome = rng_outcome.random(n)
-    beta1 = ref_beta_from_momentum(transcript.momentum1, config.distribution.mass)
-    beta2 = ref_beta_from_momentum(transcript.momentum2, config.distribution.mass)
+    p1, p2, mass = transcript.momentum1, transcript.momentum2, config.distribution.mass
     alice = config.alice_pool[transcript.alice_basis]
     bob = config.bob_pool[transcript.bob_basis]
     partner = bob.copy()
@@ -192,14 +217,14 @@ def ref_protocol_outcomes(transcript):
     pool = np.array(config.eve.basis_pool)
     partner[attacked] = pool[transcript.eve_basis[attacked]]
     s = transcript.alice_outcome
-    kernel = ref_kernel_from_beta(alice, partner, beta1, beta2)
+    kernel = ref_protocol_kernels((alice,), (partner,), p1, p2, mass)[0, 0]
     t = np.where(u_outcome < 0.5 * (1.0 + s * kernel), 1, -1).astype(np.int8)
     rng_eve = np.random.Generator(np.random.Philox(roles[4]))
     rng_eve.random(n)
     rng_eve.integers(0, len(pool), size=n)
     u_resend = rng_eve.random(n)[attacked]
-    at = beta2[attacked]
-    overlap = -ref_kernel_from_beta(partner[attacked], bob[attacked], at, at)
+    at = p2[attacked]
+    overlap = -ref_protocol_kernels((partner[attacked],), (bob[attacked],), at, at, mass)[0, 0]
     bob_outcome = t.copy()
     bob_outcome[attacked] = np.where(u_resend < 0.5 * (1.0 + t[attacked] * overlap), 1, -1)
     eve_outcome = np.where(attacked, t, 0).astype(np.int8)
@@ -327,7 +352,7 @@ class TestKernel:
         alice = (DEFAULT_CONFIG.a, per_row, (-0.0, 1.0, 0.0))
         bob = (per_row[::-1], DEFAULT_CONFIG.b_prime)
         for b1, b2 in ((beta1, beta2), (beta1, beta1), (beta2, beta1.copy())):
-            (_, *frames), = _frame_blocks(b1, b2, None, len(b1))
+            (_, *frames), = _frame_blocks(b1, b2, len(b1))
             got = _kernel_matrix(
                 *(np.stack([np.broadcast_to(_components(a).reshape(3, -1), (3, len(b1)))
                             for a in side]) for side in (alice, bob)),
@@ -502,26 +527,55 @@ class TestMonteCarlo:
         bell_average_mc(DEFAULT_CONFIG, BEAMS[beam], 1000, 5, chunk_size=250)
         assert len(built) == 4 * frames_per_chunk
 
-    def test_signed_zero_momenta_get_two_frames(self):
-        p = np.array([[0.0, 1.0, 2.0]])
-        q = np.array([[-0.0, 1.0, 2.0]])
-        (_, frame1, frame2), = _frame_blocks(p, q, 1.0, 1)
+    def test_signed_zero_momenta_get_two_frames(self, monkeypatch):
+        # velocities get one frame each, momenta one projection each, unless
+        # the two arrays are equal bit for bit
+        p = np.array([[0.0, 0.1, 0.2]])
+        q = np.array([[-0.0, 0.1, 0.2]])
+        (_, frame1, frame2), = _frame_blocks(p, q, 1)
         assert frame1 is not frame2
         assert not np.signbit(frame1.n[0]).any() and np.signbit(frame2.n[0]).all()
-        (_, *shared), = _frame_blocks(p, p.copy(), 1.0, 1)
+        (_, *shared), = _frame_blocks(p, p.copy(), 1)
         assert shared[0] is shared[1]
+        built = []
+        project = correlator._project
+
+        def counting_project(*args):
+            built.append(1)
+            return project(*args)
+
+        monkeypatch.setattr(correlator, "_project", counting_project)
+        for momenta, projections in (((p, q), 2), ((p, p.copy()), 1)):
+            built.clear()
+            sides = np.array([DEFAULT_CONFIG.a]), np.array([DEFAULT_CONFIG.b])
+            correlator._momentum_rows(*sides, *momenta, 1.0)
+            assert len(built) == projections
 
 
 class TestProtocolThreshold:
+    """The protocol's kernels take the projection form (``K12`` for two
+    momenta), and its threshold keeps the bytes of that form's reference."""
+
     @pytest.mark.parametrize("beam", sorted(BEAMS))
     def test_run_threshold_equals_standalone_bell_test(self, beam):
         config = ProtocolConfig(4000, BEAMS[beam], seed=3)
         transcript = run_protocol(config)
         assert bell_test(transcript, corrected=True) == transcript.bell_corrected
-        beta1 = ref_beta_from_momentum(transcript.momentum1, config.distribution.mass)
-        beta2 = ref_beta_from_momentum(transcript.momentum2, config.distribution.mass)
-        want = abs(float(np.mean(ref_chsh_from_beta(config.bell, beta1, beta2))))
+        want = ref_protocol_threshold(transcript)
         assert repr(transcript.bell_corrected.threshold) == repr(want)
+
+    @pytest.mark.parametrize("beam", sorted(BEAMS))
+    def test_indexed_kernels_match_reference(self, beam, monkeypatch):
+        # per-row axes from two pools, in blocks of 64 and a ragged one
+        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 64)
+        rng = np.random.default_rng(35)
+        pool1, pool2 = random_unit(rng, 3), random_unit(rng, 7)
+        i, j = rng.integers(0, 3, 1000), rng.integers(0, 7, 1000)
+        dist = BEAMS[beam]
+        p1, p2 = dist.sample(rng, 1000)
+        got = correlator._momentum_rows((pool1, i), (pool2, j), p1, p2, dist.mass)
+        want = ref_protocol_kernels((pool1[i],), (pool2[j],), p1, p2, dist.mass)[0, 0]
+        assert same_bytes(got, want)
 
     @pytest.mark.parametrize("beam", sorted(BEAMS))
     def test_run_in_small_blocks_matches_reference(self, beam, monkeypatch):
@@ -532,15 +586,13 @@ class TestProtocolThreshold:
         )
         whole = io.StringIO()
         run_protocol(config).to_json(whole)
-        monkeypatch.setattr(correlator, "_ARRAY_BLOCK_ROWS", 64)
+        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 64)
         transcript = run_protocol(config)
         bob_outcome, eve_outcome = ref_protocol_outcomes(transcript)
         assert 64 < transcript.attacked.sum() < 1000 - 64
         assert same_bytes(transcript.bob_outcome, bob_outcome)
         assert same_bytes(transcript.eve_outcome, eve_outcome)
-        beta1 = ref_beta_from_momentum(transcript.momentum1, config.distribution.mass)
-        beta2 = ref_beta_from_momentum(transcript.momentum2, config.distribution.mass)
-        want = abs(float(np.mean(ref_chsh_from_beta(config.bell, beta1, beta2))))
+        want = ref_protocol_threshold(transcript)
         assert repr(transcript.bell_corrected.threshold) == repr(want)
         blocked = io.StringIO()
         transcript.to_json(blocked)

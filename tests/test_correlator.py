@@ -11,6 +11,7 @@ from relbell import (
     DomainError,
     JointGaussian,
     ParticleKinematics,
+    ProtocolConfig,
     Sharp,
     beta_from_momentum,
     bell_average_mc,
@@ -18,6 +19,7 @@ from relbell import (
     correlator_mc,
     correlator_sharp,
     kernel_from_beta,
+    run_protocol,
 )
 from relbell import correlator
 from relbell.kinematics import boosted_spin_axis
@@ -320,9 +322,10 @@ def mp_chsh_along_x(ratio, config=DEFAULT_CONFIG):
                      + kernel(c.a_prime, c.b) - kernel(c.a_prime, c.b_prime))
 
 
-def mp_kernel(a, b, p1, p2, mass):
+def mp_kernel(a, b, p1, p2, mass, swap_average=True):
     """The swap-symmetrized kernel at two momenta to 50 digits, from the
-    effective axes ``E v(a)/m = a + (a.x) x / (gamma + 1)``, ``x = p/m``."""
+    effective axes ``E v(a)/m = a + (a.x) x / (gamma + 1)``, ``x = p/m``;
+    ``K12 = K(a, b; p1, p2)`` alone when ``swap_average`` is false."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         def axis(a, p):
@@ -337,6 +340,8 @@ def mp_kernel(a, b, p1, p2, mass):
             dot = sum(x * y for x, y in zip(va, vb))
             return -dot / mp.sqrt(sum(x * x for x in va) * sum(y * y for y in vb))
 
+        if not swap_average:
+            return float(kernel(a, b, p1, p2))
         return float((kernel(a, b, p1, p2) + kernel(a, b, p2, p1)) / 2)
 
 
@@ -374,6 +379,38 @@ class TestMomentumFrame:
                         for k, (a, b) in enumerate(pairs):
                             want = mp_kernel(a, b, p1[row], q[row], mass)
                             assert abs(kernels[k, row] - want) <= 1e-14, (mass, row, k)
+
+
+class TestProtocolKernels:
+    """The protocol's kernels take the projection form too: the shared one
+    for one momentum, ``K12`` for two, each axis drawn from a pool per row."""
+
+    def test_kernels_match_mpmath(self):
+        # the protocol's pools: Alice's key and test axes, and Bob's
+        # followed by the default intercept-resend pool
+        rng = np.random.default_rng(61)
+        c = DEFAULT_CONFIG
+        alice = np.array(((0.0, 0.0, 1.0), c.a, c.a_prime))
+        partner = np.array(((0.0, 0.0, 1.0), c.b, c.b_prime, c.a, c.a_prime, c.b, c.b_prime))
+        for mass in (1.0, 7.3):
+            ratios = 10.0 ** rng.uniform(-2, 10, (2, 150, 1))
+            p1, p2 = random_unit(rng, 300).reshape(2, 150, 3) * ratios * mass
+            i = rng.integers(0, len(alice), 150)
+            j = rng.integers(0, len(partner), 150)
+            for q in (p1, p2):
+                got = correlator._momentum_rows((alice, i), (partner, j), p1, q, mass)
+                for row in range(150):
+                    want = mp_kernel(alice[i[row]], partner[j[row]], p1[row], q[row], mass,
+                                     swap_average=False)
+                    assert abs(got[row] - want) <= 1e-15, (mass, row)
+
+    @pytest.mark.parametrize("ratio", [1e-2, 1e3, 1e5, 1e7, 1e8, 1e10])
+    def test_zero_spread_threshold_matches_mpmath(self, ratio):
+        # the velocity form was 4.9e-14 off at 1e3 and 8.0e-11 at 1e7, and
+        # raised on a degenerate axis at 1e8 and 1e10
+        config = ProtocolConfig(2000, CorrelatedGaussian((ratio, 0.0, 0.0), 0.0), seed=0)
+        threshold = run_protocol(config).bell_corrected.threshold
+        assert abs(threshold + mp_chsh_along_x(ratio)) <= 1e-15
 
 
 class TestDistributions:

@@ -454,13 +454,13 @@ class TestThresholdOnThePool:
         configs = self.configs()
         serial = [transcripts_in_threads([config])[0][0] for config in configs]
         names = set()
-        chsh = ekert._chsh
+        empirical = ekert._empirical_threshold
 
         def recording(*args):
             names.add(threading.current_thread().name)
-            return chsh(*args)
+            return empirical(*args)
 
-        monkeypatch.setattr(ekert, "_chsh", recording)
+        monkeypatch.setattr(ekert, "_empirical_threshold", recording)
         concurrent, callers = transcripts_in_threads(
             configs, threading.Barrier(len(configs))
         )

@@ -153,6 +153,13 @@ class TestPlEigenvalue:
             3.0 * pl_eigenvalue(a, kin, j3=0.5), rel=1e-15
         )
 
+    def test_transverse_axis_keeps_its_length_at_large_momentum(self):
+        # p.p is m^2 on shell; formed as E^2 - |p|^2 it cancelled, and this
+        # ratio read 0.0
+        kin = ParticleKinematics(1.0, (1e8, 0.0, 0.0))
+        ratio = pl_eigenvalue(FourVector(0.0, 0.0, 1.0, 0.0), kin) / (kin.energy / 2.0)
+        assert abs(ratio - 1e-8) <= 1e-15 * 1e-8
+
     def test_j3_validation(self):
         kin = ParticleKinematics.at_rest()
         a = FourVector(0.0, 0.0, 0.0, 1.0)
