@@ -5,9 +5,11 @@ product and squared norm was ``np.sum(..., axis=-1)`` over arrays of shape
 (..., 3), and every call rebuilt the velocity direction and
 ``sqrt(1 - beta^2)``.  The component core works on separate x/y/z arrays
 and builds each frame once; its public outputs must keep the same bytes.
-The Monte Carlo forms its kernels from the momenta instead
-(:func:`ref_momentum_kernels`, one axis pair at a time), and its estimates
-must keep the bytes of that form summed with one ``np.sum`` per chunk.
+The Monte Carlo and the protocol run form their kernels from the momenta
+instead (:func:`ref_momentum_kernels`, one axis pair at a time, with
+``K12`` alone for the protocol): the Monte Carlo estimates must keep the
+bytes of that form summed with one ``np.sum`` per chunk, and the
+protocol's outcomes and thresholds those of that form per row.
 """
 
 import io
@@ -229,6 +231,19 @@ def ref_protocol_outcomes(transcript):
     bob_outcome[attacked] = np.where(u_resend < 0.5 * (1.0 + t[attacked] * overlap), 1, -1)
     eve_outcome = np.where(attacked, t, 0).astype(np.int8)
     return bob_outcome, eve_outcome
+
+
+def counted_projections(monkeypatch) -> list:
+    """A list that gains one entry per ``correlator._project`` call."""
+    built = []
+    project = correlator._project
+
+    def counting_project(*args):
+        built.append(1)
+        return project(*args)
+
+    monkeypatch.setattr(correlator, "_project", counting_project)
+    return built
 
 
 def same_bytes(x, y):
@@ -516,14 +531,7 @@ class TestMonteCarlo:
     def test_equal_momenta_share_one_frame(self, beam, frames_per_chunk, monkeypatch):
         # one projection pass per leaf for one momentum array or bit-equal
         # arrays, two for a crossed beam; each 250-draw chunk is one leaf
-        built = []
-        project = correlator._project
-
-        def counting_project(*args):
-            built.append(1)
-            return project(*args)
-
-        monkeypatch.setattr(correlator, "_project", counting_project)
+        built = counted_projections(monkeypatch)
         bell_average_mc(DEFAULT_CONFIG, BEAMS[beam], 1000, 5, chunk_size=250)
         assert len(built) == 4 * frames_per_chunk
 
@@ -537,17 +545,10 @@ class TestMonteCarlo:
         assert not np.signbit(frame1.n[0]).any() and np.signbit(frame2.n[0]).all()
         (_, *shared), = _frame_blocks(p, p.copy(), 1)
         assert shared[0] is shared[1]
-        built = []
-        project = correlator._project
-
-        def counting_project(*args):
-            built.append(1)
-            return project(*args)
-
-        monkeypatch.setattr(correlator, "_project", counting_project)
+        built = counted_projections(monkeypatch)
+        sides = np.array([DEFAULT_CONFIG.a]), np.array([DEFAULT_CONFIG.b])
         for momenta, projections in (((p, q), 2), ((p, p.copy()), 1)):
             built.clear()
-            sides = np.array([DEFAULT_CONFIG.a]), np.array([DEFAULT_CONFIG.b])
             correlator._momentum_rows(*sides, *momenta, 1.0)
             assert len(built) == projections
 
