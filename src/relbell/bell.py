@@ -22,7 +22,7 @@ from .correlator import (
     DEFAULT_CHUNK_SIZE,
     CorrelatorEstimate,
     _estimate,
-    _kernel_rows,
+    _momentum_rows,
     kernel_from_beta,
 )
 from .distributions import MomentumDistribution
@@ -110,16 +110,11 @@ def _chsh_sum(k) -> np.ndarray:
     return ((k[0, 0] + k[0, 1]) + k[1, 0]) - k[1, 1]
 
 
-def _chsh(config: BellConfig, x1, x2) -> np.ndarray:
-    """Bell average per row of two velocity arrays of shape (n, 3);
-    degenerate rows raise."""
-    return _kernel_rows(*_sides(config), x1, x2, combine=_chsh_sum)
-
-
 def chsh_from_beta(config: BellConfig, beta1, beta2) -> np.ndarray:
-    """Vectorized Bell average from velocity arrays of shape (..., 3)."""
+    """Vectorized Bell average from velocity arrays of shape (..., 3);
+    degenerate rows raise."""
     shape, (x1, x2) = _broadcast_rows(beta1, beta2)
-    return _chsh(config, x1, x2).reshape(shape)[()]
+    return _momentum_rows(*_sides(config), x1, x2, None, _chsh_sum).reshape(shape)[()]
 
 
 def bell_average_sharp(config: BellConfig, beta_vec) -> float:

@@ -24,7 +24,7 @@ import os
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .bell import (
@@ -34,7 +34,6 @@ from .bell import (
     _check_scan,
     _dump_json,
     bell_average_mc,
-    bell_average_sharp,
     scan_figure,
 )
 from .correlator import CorrelatorEstimate, _check_sampling, correlator_mc, kernel_from_beta
@@ -433,15 +432,15 @@ def _estimate_output(estimate: CorrelatorEstimate):
 
 
 def _bell_estimate(run: RunConfig) -> CorrelatorEstimate:
-    """The one Bell estimate of ``bell`` and ``threshold``: a sharp beam in
-    closed form at ``--beta``, with zero error and no samples, and any other
-    profile by Monte Carlo."""
+    """The one Bell estimate of ``bell`` and ``threshold``, from
+    :func:`bell_average_mc` as a configured protocol threshold takes it: a
+    sharp beam exactly at its momentum, reported with no samples, and any
+    other profile by Monte Carlo."""
     dist = run.inputs["distribution"]
-    if isinstance(dist, Sharp):
-        return CorrelatorEstimate(bell_average_sharp(run.inputs["bell"], run["beta"]), 0.0, 0)
-    return bell_average_mc(
+    estimate = bell_average_mc(
         run.inputs["bell"], dist, run["samples"], run["seed"], workers=run["workers"]
     )
+    return replace(estimate, samples=0) if isinstance(dist, Sharp) else estimate
 
 
 # Each command returns (stdout, what --out writes): stdout is a text line,

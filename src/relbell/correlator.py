@@ -13,46 +13,41 @@ reduces to
     -(a.b - beta^2 a_perp.b_perp)
       / sqrt((1 + beta^2 ((n.a)^2 - 1)) (1 + beta^2 ((n.b)^2 - 1)))
 
-Setting ``b = a`` gives exactly -1 for any momentum: the pair stays
-perfectly anti-correlated along a shared axis.
+Setting ``b = a`` gives exactly -1 for any shared momentum: the pair stays
+perfectly anti-correlated along a shared axis.  For two different
+momenta ``K(a, a; p1, p2)`` is above -1, since the two effective axes of
+``a`` point in different directions.
 
-There is one kernel per kind of input.  Velocities (the scans,
-:func:`kernel_from_beta`, and the fixed momentum of a :class:`Sharp`
-profile, which is turned into its velocity first) go through
-:func:`_pair_kernels`, on axes boosted by :func:`_boosted`
-with the component core of :mod:`relbell.kinematics`: a side's axes are
-stacked into one array and boosted in one broadcast pass per frame, and
-all (Alice, Bob) kernels come from one product, three adds, one square
-root and one division; every operation is elementwise and in the order of
-the ``np.sum`` form, so the bytes match it.  :func:`_kernel_matrix` boosts
-Alice's side in one frame and Bob's in another.  Velocity callers that
-work on whole arrays (:func:`_kernel_rows`) go through the shared block
-loop in blocks of ``_ARRAY_BLOCK_ROWS`` rows, so no temporary of the
-kernel work covers a whole array.  A side of :func:`_kernel_rows` is fixed
-(one set of axes for every row) or indexed (a pool of axes and one pool
-index per row); an indexed side is gathered block by block, so per-row
-axes never fill a whole-array copy either.
-
-Every sampled or recorded momentum takes the projection form instead, with
-no velocity and no boosted axes: the Monte Carlo (:func:`_leaf_kernels`)
-and the protocol run's outcome kernels, resend overlaps and empirical
-threshold (:func:`_momentum_rows`).  With ``x = p/m``,
-``gamma^2 = 1 + |x|^2`` and ``s_a = a.x``, the Pauli-Lubanski identity
-gives ``E v(a)/m = a + s_a x / (gamma + 1)`` and
+Every kernel is formed in one projection form, with no velocity direction
+and no boosted axes.  With ``x = p/m``, ``gamma^2 = 1 + |x|^2`` and
+``s_a = a.x``, the Pauli-Lubanski identity gives
+``E v(a)/m = a + s_a x / (gamma + 1)`` and
 ``|E v(a)/m|^2 = a.a + s_a^2``, so one projection ``a.x`` per axis and
-draw (:func:`_project`, on fixed or per-row axes) carries everything:
+draw (:func:`_project`) carries everything:
 
     shared momentum:  K = -(a.b + s_a s_b) / sqrt((a.a + s_a^2)(b.b + s_b^2))
 
 and two momenta take the product of the two ``E v/m``,
-``K12 = K(a, b; p1, p2)`` (:func:`_k12_kernels`).  The protocol takes
-``K12`` as it is, Alice's axis on particle 1 and Bob's on particle 2; the
-Monte Carlo symmetrizes it over the particle swap
-(:func:`_crossed_kernels`).  Momentum arrays that are one array (as a
-correlated beam draws them) or equal bit for bit are projected once and
-take the shared form.  Nothing rounds through ``beta``, so the kernels
-keep full precision at any ``gamma``, and a transverse axis is degenerate
-only where ``m/E`` falls below ``DEGENERACY_TOL``.
+``K12 = K(a, b; p1, p2)`` (:func:`_k12_kernels`).  The projection works in
+units of a scale ``M`` per row, ``y = p/M`` and ``c = m/M``, which scales
+every numerator and its norm alike.  A momentum takes ``M = m`` (or its
+largest component where ``|p/m|`` is huge), and a velocity is a momentum in
+units of ``M = E``: ``y = beta`` and ``c = m/E = sqrt(1 - beta^2)``
+(:func:`_project_velocity`).  So sampled and recorded momenta (the Monte
+Carlo, :func:`_leaf_kernels`; the protocol run's outcome kernels, resend
+overlaps and empirical threshold, :func:`_momentum_rows`), the fixed
+momentum of a :class:`Sharp` profile, and velocities (the scans,
+:func:`kernel_from_beta`) share one kernel code.  Whole arrays go through
+one block loop, :func:`_momentum_rows`, in blocks of ``_BLOCK_ROWS`` rows,
+so no temporary of the kernel work covers a whole array; its axes are
+fixed, drawn per row from a pool, or given per row, and per-row axes are
+taken block by block.  The protocol takes ``K12`` as it is, Alice's axis
+on particle 1 and Bob's on particle 2; the Monte Carlo symmetrizes it over
+the particle swap (:func:`_crossed_kernels`).  Arrays that are one array
+(as a correlated beam draws them) or equal bit for bit are projected once
+and take the shared form.  Momenta never round through ``beta``, so their
+kernels keep full precision at any ``gamma``, and a transverse axis is
+degenerate only where ``m/E`` falls below ``DEGENERACY_TOL``.
 
 Averages over momentum profiles are estimated by Monte Carlo with a
 splittable, counter-based generator (Philox keyed through ``SeedSequence``
@@ -84,14 +79,13 @@ import numpy as np
 from .distributions import MomentumDistribution, Sharp
 from .errors import DegenerateObservableError
 from .kinematics import (
+    _SCALED_ABOVE,
     DEGENERACY_TOL,
     ParticleKinematics,
-    _boost,
     _broadcast_rows,
     _check_velocity,
-    _frame_blocks,
-    _frame_of,
     _norm_sq,
+    _rest_factor,
     _same_bits,
 )
 
@@ -112,68 +106,15 @@ DEFAULT_CHUNK_SIZE = 65536
 #: (:func:`_momentum_rows`) go in blocks of the same size: twelve rotations
 #: of one protocol_run op on a 2-vCPU host gave medians of 0.094, 0.085,
 #: 0.089 and 0.101 s in blocks of 4096, 8192, 16384 and 32768 rows.
+#: Velocity arrays (the scans, :func:`kernel_from_beta`) go in the same
+#: blocks.
 _BLOCK_ROWS = 8192
-
-#: Rows per block for the velocity callers that work on whole arrays (the
-#: scans, :func:`kernel_from_beta`).  On a 2-vCPU host a 2^17-pair protocol
-#: run, when it still went through the velocity kernel, took 10-20% longer
-#: in blocks of 4096 rows than of 16384, and in one whole-array block its
-#: tracemalloc peak quadrupled (65-70 MiB against 15-16).
-_ARRAY_BLOCK_ROWS = 16384
 
 #: Cap on resampling sweeps for degenerate draws within one chunk.
 _MAX_RESAMPLE_SWEEPS = 100
 
 
 _DEGENERACY_TOL_SQ = DEGENERACY_TOL * DEGENERACY_TOL
-
-
-def _boosted(axes, frame):
-    """Stacked axes boosted into ``frame`` (see :func:`_boost`): the
-    effective axes, (A, 3, rows), and their squared lengths, (A, rows)."""
-    v = _boost(axes, frame)
-    return v, _norm_sq(v.swapaxes(0, 1))
-
-
-def _short(sq) -> np.ndarray:
-    """The rows where any effective axis is shorter than ``DEGENERACY_TOL``,
-    from squared lengths of shape (A, rows)."""
-    return np.any(sq < _DEGENERACY_TOL_SQ, axis=0)
-
-
-def _pair_kernels(v1, sq1, v2, sq2) -> np.ndarray:
-    """-v1.v2 / (|v1| |v2|) for every pair of two boosted sides, (A, B, rows).
-
-    One product, three adds, one square root and one division, each
-    elementwise and in the order of the ``np.sum`` form, so the bytes match
-    it.  Normalizing by one square root of the product of squared lengths
-    makes the shared-axis case land on -1 exactly.
-    """
-    prod = v1[:, None] * v2[None]
-    kernels = 0.0 + prod[:, :, 0]
-    kernels += prod[:, :, 1]
-    kernels += prod[:, :, 2]
-    np.negative(kernels, out=kernels)
-    norms = sq1[:, None] * sq2[None]
-    np.sqrt(norms, out=norms)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(kernels, norms, out=kernels)
-    return kernels
-
-
-def _kernel_matrix(alice, bob, frame1, frame2):
-    """Singlet kernel for every (Alice, Bob) axis pair, with a degeneracy mask.
-
-    ``alice`` and ``bob`` are each side's axes stacked: (A, 3) for fixed
-    axes or (A, 3, rows) for per-row axes.  Alice's side is boosted in
-    ``frame1``, Bob's in ``frame2``, each in one broadcast pass.  Returns
-    ``(kernels, degenerate)``: ``kernels`` has shape (A, B, rows), and
-    ``degenerate`` marks the rows where any effective axis is shorter than
-    ``DEGENERACY_TOL``.  The kernels of those rows are meaningless; raising
-    on them or resampling them is the caller's policy.
-    """
-    (v1, sq1), (v2, sq2) = _boosted(alice, frame1), _boosted(bob, frame2)
-    return _pair_kernels(v1, sq1, v2, sq2), _short(sq1) | _short(sq2)
 
 
 def _nondegenerate(kernels: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
@@ -189,34 +130,6 @@ def _nondegenerate(kernels: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
     return kernels + 0.0
 
 
-def _block_side(side, rows: slice) -> np.ndarray:
-    """A side's axes for one block: a fixed (A, 3) side as it is, an
-    indexed ``(pool, index)`` side gathered as one (1, 3, rows) array."""
-    if isinstance(side, tuple):
-        pool, index = side
-        return pool.T.take(index[rows], axis=1)[None]
-    return side
-
-
-def _kernel_rows(alice, bob, x1, x2, combine=lambda k: k[0, 0]) -> np.ndarray:
-    """``combine(kernels)`` for every row of two velocity arrays of shape
-    (n, 3); degenerate rows raise.
-
-    Each side is fixed, an (A, 3) array of axes stacked as for
-    :func:`_kernel_matrix`, or indexed, a ``(pool, index)`` pair that gives
-    row ``i`` the axis ``pool[index[i]]``.  The rows go through the shared
-    block loop in blocks of ``_ARRAY_BLOCK_ROWS``, and an indexed side's
-    axes are gathered per block as one (1, 3, rows) array, so no per-row
-    axis array covers all rows.  Each kernel is a per-row value, so the
-    blocks give the bytes of one whole-array pass.
-    """
-    out = np.empty(len(x1))
-    for rows, frame1, frame2 in _frame_blocks(x1, x2, _ARRAY_BLOCK_ROWS):
-        sides = (_block_side(side, rows) for side in (alice, bob))
-        out[rows] = combine(_nondegenerate(*_kernel_matrix(*sides, frame1, frame2)))
-    return out
-
-
 def kernel_from_beta(a_dir, b_dir, beta1, beta2) -> np.ndarray:
     """Vectorized singlet correlation from velocity vectors.
 
@@ -225,16 +138,26 @@ def kernel_from_beta(a_dir, b_dir, beta1, beta2) -> np.ndarray:
     longitudinal component.
     """
     shape, (a, b, x1, x2) = _broadcast_rows(a_dir, b_dir, beta1, beta2)
-    # a single axis is a fixed side; broadcast per-row axes index themselves
-    sides = (rows[:1] if np.ndim(axis) == 1 else (rows, np.arange(len(rows)))
-             for axis, rows in ((a_dir, a), (b_dir, b)))
-    return _kernel_rows(*sides, x1, x2).reshape(shape)[()]
+    # two single axes are fixed sides; otherwise both sides are per row,
+    # component-major (1, 3, rows)
+    fixed = np.ndim(a_dir) == np.ndim(b_dir) == 1
+    sides = (a[:1], b[:1]) if fixed else (a.T[None], b.T[None])
+    return _momentum_rows(*sides, x1, x2, None).reshape(shape)[()]
 
 
 def correlator_integrand(
     a_dir, b_dir, kin1: ParticleKinematics, kin2: ParticleKinematics
 ) -> float:
-    """Correlation K(a, b; p1, p2) at two fixed single-particle momenta."""
+    """Correlation K(a, b; p1, p2) at two fixed single-particle momenta.
+
+    Swapping the particles, ``(b, a, kin2, kin1)``, gives the same bytes:
+    ``K12`` adds its terms in particle order, so the particle whose
+    (velocity, axis) comes first in lexicographic order goes first.
+    """
+    one = (*kin1.beta_vec.tolist(), *np.ravel(np.asarray(a_dir, dtype=float)).tolist())
+    two = (*kin2.beta_vec.tolist(), *np.ravel(np.asarray(b_dir, dtype=float)).tolist())
+    if two < one:
+        (a_dir, kin1), (b_dir, kin2) = (b_dir, kin2), (a_dir, kin1)
     return float(kernel_from_beta(a_dir, b_dir, kin1.beta_vec, kin2.beta_vec))
 
 
@@ -328,11 +251,11 @@ def _leaf_stats(kernels: np.ndarray) -> np.ndarray:
 
 
 class _Axes(NamedTuple):
-    """Both sides' axes, as the momentum kernels use them: ``stacked``
-    holds Alice's ``count`` axes and then Bob's, (A, 3, 1) for fixed axes
-    or (A, 3, rows) for per-row ones; ``aa`` is each axis's ``a.a``,
-    (A, 1) or (A, rows), and ``nab`` is ``-(a.b)`` for every (Alice, Bob)
-    pair, (count, B, 1) or (count, B, rows)."""
+    """Both sides' axes, as the kernels use them: ``stacked`` holds
+    Alice's ``count`` axes and then Bob's, (A, 3, 1) for fixed axes or
+    (A, 3, rows) for per-row ones; ``aa`` is each axis's ``a.a``, (A, 1)
+    or (A, rows), and ``nab`` is ``-(a.b)`` for every (Alice, Bob) pair,
+    (count, B, 1) or (count, B, rows)."""
 
     stacked: np.ndarray
     count: int
@@ -341,20 +264,27 @@ class _Axes(NamedTuple):
 
 
 def _mc_axes(alice: np.ndarray, bob: np.ndarray) -> _Axes:
-    """The :class:`_Axes` of two fixed sides, (A, 3) and (B, 3)."""
+    """The :class:`_Axes` of two sides: fixed, (A, 3) and (B, 3), or per
+    row, (A, 3, rows) and (B, 3, rows)."""
+    if alice.ndim == 2:
+        alice, bob = alice[:, :, None], bob[:, :, None]
     stacked = np.concatenate((alice, bob))
     prod = alice[:, None] * bob[None]
-    nab = -((prod[..., 0] + prod[..., 1]) + prod[..., 2])
-    return _Axes(stacked[:, :, None], len(alice), _norm_sq(stacked.T)[:, None], nab[:, :, None])
+    nab = -((prod[:, :, 0] + prod[:, :, 1]) + prod[:, :, 2])
+    return _Axes(stacked, len(alice), _norm_sq(stacked.swapaxes(0, 1)), nab)
 
 
 def _block_axes(alice, bob):
     """A function of a block's ``rows`` that gives the block's
     :class:`_Axes`.  Two fixed sides, (A, 3) arrays, give the same axes to
-    every block.  Two indexed sides, ``(pool, index)`` pairs, give one axis
-    per side and row; each pool axis's ``a.a`` and each pool pair's
-    ``-(a.b)`` are formed once, on the pools, and gathered per row."""
+    every block.  Two per-row sides, component-major (A, 3, n) arrays, give
+    each block its own slice, with ``a.a`` and ``-(a.b)`` formed on it.
+    Two indexed sides, ``(pool, index)`` pairs, give one axis per side and
+    row; each pool axis's ``a.a`` and each pool pair's ``-(a.b)`` are formed
+    once, on the pools, and gathered per row."""
     if not isinstance(alice, tuple):
+        if alice.ndim == 3:
+            return lambda rows: _mc_axes(alice[..., rows], bob[..., rows])
         fixed = _mc_axes(alice, bob)
         return lambda rows: fixed
     (pool1, index1), (pool2, index2) = alice, bob
@@ -376,18 +306,11 @@ def _block_axes(alice, bob):
     return gathered
 
 
-#: Rows whose ``|p/m|^2`` reaches this are projected in units of their
-#: largest momentum component instead of the mass (see :func:`_project`).
-#: Below it no product of the kernels overflows for axes of length up to
-#: ~1e15: the largest is a product of norms, at most
-#: ``|a|^2 |b|^2 gamma1^2 gamma2^2``.
-_SCALED_ABOVE = 1e120
-
-
 class _Projections(NamedTuple):
     """One particle's per-draw terms (:func:`_project`), in units of a scale
-    ``M`` that is the mass ``m`` unless the row overflows: ``y = p/M``
-    (3, rows), ``c = m/M`` (1.0, or one per row), the projections
+    ``M`` that is the mass ``m`` unless the row overflows, or the energy
+    ``E`` for a velocity: ``y = p/M`` (3, rows), ``c = m/M`` (1.0, or one
+    per row), the projections
     ``t = a.y`` (A, rows), ``sq = c^2 a.a + t^2`` (A, rows), which is
     ``c^2 |E v(a)/m|^2``, and ``gsq = c^2 + |y|^2`` (rows,), which is
     ``c^2 gamma^2``."""
@@ -399,8 +322,9 @@ class _Projections(NamedTuple):
     gsq: np.ndarray
 
 
-def _project(axes: _Axes, p: np.ndarray, mass: float) -> _Projections:
-    """The :class:`_Projections` of momenta ``p``, (rows, 3).
+def _project(axes: _Axes, p: np.ndarray, mass: float | None) -> _Projections:
+    """The :class:`_Projections` of momenta ``p``, (rows, 3), or of
+    velocities when ``mass`` is None (:func:`_project_velocity`).
 
     With ``M = m`` (so ``c = 1``) this is ``s = a.p/m`` and
     ``gamma^2 = 1 + |p/m|^2``.  Where ``|p/m|^2`` reaches
@@ -408,6 +332,8 @@ def _project(axes: _Axes, p: np.ndarray, mass: float) -> _Projections:
     mass on the other rows, whose bytes do not change, and the larger of
     the mass and the largest ``|p_k|`` on those, so no term overflows.
     """
+    if mass is None:
+        return _project_velocity(axes, p)
     y = np.empty((3, len(p)))
     with np.errstate(over="ignore"):
         np.divide(p.T, mass, out=y)
@@ -419,6 +345,21 @@ def _project(axes: _Axes, p: np.ndarray, mass: float) -> _Projections:
         np.divide(p.T, scale, out=y)
         c = mass / scale
         gsq = _norm_sq(y)
+    return _projections(axes, y, c, gsq)
+
+
+def _project_velocity(axes: _Axes, beta: np.ndarray) -> _Projections:
+    """The :class:`_Projections` of velocities ``beta``, (rows, 3): momenta
+    in units of ``M = E``, so ``y = beta`` and ``c = m/E``, one per row,
+    from :func:`relbell.kinematics._rest_factor`."""
+    y = beta.T.copy()
+    return _projections(axes, y, _rest_factor(y), _norm_sq(y))
+
+
+def _projections(axes: _Axes, y: np.ndarray, c, gsq: np.ndarray) -> _Projections:
+    """The :class:`_Projections` of ``y`` and ``c`` in any units ``M``:
+    ``t = a.y``, ``sq = c^2 a.a + t^2``, and ``gsq``, given as ``|y|^2``,
+    with ``c^2`` added in place."""
     gsq += c * c
     a = axes.stacked
     t = a[:, 0] * y[0]
@@ -527,11 +468,11 @@ def _crossed_kernels(axes: _Axes, one: _Projections, two: _Projections) -> np.nd
 
 
 def _leaf_kernels(axes: _Axes, p1: np.ndarray, p2: np.ndarray, mass: float):
-    """Per-pair kernel rows of one block of draws, (pairs, rows) in the
-    row-major pair order of :func:`_kernel_matrix`, and its degeneracy
-    mask.  Momenta that are one array or equal bit for bit are projected
-    once and take :func:`_shared_kernels`; two momenta are projected
-    apiece and take :func:`_crossed_kernels`."""
+    """Per-pair kernel rows of one block of draws, (pairs, rows) in
+    row-major (Alice, Bob) pair order, and its degeneracy mask.  Momenta
+    that are one array or equal bit for bit are projected once and take
+    :func:`_shared_kernels`; two momenta are projected apiece and take
+    :func:`_crossed_kernels`."""
     one = _project(axes, p1, mass)
     degenerate = _degenerate(one)
     if p2 is p1 or _same_bits(p1, p2):
@@ -543,14 +484,16 @@ def _leaf_kernels(axes: _Axes, p1: np.ndarray, p2: np.ndarray, mass: float):
     return kernels.reshape(-1, kernels.shape[-1]), degenerate
 
 
-def _momentum_rows(alice, bob, p1, p2, mass: float, combine=lambda k: k[0, 0]) -> np.ndarray:
+def _momentum_rows(alice, bob, p1, p2, mass: float | None, combine=lambda k: k[0, 0]) -> np.ndarray:
     """``combine(kernels)`` for every row of two momentum arrays of shape
-    (n, 3), in the projection form; degenerate rows raise.
+    (n, 3), or of two velocity arrays when ``mass`` is None, in the
+    projection form; degenerate rows raise.
 
-    Both sides are fixed, (A, 3) arrays of stacked axes, or both indexed,
-    ``(pool, index)`` pairs that give row ``i`` the axis
-    ``pool[index[i]]`` (:func:`_block_axes`).  Momenta that are one
-    array or equal bit for bit take :func:`_shared_kernels`; two momenta
+    Both sides are fixed, (A, 3) arrays of stacked axes, both per row,
+    component-major (A, 3, n) arrays, or both indexed, ``(pool, index)``
+    pairs that give row ``i`` the axis ``pool[index[i]]``
+    (:func:`_block_axes`).  Arrays that are one array or equal bit for bit
+    take :func:`_shared_kernels`; two momenta
     take the unsymmetrized :func:`_k12_kernels`, Alice's axis on particle 1
     and Bob's on particle 2.  A row is degenerate where one of Alice's
     axes is shorter than ``DEGENERACY_TOL`` at ``p1`` or one of Bob's at
@@ -680,15 +623,16 @@ def _estimate(axes, dist, samples: int, seed: int, chunk_size: int, workers: int
 
     ``axes`` is the (Alice, Bob) pair of axis sequences; each side is
     stacked once here into an (A, 3) array, and ``means`` and ``errors``
-    follow the row-major pair order of :func:`_kernel_matrix`.  ``combine``
-    maps them to the estimate's value and standard error.  The inputs are
-    checked here, and this is the one place that knows each profile's
-    policy: a :class:`Sharp` profile is exact (its kernels at the fixed
-    momentum are the means, with zero errors), and the rest are sampled,
-    with every pair on the same momentum draws and the kernel symmetrized
-    over the particle swap, which changes nothing where both particles
-    share one momentum.  ``samples``, ``chunk_size`` and ``workers`` must
-    be integers and ``seed`` a nonnegative one.  Every chunk runs on the
+    follow the row-major (Alice, Bob) pair order.  ``combine`` maps them to
+    the estimate's value and standard error.  The inputs are checked here,
+    and this is the one place that knows each profile's policy: a
+    :class:`Sharp` profile is exact (its kernels at the fixed momentum,
+    projected with its mass as one draw, are the means, with zero errors),
+    and the rest are sampled, with every pair on the same momentum draws
+    and the kernel symmetrized over the particle swap, which changes
+    nothing where both particles share one momentum.  ``samples``,
+    ``chunk_size`` and ``workers`` must be integers and ``seed`` a
+    nonnegative one.  Every chunk runs on the
     pool of ``workers`` threads; chunk streams are spawned up front and
     partial sums are merged in chunk order, so the result does not depend
     on ``workers``.  More than 1% of draws resampled adds a warning.
@@ -699,14 +643,14 @@ def _estimate(axes, dist, samples: int, seed: int, chunk_size: int, workers: int
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     axes = tuple(np.reshape(np.asarray(side, dtype=float), (len(side), 3)) for side in axes)
     rejected = 0
+    mc_axes = _mc_axes(*axes)
     if isinstance(dist, Sharp):
-        frame = _frame_of(np.array([dist.momentum]), dist.mass)
-        means = _nondegenerate(*_kernel_matrix(*axes, frame, frame)).reshape(-1)
+        p = np.array([dist.momentum])
+        means = _nondegenerate(*_leaf_kernels(mc_axes, p, p, dist.mass))[:, 0]
         errors = np.zeros_like(means)
     else:
         sizes = _chunk_sizes(samples, chunk_size)
         jobs = zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes)
-        mc_axes = _mc_axes(*axes)
         sums = np.zeros(len(axes[0]) * len(axes[1]))
         squares = np.zeros_like(sums)
         for chunk_sum, chunk_sq, chunk_rej in _pool(workers).map(

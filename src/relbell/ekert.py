@@ -6,9 +6,12 @@ Protocol outline (singlet pairs, one particle to each party):
   momenta are treated as measurable without disturbing the spins;
 * Alice measures along an axis drawn from her pool (shared key axes plus
   her two test axes), Bob likewise (key axes plus his two test axes);
-* rounds where both picked the same key axis join the sifted key.  The
-  singlet is perfectly anti-correlated along a shared axis at any
-  momentum, so Bob flips his bit and the sifted keys agree;
+* rounds where both picked the same key axis join the sifted key, and Bob
+  flips his bit.  Where both particles share one momentum the singlet is
+  perfectly anti-correlated along a shared axis, so the sifted keys
+  agree.  Where the two momenta differ, ``K(a, a; p1, p2)`` is above -1,
+  so a sifted bit disagrees with probability ``(1 + K) / 2`` even without
+  an eavesdropper;
 * rounds where both picked test axes feed a CHSH estimate ``c_hat``.
 
 The eavesdropper check compares |c_hat| against a threshold minus a

@@ -19,22 +19,12 @@ longitudinal part is untouched.  Its length is
 ``beta -> 1``: in that limit every axis collapses onto the momentum
 direction and all spin observables commute.
 
-Every velocity and boosted axis in the package comes from one component
-core, which is component-major: x, y and z run along the first axis of one
-array, so a block of rows is one contiguous (3, rows) array.
-:func:`_velocity` turns momenta into velocities, :func:`_frame` turns
-velocities into their *frame* (the unit direction ``n`` and the factor
-``sqrt(1 - beta^2)``), and :func:`_boost` forms ``v(a)`` for a whole side
-of stacked axes in one broadcast pass.  Callers that work on whole
-velocity arrays go through one block loop, :func:`_frame_blocks`, which
-copies each block of rows into that layout and builds its frames once;
-two arrays that are equal bit for bit share one frame.  The core adds the three components of
-a dot product left to right from ``+0.0``, which is how
-``np.sum(..., axis=-1)`` adds a length-3 axis, so the public
-:func:`beta_from_momentum` and :func:`boosted_spin_axis` return the same
-bytes as that ``np.sum`` form.  Sampled and recorded momenta do not go
-through this core: their kernels come from the projection form of
-:mod:`relbell.correlator`.
+For a velocity with ``c = sqrt(1 - beta^2) = m/E`` the same axis is
+``v(a) = c a + (a.beta) beta / (1 + c)``, which is what
+:func:`boosted_spin_axis` forms; the kernels of :mod:`relbell.correlator`
+use it in the projection form, with no velocity direction.  ``c`` comes
+from :func:`_rest_factor`, which forms ``1 - beta^2`` to a few units in its
+last place, so ``c`` keeps full relative precision as ``beta -> 1``.
 """
 
 from __future__ import annotations
@@ -42,7 +32,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +39,13 @@ from .errors import DegenerateObservableError, DomainError
 
 #: Effective axes shorter than this are treated as degenerate.
 DEGENERACY_TOL = 1e-14
+
+#: Rows whose ``|p/m|^2`` reaches this are taken in units of their largest
+#: momentum component instead of the mass (:func:`beta_from_momentum`,
+#: :func:`relbell.correlator._project`).  Below it no product of the
+#: kernels overflows for axes of length up to ~1e15: the largest is a
+#: product of norms, at most ``|a|^2 |b|^2 gamma1^2 gamma2^2``.
+_SCALED_ABOVE = 1e120
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -175,8 +171,26 @@ def momentum_for_beta(beta_vec, mass: float = 1.0) -> tuple[float, float, float]
 
 
 def beta_from_momentum(momentum: np.ndarray, mass: float) -> np.ndarray:
-    """Vectorized velocity p / sqrt(m^2 + |p|^2) for arrays of shape (..., 3)."""
-    return np.stack(_velocity(_components(momentum), mass), axis=-1)
+    """Vectorized velocity p / sqrt(m^2 + |p|^2) for arrays of shape (..., 3).
+
+    Rows whose ``|p/m|^2`` reaches ``_SCALED_ABOVE`` (or whose ``|p|^2``
+    overflows) are divided through by the larger of the mass and their
+    largest ``|p_k|`` first, as :func:`relbell.correlator._project` takes
+    them, so no term overflows; the other rows keep the bytes of the
+    formula above.
+    """
+    p = _components(momentum)
+    with np.errstate(over="ignore"):
+        e_sq = mass * mass + _norm_sq(p)
+        scaled = ~(e_sq < _SCALED_ABOVE * (mass * mass))  # NaN too
+    beta = p / np.sqrt(e_sq)
+    if scaled.any():
+        q = p[:, scaled]
+        scale = np.maximum(np.abs(q).max(axis=0), mass)
+        q = q / scale
+        c = mass / scale
+        beta[:, scaled] = q / np.sqrt(c * c + _norm_sq(q))
+    return np.stack(beta, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -217,40 +231,6 @@ def _energy(momentum, mass: float):
     return np.sqrt(mass * mass + _norm_sq(momentum))
 
 
-def _velocity(momentum, mass: float):
-    """Component-major velocities p / E."""
-    return momentum / _energy(momentum, mass)
-
-
-class _Frame(NamedTuple):
-    """What boosting an axis needs from a velocity array: the unit direction
-    ``n`` (zero at rest) as one contiguous (3, rows) array and
-    ``root = sqrt(max(1 - beta^2, 0))`` of shape (rows,)."""
-
-    n: np.ndarray
-    root: np.ndarray
-
-
-def _frame(beta) -> _Frame:
-    """The frame of component-major velocities."""
-    beta_sq = _norm_sq(beta)
-    norm = np.sqrt(beta_sq)
-    # rest branch: force n = 0 so v reduces to a with no 0/0
-    scale = np.where(norm > 0.0, norm, 1.0)
-    # clip guards |beta| = 1 against forming sqrt of a tiny negative
-    root = np.sqrt(np.maximum(1.0 - beta_sq, 0.0))
-    return _Frame(beta / scale, root)
-
-
-def _frame_of(rows: np.ndarray, mass: float | None) -> _Frame:
-    """The frame of rows of shape (m, 3): velocities, or momenta when
-    ``mass`` is given.  The rows are copied to one contiguous (3, m) array
-    first; a transposed view would hand its strided layout to every array
-    computed from it."""
-    c = rows.T.copy()
-    return _frame(c if mass is None else _velocity(c, mass))
-
-
 def _same_bits(x, y) -> bool:
     """Equal bit for bit: -0.0 and 0.0 differ, equal NaNs match."""
     x = np.asarray(x, dtype=float)
@@ -258,38 +238,32 @@ def _same_bits(x, y) -> bool:
     return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
-def _frame_blocks(x1, x2, block_rows: int):
-    """The shared block loop: ``(rows, frame1, frame2)`` for each block of
-    ``block_rows`` rows of two velocity arrays of shape (n, 3).  Arrays
-    equal bit for bit share one frame per block.  Every velocity caller
-    that works on whole arrays goes through here, so no temporary of the
-    kernel work covers all rows at once."""
-    shared = x2 is x1 or _same_bits(x1, x2)
-    for start in range(0, len(x1), block_rows):
-        rows = slice(start, start + block_rows)
-        frame1 = _frame_of(x1[rows], None)
-        yield rows, frame1, frame1 if shared else _frame_of(x2[rows], None)
+def _rest_factor(beta) -> np.ndarray:
+    """``c = sqrt(max(1 - beta^2, 0)) = m/E`` of component-major velocities.
 
-
-def _boost(axes, frame: _Frame) -> np.ndarray:
-    """v(a) = root (a - (a.n) n) + (a.n) n for stacked axes: (A, 3) for
-    fixed axes or (A, 3, rows) for per-row axes; returns (A, 3, rows).
-
-    The whole side is boosted in one broadcast pass.  ``a.n`` adds its
-    three products left to right from +0.0, as ``np.sum(..., axis=-1)``
-    adds a length-3 axis, so three -0.0 products give +0.0."""
-    if axes.ndim == 2:
-        axes = axes[:, :, None]
-    prod = axes * frame.n
-    along = 0.0 + prod[:, 0]
-    along += prod[:, 1]
-    along += prod[:, 2]
-    # a_long takes the product's buffer, which the sum above is done with
-    a_long = np.multiply(along[:, None], frame.n, out=prod)
-    v = axes - a_long
-    v *= frame.root
-    v += a_long
-    return v
+    Taking the rounded ``beta^2`` from 1 would leave ``c^2`` an absolute
+    error of ~1e-16, which is a relative one of ~5e-8 at
+    ``|beta| = 1 - 1e-9``.  So each square is split into its rounded value
+    and its exact rounding error (Dekker's product), the rounded values are
+    taken from 1 with the error of each subtraction carried (Knuth's
+    two-sum), and the carried errors are added last, which leaves
+    ``1 - beta^2`` a few units in its last place.
+    """
+    total = np.ones(beta.shape[1:])
+    carry = np.zeros_like(total)
+    for b in beta:
+        sq = b * b
+        # 2^27 + 1 splits b into two halves of 26 bits, whose products are exact
+        high = b * 134217729.0
+        high -= high - b
+        low = b - high
+        carry -= ((high * high - sq) + 2.0 * high * low) + low * low
+        diff = total - sq
+        back = diff - total
+        carry += (total - (diff - back)) - (sq + back)
+        total = diff
+    total += carry
+    return np.sqrt(np.maximum(total, 0.0, out=total), out=total)
 
 
 def pl_eigenvalue(a: FourVector, kin: ParticleKinematics, j3: float = 0.5) -> float:
@@ -317,15 +291,20 @@ def pl_eigenvalue(a: FourVector, kin: ParticleKinematics, j3: float = 0.5) -> fl
 def boosted_spin_axis(a_dir, beta_vec) -> np.ndarray:
     """Effective measurement axis v(a) for a particle with velocity beta_vec.
 
-    Broadcasts over leading dimensions: ``a_dir`` and ``beta_vec`` may be
-    single 3-vectors or arrays of shape (..., 3).  Rows with beta = 0 take
-    the rest-frame branch v = a exactly (no momentum direction enters).
+    Forms ``v(a) = c a + (a.beta) beta / (1 + c)`` with
+    ``c = sqrt(1 - beta^2)`` (:func:`_rest_factor`), the axis the kernels
+    of :mod:`relbell.correlator` use.  Broadcasts over leading dimensions:
+    ``a_dir`` and ``beta_vec`` may be single 3-vectors or arrays of shape
+    (..., 3).  At rest ``c = 1`` and ``v = a``.
     """
     shape, (a, beta) = _broadcast_rows(a_dir, beta_vec)
-    # a single axis stays fixed, (1, 3); per-row axes become one (1, 3, m) array
-    axes = a[:1] if np.ndim(a_dir) == 1 else a.T.copy()[None]
-    v = _boost(axes, _frame_of(beta, None))[0]
-    return v.T.copy().reshape(shape + (3,))
+    c = _rest_factor(beta.T)
+    prod = a * beta
+    along = (prod[:, 0] + prod[:, 1]) + prod[:, 2]
+    along /= 1.0 + c
+    v = np.multiply(a, c[:, None], out=prod)
+    v += along[:, None] * beta
+    return v.reshape(shape + (3,))
 
 
 def spin_observable(a_dir, kin: ParticleKinematics) -> np.ndarray:

@@ -25,6 +25,8 @@ from relbell import (
     kernel_from_beta,
     scan_figure,
 )
+from relbell import correlator
+from relbell.bell import _chsh_sum, _sides
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_RESOLUTIONS = {1: 41, 2: 41, 3: 21, 4: 41, 5: 201, 6: 201}
@@ -193,12 +195,12 @@ class TestBellAverageMC:
         assert est.standard_error == 0.0
         assert est == bell_average_mc(DEFAULT_CONFIG, dist, 1000, seed=99)
 
-    def test_sharp_matches_velocity_path_bit_for_bit(self):
-        # run_protocol's path: momentum -> beta_from_momentum -> chsh_from_beta
-        p, mass = np.array([-2.96, 0.37, 0.5]), 2.759
-        beta = beta_from_momentum(p, mass)
-        est = bell_average_mc(DEFAULT_CONFIG, Sharp(p, mass), 100, seed=0)
-        assert est.value == float(chsh_from_beta(DEFAULT_CONFIG, beta, beta))
+    def test_sharp_matches_momentum_path_bit_for_bit(self):
+        # run_protocol's path: the recorded momenta projected with the mass
+        p, mass = np.array([[-2.96, 0.37, 0.5]]), 2.759
+        est = bell_average_mc(DEFAULT_CONFIG, Sharp(p[0], mass), 100, seed=0)
+        want = correlator._momentum_rows(*_sides(DEFAULT_CONFIG), p, p, mass, _chsh_sum)
+        assert est.value == float(want[0])
         assert (est.standard_error, est.rejected, est.warning) == (0.0, 0, None)
 
     def test_chunk_size_checked_for_every_profile(self):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relbell import DEFAULT_CONFIG, bell_average_sharp, cli
+from relbell import DEFAULT_CONFIG, Sharp, bell_average_mc, bell_average_sharp, cli
 from relbell.cli import (
     COMMAND_FLAGS,
     UsageError,
@@ -312,9 +312,25 @@ class TestCommandOutput:
         assert record["samples"] == 2000
 
     def test_bell_prints_sharp_average(self, capsys):
+        # the estimator's exact value at the beam's momentum
         assert main(["bell", "--beta", "0.9,0,0"]) == 0
-        expected = bell_average_sharp(DEFAULT_CONFIG, (0.9, 0.0, 0.0))
+        expected = bell_average_mc(DEFAULT_CONFIG, Sharp.from_beta((0.9, 0.0, 0.0)), 100, 0).value
         assert capsys.readouterr().out == f"{expected!r}\n"
+        assert expected == pytest.approx(
+            bell_average_sharp(DEFAULT_CONFIG, (0.9, 0.0, 0.0)), rel=0, abs=1e-15
+        )
+
+    def test_sharp_beam_has_one_value(self, capsys):
+        # bell, threshold and a configured protocol threshold all answer a
+        # sharp beam through one estimator
+        assert main(["bell", "--beta", "0.9,0,0"]) == 0
+        bell = float(capsys.readouterr().out)
+        assert main(["threshold", "--beta", "0.9,0,0"]) == 0
+        threshold = json.loads(capsys.readouterr().out)["threshold"]
+        assert main(["protocol", "--pairs", "2000", "--beta", "0.9,0,0", "--threshold-mode",
+                     "configured", "--threshold-samples", "100"]) == 0
+        protocol = json.loads(capsys.readouterr().out)["threshold"]
+        assert -bell == threshold == protocol
 
     def test_scan_csv_to_stdout(self, capsys):
         assert main(["scan", "--figure", "5", "--resolution", "5"]) == 0

@@ -1,19 +1,27 @@
-"""The component kernel core against the ``np.sum`` form it replaced, bit for bit.
+"""The kernel core against the reference forms it replaced.
 
-The ``ref_*`` functions below are the earlier implementation: every dot
-product and squared norm was ``np.sum(..., axis=-1)`` over arrays of shape
-(..., 3), and every call rebuilt the velocity direction and
-``sqrt(1 - beta^2)``.  The component core works on separate x/y/z arrays
-and builds each frame once; its public outputs must keep the same bytes.
+The ``ref_*`` velocity functions below are an earlier implementation:
+every dot product and squared norm was ``np.sum(..., axis=-1)`` over
+arrays of shape (..., 3), and each axis was boosted along the velocity
+direction with ``sqrt(1 - beta^2)`` taken from the rounded ``beta^2``.
+``beta_from_momentum`` keeps their bytes.  The velocity kernels and
+``boosted_spin_axis`` now take the projection form, a velocity being a
+momentum in units of ``E``, with ``1 - beta^2`` formed to full relative
+precision; they are held to the reference within a stated bound in ulps,
+scaled by ``1 / (1 - beta^2)``, the factor by which the reference's own
+rounding of ``beta^2`` grows in its output.  Their accuracy at high speed
+is held by the mpmath anchors of ``test_correlator.py``.
 The Monte Carlo and the protocol run form their kernels from the momenta
-instead (:func:`ref_momentum_kernels`, one axis pair at a time, with
-``K12`` alone for the protocol): the Monte Carlo estimates must keep the
-bytes of that form summed with one ``np.sum`` per chunk, and the
-protocol's outcomes and thresholds those of that form per row.
+(:func:`ref_momentum_kernels`, one axis pair at a time, with ``K12`` alone
+for the protocol): the Monte Carlo estimates must keep the bytes of that
+form summed with one ``np.sum`` per chunk, and the protocol's outcomes and
+thresholds those of that form per row.
 """
 
 import io
 import itertools
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,8 +43,7 @@ from relbell import (
     run_protocol,
 )
 from relbell import correlator
-from relbell.correlator import _kernel_matrix
-from relbell.kinematics import DEGENERACY_TOL, _components, _frame_blocks
+from relbell.kinematics import DEGENERACY_TOL
 
 # ---------------------------------------------------------------------------
 # the reference: the np.sum form
@@ -251,6 +258,43 @@ def same_bytes(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+EPS = np.finfo(float).eps
+
+#: The bound, in ulps of 1 times ``1 / (1 - beta^2)``, on the distance of
+#: the velocity paths from the reference.  The inputs below reach at most
+#: 2.0 for the boosted axes, 1.6 for a kernel and 2.4 for a CHSH sum of
+#: four kernels.
+ULPS = 8
+
+
+def exact_rest(beta) -> np.ndarray:
+    """``1 - |beta|^2`` of each row, exact before its final rounding."""
+    rows = np.reshape(beta, (-1, 3)).tolist()
+    rest = [float(1 - sum(Fraction(x) ** 2 for x in row)) for row in rows]
+    return np.reshape(rest, np.shape(beta)[:-1])
+
+
+def room(*betas):
+    """Per row, the largest ``1 / (1 - beta^2)`` of the velocities
+    ``betas``; 1 where ``|beta| >= 1``, where both sides take
+    ``sqrt(1 - beta^2)`` as 0."""
+    rest = np.min([exact_rest(b) for b in np.broadcast_arrays(*betas)], axis=0)
+    return 1.0 / np.where(rest > 0.0, np.minimum(rest, 1.0), 1.0)
+
+
+def ref_rounds_rest(beta) -> np.ndarray:
+    """The rows where the reference's ``1 - beta^2`` is not exact."""
+    return exact_rest(beta) != 1.0 - np.sum(np.square(beta), axis=-1)
+
+
+def close(got, want, scale):
+    """``got`` within ``ULPS`` ulps of ``want`` times ``scale`` (see
+    :func:`room`) and ``max(1, |want|)``."""
+    got, want = np.asarray(got), np.asarray(want)
+    bound = ULPS * EPS * np.maximum(1.0, np.abs(want)) * scale
+    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= bound))
+
+
 # ---------------------------------------------------------------------------
 # inputs
 
@@ -311,14 +355,27 @@ class TestVelocity:
             beta_from_momentum([1.0, -2.0, 0.5], 1.0), ref_beta_from_momentum([1.0, -2.0, 0.5], 1.0)
         )
 
+    def test_overflowing_momenta_are_scaled(self):
+        # |p|^2 overflows at 1e200: the row is taken in units of its
+        # largest component, and the rows beside it keep their bytes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_bytes(beta_from_momentum([[1e200, 0, 0]], 1.0), np.array([[1.0, 0.0, 0.0]]))
+            p = np.array([[0.3, -1.2, 2.0], [-3e160, 4e160, 0.0], [1e59, 0.0, 0.0], [0.0, 2e60, 0.0]])
+            beta = beta_from_momentum(p, 1.0)
+        assert same_bytes(beta[[0, 2]], ref_beta_from_momentum(p[[0, 2]], 1.0))
+        assert same_bytes(beta[1], np.array([-0.6, 0.8, 0.0]))
+        assert same_bytes(beta[3], np.array([0.0, 1.0, 0.0]))
+
 
 class TestBoostedAxis:
     def test_random_velocities_and_axes(self):
         rng = np.random.default_rng(21)
         beta = random_velocities(rng, 4096)
         per_row = random_unit(rng, 4096)
+        scale = room(beta)[:, None]
         for a in (per_row, per_row[0], np.array([0.0, 0.0, 1.0]), np.array([3.0, -1.0, 2.0])):
-            assert same_bytes(boosted_spin_axis(a, beta), ref_boosted_spin_axis(a, beta))
+            assert close(boosted_spin_axis(a, beta), ref_boosted_spin_axis(a, beta), scale)
 
     def test_signed_zeros_rest_and_unit_speed(self):
         # every signed axis against every signed velocity, at speeds 1, 0.5
@@ -328,28 +385,35 @@ class TestBoostedAxis:
         for scale in (1.0, 0.5, 1e-300):
             beta = scale * signed_rows()
             beta = beta[np.sum(beta * beta, axis=-1) <= 1.0][None, :, :]
-            assert same_bytes(boosted_spin_axis(axes, beta), ref_boosted_spin_axis(axes, beta))
+            assert close(boosted_spin_axis(axes, beta), ref_boosted_spin_axis(axes, beta), 1.0)
         beta = unit_velocity_rows()[None, :, :]
-        assert same_bytes(boosted_spin_axis(axes, beta), ref_boosted_spin_axis(axes, beta))
+        assert close(boosted_spin_axis(axes, beta), ref_boosted_spin_axis(axes, beta), 1.0)
+        # at rest the axis comes back as it is
+        assert np.array_equal(boosted_spin_axis(axes, np.zeros(3)), axes)
 
     def test_zero_dimensional(self):
         rng = np.random.default_rng(22)
         for a, beta in zip(random_unit(rng, 50), random_velocities(rng, 50)):
-            assert same_bytes(boosted_spin_axis(a, beta), ref_boosted_spin_axis(a, beta))
+            got = boosted_spin_axis(a, beta)
+            assert got.shape == (3,)
+            assert close(got, ref_boosted_spin_axis(a, beta), room(beta))
         for a, beta in itertools.product(signed_rows(), unit_velocity_rows()):
-            assert same_bytes(boosted_spin_axis(a, beta), ref_boosted_spin_axis(a, beta))
-        assert same_bytes(
+            assert close(boosted_spin_axis(a, beta), ref_boosted_spin_axis(a, beta), 1.0)
+        assert close(
             boosted_spin_axis((0.0, 1.0, 0.0), (0.8, 0.0, 0.0)),
             ref_boosted_spin_axis((0.0, 1.0, 0.0), (0.8, 0.0, 0.0)),
+            room((0.8, 0.0, 0.0)),
         )
 
     def test_broadcasting(self):
         rng = np.random.default_rng(23)
         a = random_unit(rng, 2).reshape(2, 1, 3)
         beta = random_velocities(rng, 4)
-        assert same_bytes(boosted_spin_axis(a, beta), ref_boosted_spin_axis(a, beta))
-        assert same_bytes(
-            boosted_spin_axis(a[0], beta[0]), ref_boosted_spin_axis(a[0], beta[0])
+        got = boosted_spin_axis(a, beta)
+        assert got.shape == (2, 4, 3)
+        assert close(got, ref_boosted_spin_axis(a, beta), room(beta)[:, None])
+        assert close(
+            boosted_spin_axis(a[0], beta[0]), ref_boosted_spin_axis(a[0], beta[0]), room(beta[0])
         )
 
     def test_shape_is_checked(self):
@@ -359,7 +423,11 @@ class TestBoostedAxis:
 
 class TestKernel:
     def test_kernel_matrix_with_degenerate_rows_and_signed_zeros(self):
-        # the raw matrix, NaNs of degenerate rows and zero signs included
+        # every (Alice, Bob) pair of fixed and per-row axes: the kernels of
+        # the rows the reference keeps, and a raise on each row it marks
+        # degenerate from an exact 1 - beta^2.  Where it rounds
+        # 1 - beta^2 to 0 from a speed within 1e-16 of 1, the axis keeps a
+        # length m/E ~ 1e-8, so the row is not degenerate.
         rng = np.random.default_rng(31)
         beta1 = np.concatenate([random_velocities(rng, 500), signed_rows(), unit_velocity_rows()])
         beta2 = np.concatenate([random_velocities(rng, 500), unit_velocity_rows(), signed_rows()])
@@ -367,16 +435,19 @@ class TestKernel:
         alice = (DEFAULT_CONFIG.a, per_row, (-0.0, 1.0, 0.0))
         bob = (per_row[::-1], DEFAULT_CONFIG.b_prime)
         for b1, b2 in ((beta1, beta2), (beta1, beta1), (beta2, beta1.copy())):
-            (_, *frames), = _frame_blocks(b1, b2, len(b1))
-            got = _kernel_matrix(
-                *(np.stack([np.broadcast_to(_components(a).reshape(3, -1), (3, len(b1)))
-                            for a in side]) for side in (alice, bob)),
-                *frames,
-            )
-            want = ref_kernel_matrix(alice, bob, b1, b2)
-            assert same_bytes(got[0], want[0])
-            assert same_bytes(got[1], want[1])
-            assert want[1].any() and not want[1].all()
+            want, degenerate = ref_kernel_matrix(alice, bob, b1, b2)
+            rounded = ref_rounds_rest(b1) | ref_rounds_rest(b2)
+            assert (degenerate & ~rounded).any() and not degenerate.all()
+            for (i, a), (j, b) in itertools.product(enumerate(alice), enumerate(bob)):
+                # a pair's row is degenerate where its own two axes are
+                short = ref_kernel_matrix((a,), (b,), b1, b2)[1]
+                keep = ~short
+                a, b = np.broadcast_to(a, b1.shape), np.broadcast_to(b, b1.shape)
+                got = kernel_from_beta(a[keep], b[keep], b1[keep], b2[keep])
+                assert close(got, want[i, j][keep] + 0.0, room(b1[keep], b2[keep])), (i, j)
+                for row in np.nonzero(short & ~rounded)[0]:
+                    with pytest.raises(DegenerateObservableError):
+                        kernel_from_beta(a[row], b[row], b1[row], b2[row])
 
     def test_kernel_from_beta(self):
         rng = np.random.default_rng(32)
@@ -393,8 +464,9 @@ class TestKernel:
             ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -0.0, 0.0), (-0.0, 0.0, 0.0)),
             ((-0.0, 1.0, 0.0), (0.0, -0.0, 1.0), (0.6, 0.0, -0.0), (0.0, -0.8, 0.0)),
         ]
-        for args in cases:
-            assert same_bytes(kernel_from_beta(*args), ref_kernel_from_beta(*args))
+        for a_dir, b_dir, b1, b2 in cases:
+            got = kernel_from_beta(a_dir, b_dir, b1, b2)
+            assert close(got, ref_kernel_from_beta(a_dir, b_dir, b1, b2), room(b1, b2))
 
     def test_degenerate_rows_raise_on_both(self):
         args = ((0.0, 1.0, 0.0), (0.0, 1.0, 0.0), np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3)))
@@ -403,15 +475,18 @@ class TestKernel:
                 kernel(*args)
 
     def test_chsh_from_beta_in_small_blocks(self, monkeypatch):
-        # 1000 rows make 15 blocks of 64 and a ragged one of 40
-        monkeypatch.setattr(correlator, "_ARRAY_BLOCK_ROWS", 64)
+        # 1000 rows make 15 blocks of 64 and a ragged one of 40, with the
+        # bytes of one block
         rng = np.random.default_rng(34)
         beta1 = random_velocities(rng, 1000) * 0.999
         beta2 = random_velocities(rng, 1000) * 0.999
-        for b1, b2 in ((beta1, beta2), (beta2, beta2.copy()), (np.zeros(3), beta2)):
-            assert same_bytes(
-                chsh_from_beta(DEFAULT_CONFIG, b1, b2), ref_chsh_from_beta(DEFAULT_CONFIG, b1, b2)
-            )
+        cases = ((beta1, beta2), (beta2, beta2.copy()), (np.zeros(3), beta2))
+        whole = [chsh_from_beta(DEFAULT_CONFIG, b1, b2) for b1, b2 in cases]
+        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 64)
+        for (b1, b2), want in zip(cases, whole):
+            got = chsh_from_beta(DEFAULT_CONFIG, b1, b2)
+            assert same_bytes(got, want)
+            assert close(got, ref_chsh_from_beta(DEFAULT_CONFIG, b1, b2), room(b1, b2))
 
     def test_chsh_from_beta(self):
         rng = np.random.default_rng(33)
@@ -422,7 +497,8 @@ class TestKernel:
         )
         for config in (DEFAULT_CONFIG, tilted):
             for b1, b2 in ((beta1, beta2), (beta1, beta1), (beta1[3], beta2[3]), (np.zeros(3), beta2)):
-                assert same_bytes(chsh_from_beta(config, b1, b2), ref_chsh_from_beta(config, b1, b2))
+                got = chsh_from_beta(config, b1, b2)
+                assert close(got, ref_chsh_from_beta(config, b1, b2), room(b1, b2))
 
 
 BEAMS = {
@@ -536,21 +612,17 @@ class TestMonteCarlo:
         assert len(built) == 4 * frames_per_chunk
 
     def test_signed_zero_momenta_get_two_frames(self, monkeypatch):
-        # velocities get one frame each, momenta one projection each, unless
-        # the two arrays are equal bit for bit
+        # momenta and velocities get one projection each, unless the two
+        # arrays are equal bit for bit
         p = np.array([[0.0, 0.1, 0.2]])
         q = np.array([[-0.0, 0.1, 0.2]])
-        (_, frame1, frame2), = _frame_blocks(p, q, 1)
-        assert frame1 is not frame2
-        assert not np.signbit(frame1.n[0]).any() and np.signbit(frame2.n[0]).all()
-        (_, *shared), = _frame_blocks(p, p.copy(), 1)
-        assert shared[0] is shared[1]
         built = counted_projections(monkeypatch)
         sides = np.array([DEFAULT_CONFIG.a]), np.array([DEFAULT_CONFIG.b])
-        for momenta, projections in (((p, q), 2), ((p, p.copy()), 1)):
-            built.clear()
-            correlator._momentum_rows(*sides, *momenta, 1.0)
-            assert len(built) == projections
+        for mass in (1.0, None):
+            for rows, projections in (((p, q), 2), ((p, p.copy()), 1)):
+                built.clear()
+                correlator._momentum_rows(*sides, *rows, mass)
+                assert len(built) == projections
 
 
 class TestProtocolThreshold:

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from relbell import (
     ParticleKinematics,
     ProtocolConfig,
     Sharp,
-    beta_from_momentum,
     bell_average_mc,
+    chsh_from_beta,
     correlator_integrand,
     correlator_mc,
     correlator_sharp,
@@ -180,9 +181,15 @@ class TestMixedKinematics:
 
 class TestMonteCarlo:
     def test_sharp_is_exact_with_zero_error(self):
+        # the kernel at the profile's momentum, in the protocol's momentum form
         dist = Sharp.from_beta((0.9, 0.0, 0.0))
         est = correlator_mc((0, 0, 1), (0, 1, 0), dist, 1000, seed=0)
-        assert est.value == correlator_sharp((0, 0, 1), (0, 1, 0), (0.9, 0.0, 0.0))
+        p = np.array([dist.momentum])
+        sides = np.array([[0.0, 0.0, 1.0]]), np.array([[0.0, 1.0, 0.0]])
+        assert est.value == float(correlator._momentum_rows(*sides, p, p, dist.mass)[0])
+        assert est.value == pytest.approx(
+            correlator_sharp((0, 0, 1), (0, 1, 0), (0.9, 0.0, 0.0)), rel=0, abs=1e-15
+        )
         assert est.standard_error == 0.0
         assert est.samples == 1000
 
@@ -290,13 +297,12 @@ class TestMonteCarlo:
                               chunk_size=np.int32(400), workers=np.int8(2))
         assert est == bell_average_mc(DEFAULT_CONFIG, dist, 1000, 3, chunk_size=400)
 
-    def test_sharp_matches_velocity_path_bit_for_bit(self):
-        # the mass squares to a different double under ** 2 than under m * m;
-        # both routes must form the energy the same way
-        p, mass = np.array([-2.96, 0.37, 0.5]), 2.759
-        beta = beta_from_momentum(p, mass)
-        est = correlator_mc((1, 0, 0), (0, 1, 0), Sharp(p, mass), 100, seed=0)
-        assert est.value == float(kernel_from_beta((1, 0, 0), (0, 1, 0), beta, beta))
+    def test_sharp_matches_momentum_path_bit_for_bit(self):
+        # run_protocol's path: the recorded momenta projected with the mass
+        p, mass = np.array([[-2.96, 0.37, 0.5]]), 2.759
+        est = correlator_mc((1, 0, 0), (0, 1, 0), Sharp(p[0], mass), 100, seed=0)
+        sides = np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])
+        assert est.value == float(correlator._momentum_rows(*sides, p, p, mass)[0])
         assert est.standard_error == 0.0
         assert est.rejected == 0
 
@@ -379,6 +385,99 @@ class TestMomentumFrame:
                         for k, (a, b) in enumerate(pairs):
                             want = mp_kernel(a, b, p1[row], q[row], mass)
                             assert abs(kernels[k, row] - want) <= 1e-14, (mass, row, k)
+
+
+def mp_boosted_axis(a, beta):
+    """v(a) = sqrt(1 - beta^2) (a - (a.n) n) + (a.n) n to 50 digits, from
+    the float components of ``a`` and ``beta``."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        a = [mp.mpf(float(c)) for c in a]
+        beta = [mp.mpf(float(c)) for c in beta]
+        beta_sq = sum(c * c for c in beta)
+        if beta_sq == 0:
+            return a
+        n = [c / mp.sqrt(beta_sq) for c in beta]
+        along = sum(u * v for u, v in zip(a, n))
+        root = mp.sqrt(1 - beta_sq)
+        return [root * (u - along * v) + along * v for u, v in zip(a, n)]
+
+
+def mp_kernel_from_beta(a, b, beta1, beta2):
+    """-v1(a).v2(b) / (|v1(a)| |v2(b)|) to 50 digits (:func:`mp_boosted_axis`)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        va, vb = mp_boosted_axis(a, beta1), mp_boosted_axis(b, beta2)
+        dot = sum(x * y for x, y in zip(va, vb))
+        return -dot / mp.sqrt(sum(x * x for x in va) * sum(y * y for y in vb))
+
+
+#: Speeds from rest to 1 - 1e-9, where 1 - beta^2 keeps 7 of its digits
+#: only if it is formed from the exact squares.
+ANCHOR_SPEEDS = (0.0, 0.3, 0.9, 0.999, 1 - 1e-6, 1 - 1e-9)
+ANCHOR_DIRECTIONS = ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), tuple(np.full(3, 3**-0.5)))
+
+
+class TestVelocityAnchors:
+    """The velocity paths hold 50-digit anchors from rest to 1 - 1e-9, the
+    reference taken from the float velocity."""
+
+    @pytest.mark.parametrize("direction", ANCHOR_DIRECTIONS)
+    def test_boosted_spin_axis(self, direction):
+        c = DEFAULT_CONFIG
+        for speed in ANCHOR_SPEEDS:
+            beta = speed * np.array(direction)
+            for a in (c.a, c.a_prime, c.b, c.b_prime, direction):
+                want = [float(x) for x in mp_boosted_axis(a, beta)]
+                assert np.abs(boosted_spin_axis(a, beta) - want).max() <= 4e-15, (speed, a)
+
+    @pytest.mark.parametrize("direction", ANCHOR_DIRECTIONS)
+    def test_kernel_and_chsh_from_beta(self, direction):
+        # one velocity shared, and two: the second of the same speed along
+        # the next direction
+        c = DEFAULT_CONFIG
+        other = ANCHOR_DIRECTIONS[(ANCHOR_DIRECTIONS.index(direction) + 1) % 3]
+        pairs = ((c.a, c.b), (c.a, c.b_prime), (c.a_prime, c.b), (c.a_prime, c.b_prime))
+        for speed in ANCHOR_SPEEDS:
+            beta1 = speed * np.array(direction)
+            for beta2 in (beta1, speed * np.array(other)):
+                want = [mp_kernel_from_beta(a, b, beta1, beta2) for a, b in pairs]
+                for (a, b), k in zip(pairs, want):
+                    assert abs(kernel_from_beta(a, b, beta1, beta2) - float(k)) <= 4e-15, (speed, a, b)
+                chsh = float(want[0] + want[1] + want[2] - want[3])
+                assert abs(chsh_from_beta(c, beta1, beta2) - chsh) <= 4e-15, speed
+
+    def test_unit_speed_endpoint(self):
+        # a longitudinal axis keeps its projection at |beta| = 1, and a
+        # transverse one vanishes
+        a, b = np.array([0.5, 0.5, 0.5**0.5]), np.array([-0.5, -0.5, 0.5**0.5])
+        n = np.array([0.0, 0.0, 1.0])
+        assert np.array_equal(boosted_spin_axis(a, n), [0.0, 0.0, 0.5**0.5])
+        assert kernel_from_beta(a, b, n, n) == -1.0
+        assert kernel_from_beta(a, n, n, 0.5 * n) == pytest.approx(
+            float(mp_kernel_from_beta(a, n, n, 0.5 * n)), rel=0, abs=4e-15
+        )
+        with pytest.raises(DegenerateObservableError):
+            kernel_from_beta((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), n, n)
+        with pytest.raises(DegenerateObservableError):
+            chsh_from_beta(DEFAULT_CONFIG, n, 0.5 * n)
+
+    def test_per_row_axes_take_no_pair_table(self):
+        # 2^17 per-row axes on both sides: formed per block, so the peak
+        # stays far below the 128 GiB of an n x n table of axis pairs
+        rng = np.random.default_rng(71)
+        n = 2**17
+        a, b = random_unit(rng, n), random_unit(rng, n)
+        beta1 = rng.uniform(0.0, 0.99, (n, 1)) * random_unit(rng, n)
+        beta2 = rng.uniform(0.0, 0.99, (n, 1)) * random_unit(rng, n)
+        tracemalloc.start()
+        try:
+            kernels = kernel_from_beta(a, b, beta1, beta2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kernels.shape == (n,)
+        assert peak < 64 * 2**20, peak
 
 
 class TestProtocolKernels:

@@ -103,12 +103,12 @@ MC_DEFAULT_CHUNK_REPRS = {
 
 #: SHA-256 of ScanTable.to_json per figure, at the resolution given.
 SCAN_JSON_SHA256 = {
-    1: (11, "283c6b8c710690fb920ef559df9a263493c25ebfc49b81ab387ccf4ae5ebb7bb"),
-    2: (11, "081e4d1f4711cb0c47de0dede304b051aab22a2af8c3445a0fba68995a2831bb"),
-    3: (7, "db9164eb049b59296ed09a6d7dccdc2d5df531a3f28801cff500b7b65dbe31c6"),
-    4: (11, "2ff3b8c2abd32c1faa809113674c0e5de87c8cc692306f42463765a4820abae2"),
-    5: (21, "b78d63a017c511a0c56db1adee32c2e30eb1d50063485d39d6cb6f96fa314b95"),
-    6: (21, "bd80245f1cbd353dcb84eefd5e3cd84917b671d24723fe53e45983b3b8b02c2e"),
+    1: (11, "d09144b778e57934e80c3a97da78ce73f3797320f17ff024e926404406b039f4"),
+    2: (11, "3bc17a5ef150d27d917953bd48f7d3816bc1c96eb6d99d1f85afd4d4a74165fa"),
+    3: (7, "cea4d0f56c20fd71b598306cce6c57d3ac41033226adf6e12dee2ffcc727432e"),
+    4: (11, "c50178c9f022500874c2473f6b47aef735bfc55ec7ad7f1fcfe980299d19e0bf"),
+    5: (21, "0c56d9cc8d9518517ed27ae76f0cdf3460b75cca7b0cf81f437331f017f2dab4"),
+    6: (21, "75735f44894e9bd77d8e10e9d94b46cb51fd718fc49e26d05ff1fc82b4a56cf6"),
 }
 
 
@@ -187,8 +187,8 @@ CLI_SHA256 = {
     ),
     "bell_sharp": (
         ["bell", "--beta", "0.9,0,0"],
-        "15974a96ab12046ae3997c5826e461179db87651bbd2bccd04d74d8719694111",
-        "d44d4080c01934f49f54ce8c0df3faf9af6e9312b32805b57b60a638aed343fc",
+        "68c9cb2b5368b55367be1e7cd1c1e8b8e9f5f709d1fd28ff406d5db2791bbe0e",
+        "3d027648a61b7257fd084be6b76240c75f55afb2cc90f86e3981ad3f4b6cdfe4",
     ),
     "bell_gaussian": (
         ["bell", *_GAUSSIAN, "--samples", "2000", "--seed", "7"],
@@ -211,8 +211,8 @@ CLI_SHA256 = {
     ),
     "threshold_sharp": (
         ["threshold", "--beta", "0.9,0,0"],
-        "dc6156661573f6837560c5224bfb9d00666aa53e7257b4ec24bff6abd21051eb",
-        "dc6156661573f6837560c5224bfb9d00666aa53e7257b4ec24bff6abd21051eb",
+        "32da75a0792415076d8434676473b57115688ff9d6374c3408d4afaa28cd40f2",
+        "32da75a0792415076d8434676473b57115688ff9d6374c3408d4afaa28cd40f2",
     ),
     "threshold_gaussian": (
         ["threshold", *_GAUSSIAN, "--samples", "2000", "--seed", "7"],
@@ -222,21 +222,21 @@ CLI_SHA256 = {
     "scan_csv": (
         ["scan", "--figure", "1", "--resolution", "5"],
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "1f256634452cb98074f5f58b25e78ba489273de4e0eb8f8971b96d1f9eafcda3",
+        "8398d619a7efb041d38a05b0db0743386ec391e09f52d0a076933c40781e6965",
     ),
     "scan_json": (
         ["scan", "--figure", "3", "--resolution", "5", "--format", "json"],
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "2a2f3a4a8b72c864fb4cb377ee47ef34e75d941b93aa5a0d0f1f182d1bbe23ae",
+        "86197484a27df06dfb6c4bad4f7d97d6b232383820df8cc17a01fbd0a2c3f1a6",
     ),
     "scan_csv_stdout": (
         ["scan", "--figure", "1", "--resolution", "5"],
-        "1f256634452cb98074f5f58b25e78ba489273de4e0eb8f8971b96d1f9eafcda3",
+        "8398d619a7efb041d38a05b0db0743386ec391e09f52d0a076933c40781e6965",
         None,
     ),
     "scan_json_stdout": (
         ["scan", "--figure", "3", "--resolution", "5", "--format", "json"],
-        "2a2f3a4a8b72c864fb4cb377ee47ef34e75d941b93aa5a0d0f1f182d1bbe23ae",
+        "86197484a27df06dfb6c4bad4f7d97d6b232383820df8cc17a01fbd0a2c3f1a6",
         None,
     ),
     "protocol_json_eve": (
