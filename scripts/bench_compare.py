@@ -20,9 +20,13 @@ a correlated beam and of one 2^17-pair intercept-resend protocol run, and
 the minor page faults per 2^18-sample ``bell_average_mc`` call at 1 and 2
 workers on both beams, each counted in a fresh process, and the absolute
 error against mpmath of zero-spread anchors, through the Monte Carlo and
-through the empirical threshold of a protocol run.  Run it on an
-otherwise idle machine: both sides share its cores with whatever else
-runs.
+through the empirical threshold of a protocol run.  Every run and probe
+imports its side's sources afresh: Python runs with
+``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set to an empty
+directory of the side's own (:func:`python`), so a ``__pycache__`` that an
+earlier run left in one checkout cannot make its import, a part of
+``setup_s``, faster than the other's.  Run it on an otherwise idle
+machine: both sides share its cores with whatever else runs.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -164,10 +169,25 @@ print(source_digest())
 """
 
 
+#: One empty bytecode-cache directory per checkout, made on first use.
+_CACHES: dict[Path, str] = {}
+
+
+def python(path: Path, argv: list[str]) -> str:
+    """The stdout of Python run with ``argv`` in the checkout at ``path``,
+    with ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set to
+    the checkout's own empty directory: Python then reads no bytecode from
+    the checkout's ``__pycache__`` and writes none anywhere, so each run
+    compiles the sources it imports."""
+    cache = _CACHES.setdefault(path, tempfile.mkdtemp(prefix="bench-pycache-"))
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+    return subprocess.run([sys.executable, *argv], cwd=path, env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def probe(path: Path, code: str) -> str:
     """The stdout of ``code`` run by Python in the checkout at ``path``."""
-    return subprocess.run([sys.executable, "-c", code], cwd=path, capture_output=True,
-                          text=True, check=True).stdout.strip()
+    return python(path, ["-c", code]).strip()
 
 
 def git_rev(path: Path) -> str | None:
@@ -178,9 +198,7 @@ def git_rev(path: Path) -> str | None:
 
 def perfbench(path: Path, args: list[str]) -> dict:
     """The result line of one perfbench run in the checkout at ``path``."""
-    done = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=path,
-                          capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(python(path, ["perfbench/run.py", *args]).strip().splitlines()[-1])
 
 
 def quartiles(values: list[float]) -> dict:
@@ -252,6 +270,9 @@ def main() -> int:
             "run_seconds": bench["run_seconds"],
             "pairs": PAIRS,
             "first_seed": FIRST_SEED,
+            "bytecode": "every run and probe with PYTHONDONTWRITEBYTECODE=1 and "
+                        "PYTHONPYCACHEPREFIX set to an empty directory per side, so "
+                        "neither side imports bytecode cached in its checkout",
         },
         "workloads": {},
     }

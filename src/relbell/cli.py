@@ -427,7 +427,7 @@ def _write(obj, fmt: str, stream) -> None:
 def _estimate_output(estimate: CorrelatorEstimate):
     """A command's (stdout, record) for an estimate: a sharp value (no
     samples) prints its ``repr``, a sampled one its record."""
-    record = {key: value for key, value in asdict(estimate).items() if value is not None}
+    record = asdict(estimate)
     return (record if estimate.samples else repr(estimate.value)), record
 
 

@@ -37,8 +37,9 @@ units of ``M = E``: ``y = beta`` and ``c = m/E = sqrt(1 - beta^2)``
 Carlo, :func:`_leaf_kernels`; the protocol run's outcome kernels, resend
 overlaps and empirical threshold, :func:`_momentum_rows`), the fixed
 momentum of a :class:`Sharp` profile, and velocities (the scans,
-:func:`kernel_from_beta`) share one kernel code.  Whole arrays go through
-one block loop, :func:`_momentum_rows`, in blocks of ``_BLOCK_ROWS`` rows,
+:func:`kernel_from_beta`) share one kernel code and one degeneracy rule
+(:func:`_nondegenerate`).  Whole arrays go through one block loop,
+:func:`_momentum_rows`, in blocks of ``_BLOCK_ROWS`` rows,
 so no temporary of the kernel work covers a whole array; its axes are
 fixed, drawn per row from a pool, or given per row, and per-row axes are
 taken block by block.  The protocol takes ``K12`` as it is, Alice's axis
@@ -46,8 +47,11 @@ on particle 1 and Bob's on particle 2; the Monte Carlo symmetrizes it over
 the particle swap (:func:`_crossed_kernels`).  Arrays that are one array
 (as a correlated beam draws them) or equal bit for bit are projected once
 and take the shared form.  Momenta never round through ``beta``, so their
-kernels keep full precision at any ``gamma``, and a transverse axis is
-degenerate only where ``m/E`` falls below ``DEGENERACY_TOL``.
+kernels keep full precision at any ``gamma``.  Since
+``|E v(a)/m|^2 = a.a + s_a^2 >= a.a``, every finite momentum has a
+defined kernel; a kernel is not finite only where the product of two
+norms ``sq`` underflows, as for a transverse axis at ``|beta| = 1`` or at
+a scaled row of a huge ``|p|/m``, and there every caller raises.
 
 Averages over momentum profiles are estimated by Monte Carlo with a
 splittable, counter-based generator (Philox keyed through ``SeedSequence``
@@ -80,7 +84,6 @@ from .distributions import MomentumDistribution, Sharp
 from .errors import DegenerateObservableError
 from .kinematics import (
     _SCALED_ABOVE,
-    DEGENERACY_TOL,
     ParticleKinematics,
     _broadcast_rows,
     _check_velocity,
@@ -110,19 +113,20 @@ DEFAULT_CHUNK_SIZE = 65536
 #: blocks.
 _BLOCK_ROWS = 8192
 
-#: Cap on resampling sweeps for degenerate draws within one chunk.
-_MAX_RESAMPLE_SWEEPS = 100
+#: The smallest normal float (:func:`_root`).
+_TINY = np.finfo(float).tiny
 
 
-_DEGENERACY_TOL_SQ = DEGENERACY_TOL * DEGENERACY_TOL
+def _nondegenerate(kernels: np.ndarray) -> np.ndarray:
+    """Raise where a kernel is not finite, else return the kernels.
 
-
-def _nondegenerate(kernels: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
-    """Raise on any degenerate row, else return the kernels.
-
-    Adding zero folds the -0.0 of orthogonal axes at rest into 0.0.
+    The one degeneracy rule of every kernel path: a kernel is not finite
+    only where the product of its norms underflows (:func:`_root`), as at
+    a transverse axis at ``|beta| = 1`` or at exactly transverse axes past
+    ``|p|/m ~ 1e154`` (~1e77 if both are).  Adding zero folds the -0.0 of
+    orthogonal axes at rest into 0.0.
     """
-    if np.any(degenerate):
+    if not np.isfinite(kernels).all():
         raise DegenerateObservableError(
             "an effective measurement axis vanished; the axis is transverse "
             "to an ultra relativistic momentum"
@@ -170,13 +174,14 @@ def correlator_sharp(a_dir, b_dir, beta_vec) -> float:
 
 @dataclass(frozen=True)
 class CorrelatorEstimate:
-    """Monte Carlo estimate with its one-sigma standard error."""
+    """Monte Carlo estimate with its one-sigma standard error.  No draw is
+    redrawn, so ``rejected`` is always 0; it stays because every Monte
+    Carlo record of the command line carries it and its readers take it."""
 
     value: float
     standard_error: float
     samples: int
     rejected: int = 0
-    warning: str | None = None
 
 
 def _integer(value, name: str) -> int:
@@ -371,14 +376,12 @@ def _projections(axes: _Axes, y: np.ndarray, c, gsq: np.ndarray) -> _Projections
     return _Projections(y, c, t, sq, gsq)
 
 
-def _degenerate(one: _Projections, side: slice = slice(None)) -> np.ndarray:
-    """The draws where some effective axis of ``side`` (every stacked axis
-    by default) is shorter than ``DEGENERACY_TOL``: ``|v(a)|^2 = sq / gsq``,
-    and dividing every axis by the same ``gsq`` keeps the smallest one
-    smallest."""
-    shortest = one.sq[side].min(axis=0)
-    shortest /= one.gsq
-    return shortest < _DEGENERACY_TOL_SQ
+def _root(norms: np.ndarray) -> np.ndarray:
+    """The square roots of products of two norms, in place.  A product
+    below the smallest normal float has lost digits to underflow, so it is
+    taken as 0 and its kernel is not finite (:func:`_nondegenerate`)."""
+    norms[norms < _TINY] = 0.0
+    return np.sqrt(norms, out=norms)
 
 
 def _outer(u, v, out=None) -> np.ndarray:
@@ -394,8 +397,7 @@ def _shared_kernels(axes: _Axes, one: _Projections) -> np.ndarray:
     k = axes.count
     kernels = _outer(one.t[:k], one.t[k:])
     np.subtract(axes.nab * (one.c * one.c), kernels, out=kernels)
-    norms = _outer(one.sq[:k], one.sq[k:])
-    np.sqrt(norms, out=norms)
+    norms = _root(_outer(one.sq[:k], one.sq[k:]))
     with np.errstate(divide="ignore", invalid="ignore"):
         kernels /= norms
     return kernels
@@ -429,8 +431,7 @@ def _crossed_terms(axes: _Axes, one: _Projections, two: _Projections):
 def _normalized(n, sq1, sq2, k: int, tmp) -> np.ndarray:
     """``n / sqrt(sq1_a sq2_b)`` in place, over Alice's ``sq1[:k]`` and
     Bob's ``sq2[k:]``, with ``tmp`` as the buffer of the norms."""
-    norms = _outer(sq1[:k], sq2[k:], out=tmp)
-    np.sqrt(norms, out=norms)
+    norms = _root(_outer(sq1[:k], sq2[k:], out=tmp))
     with np.errstate(divide="ignore", invalid="ignore"):
         n /= norms
     return n
@@ -467,27 +468,25 @@ def _crossed_kernels(axes: _Axes, one: _Projections, two: _Projections) -> np.nd
     return n21
 
 
-def _leaf_kernels(axes: _Axes, p1: np.ndarray, p2: np.ndarray, mass: float):
+def _leaf_kernels(axes: _Axes, p1: np.ndarray, p2: np.ndarray, mass: float) -> np.ndarray:
     """Per-pair kernel rows of one block of draws, (pairs, rows) in
-    row-major (Alice, Bob) pair order, and its degeneracy mask.  Momenta
-    that are one array or equal bit for bit are projected once and take
-    :func:`_shared_kernels`; two momenta are projected apiece and take
-    :func:`_crossed_kernels`."""
+    row-major (Alice, Bob) pair order; a kernel that is not finite raises
+    (:func:`_nondegenerate`).  Momenta that are one array or equal bit for
+    bit are projected once and take :func:`_shared_kernels`; two momenta
+    are projected apiece and take :func:`_crossed_kernels`."""
     one = _project(axes, p1, mass)
-    degenerate = _degenerate(one)
     if p2 is p1 or _same_bits(p1, p2):
         kernels = _shared_kernels(axes, one)
     else:
-        two = _project(axes, p2, mass)
-        degenerate |= _degenerate(two)
-        kernels = _crossed_kernels(axes, one, two)
-    return kernels.reshape(-1, kernels.shape[-1]), degenerate
+        kernels = _crossed_kernels(axes, one, _project(axes, p2, mass))
+    return _nondegenerate(kernels.reshape(-1, kernels.shape[-1]))
 
 
 def _momentum_rows(alice, bob, p1, p2, mass: float | None, combine=lambda k: k[0, 0]) -> np.ndarray:
     """``combine(kernels)`` for every row of two momentum arrays of shape
     (n, 3), or of two velocity arrays when ``mass`` is None, in the
-    projection form; degenerate rows raise.
+    projection form; a kernel that is not finite raises
+    (:func:`_nondegenerate`).
 
     Both sides are fixed, (A, 3) arrays of stacked axes, both per row,
     component-major (A, 3, n) arrays, or both indexed, ``(pool, index)``
@@ -495,11 +494,9 @@ def _momentum_rows(alice, bob, p1, p2, mass: float | None, combine=lambda k: k[0
     (:func:`_block_axes`).  Arrays that are one array or equal bit for bit
     take :func:`_shared_kernels`; two momenta
     take the unsymmetrized :func:`_k12_kernels`, Alice's axis on particle 1
-    and Bob's on particle 2.  A row is degenerate where one of Alice's
-    axes is shorter than ``DEGENERACY_TOL`` at ``p1`` or one of Bob's at
-    ``p2``.  The rows go in blocks of ``_BLOCK_ROWS``, so no temporary
-    covers all rows; each kernel is a per-row value, so the blocks give
-    the bytes of one whole-array pass.
+    and Bob's on particle 2.  The rows go in blocks of ``_BLOCK_ROWS``, so
+    no temporary covers all rows; each kernel is a per-row value, so the
+    blocks give the bytes of one whole-array pass.
     """
     shared = p2 is p1 or _same_bits(p1, p2)
     axes_of = _block_axes(alice, bob)
@@ -509,87 +506,27 @@ def _momentum_rows(alice, bob, p1, p2, mass: float | None, combine=lambda k: k[0
         axes = axes_of(rows)
         one = _project(axes, p1[rows], mass)
         if shared:
-            kernels, degenerate = _shared_kernels(axes, one), _degenerate(one)
+            kernels = _shared_kernels(axes, one)
         else:
-            two = _project(axes, p2[rows], mass)
-            k = axes.count
-            kernels = _k12_kernels(axes, one, two)
-            degenerate = _degenerate(one, slice(k)) | _degenerate(two, slice(k, None))
-        out[rows] = combine(_nondegenerate(kernels, degenerate))
+            kernels = _k12_kernels(axes, one, _project(axes, p2[rows], mass))
+        out[rows] = combine(_nondegenerate(kernels))
     return out
 
 
-def _sample_kernels(axes: _Axes, dist, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Kernel rows, one per axis pair, over ``n`` fresh momentum draws made
-    at once; the columns of degenerate draws are NaN.  This is the redraw
-    of :func:`_evaluate_chunk`, formed on blocks of ``_BLOCK_ROWS`` draws."""
-    p1, p2 = dist.sample(rng, n)
-    kernels = np.empty((axes.count * (len(axes.stacked) - axes.count), n))
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        q1 = p1[rows]
-        block, degenerate = _leaf_kernels(axes, q1, q1 if p2 is p1 else p2[rows], dist.mass)
-        block[:, degenerate] = np.nan
-        kernels[:, rows] = block
-    return kernels
-
-
-def _redraw(axes: _Axes, dist, rng: np.random.Generator, held: list) -> int:
-    """Redraw the NaN columns of the held kernel rows from the chunk stream
-    until none is left; returns how many draws were redrawn.
-
-    Each sweep draws as many momenta as there are NaN columns, in chunk
-    order across the held leaves, as one block.
-    """
-    rejected = 0
-    for _ in range(_MAX_RESAMPLE_SWEEPS):
-        bad = [np.isnan(kernels[0]) for kernels in held]
-        counts = [int(np.count_nonzero(mask)) for mask in bad]
-        total = sum(counts)
-        if total == 0:
-            return rejected
-        rejected += total
-        fresh = _sample_kernels(axes, dist, rng, total)
-        start = 0
-        for kernels, mask, k in zip(held, bad, counts):
-            kernels[:, mask] = fresh[:, start:start + k]
-            start += k
-    raise DegenerateObservableError(
-        "could not draw nondegenerate momenta after "
-        f"{_MAX_RESAMPLE_SWEEPS} resampling sweeps"
-    )
-
-
 def _evaluate_chunk(axes: _Axes, dist, seed_seq, n: int):
-    """Per-pair (sum, sum of squares) over one chunk, with resampling.
+    """Per-pair (sums, sums of squares) over one chunk, a (2, pairs) array.
 
     ``axes`` holds both sides' fixed axes (:class:`_Axes`).  The chunk is
     cut into the leaves of numpy's pairwise-summation tree
     (:func:`_leaf_sizes`); each leaf is drawn, its kernels formed and the
     leaf reduced on the spot, and the leaf sums are added up the same tree,
     so the sums have the bytes of ``np.sum`` over the chunk's kernel rows
-    while no array of the kernel work covers the chunk.  A leaf with
-    degenerate draws is held; after every first-pass draw, those draws are
-    redrawn from the same chunk stream until clean (:func:`_redraw`), and
-    the held leaves are reduced then.  The redraw count is reported so
-    callers can surface a warning.
+    while no array of the kernel work covers the chunk.
     """
     rng = np.random.Generator(np.random.Philox(seed_seq))
-    sizes = _leaf_sizes(n)
-    leaves, held = [], []
-    for p1, p2 in dist.sample_blocks(rng, sizes):
-        kernels, degenerate = _leaf_kernels(axes, p1, p2, dist.mass)
-        if degenerate.any():
-            kernels[:, degenerate] = np.nan
-            held.append(len(leaves))
-            leaves.append(kernels)
-        else:
-            leaves.append(_leaf_stats(kernels))
-    rejected = _redraw(axes, dist, rng, [leaves[i] for i in held])
-    for i in held:
-        leaves[i] = _leaf_stats(leaves[i])
-    sums, squares = _tree_sum(n, iter(leaves))
-    return sums, squares, rejected
+    leaves = (_leaf_stats(_leaf_kernels(axes, p1, p2, dist.mass))
+              for p1, p2 in dist.sample_blocks(rng, _leaf_sizes(n)))
+    return _tree_sum(n, leaves)
 
 
 #: Worker pools by (process id, worker count), kept from call to call.
@@ -630,46 +567,40 @@ def _estimate(axes, dist, samples: int, seed: int, chunk_size: int, workers: int
     projected with its mass as one draw, are the means, with zero errors),
     and the rest are sampled, with every pair on the same momentum draws
     and the kernel symmetrized over the particle swap, which changes
-    nothing where both particles share one momentum.  ``samples``,
+    nothing where both particles share one momentum.  No draw is redrawn:
+    a kernel that is not finite raises (:func:`_nondegenerate`), so
+    ``rejected`` is 0.  ``samples``,
     ``chunk_size`` and ``workers`` must be integers and ``seed`` a
     nonnegative one.  Every chunk runs on the
     pool of ``workers`` threads; chunk streams are spawned up front and
     partial sums are merged in chunk order, so the result does not depend
-    on ``workers``.  More than 1% of draws resampled adds a warning.
+    on ``workers``.
     """
     _check_sampling(samples, workers)
     seed = _check_seed(seed)
     if _integer(chunk_size, "chunk_size") < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     axes = tuple(np.reshape(np.asarray(side, dtype=float), (len(side), 3)) for side in axes)
-    rejected = 0
     mc_axes = _mc_axes(*axes)
     if isinstance(dist, Sharp):
         p = np.array([dist.momentum])
-        means = _nondegenerate(*_leaf_kernels(mc_axes, p, p, dist.mass))[:, 0]
+        means = _leaf_kernels(mc_axes, p, p, dist.mass)[:, 0]
         errors = np.zeros_like(means)
     else:
         sizes = _chunk_sizes(samples, chunk_size)
         jobs = zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes)
         sums = np.zeros(len(axes[0]) * len(axes[1]))
         squares = np.zeros_like(sums)
-        for chunk_sum, chunk_sq, chunk_rej in _pool(workers).map(
+        for chunk_sum, chunk_sq in _pool(workers).map(
             lambda job: _evaluate_chunk(mc_axes, dist, *job), jobs
         ):
             sums += chunk_sum
             squares += chunk_sq
-            rejected += chunk_rej
         means = sums / samples
         variances = np.maximum(squares - samples * means * means, 0.0) / (samples - 1)
         errors = np.sqrt(variances / samples)
     value, error = combine(means, errors)
-    warning = None
-    if rejected > 0.01 * samples:
-        warning = (
-            f"{rejected} degenerate momentum draws were resampled "
-            f"({rejected / samples:.1%} of {samples} samples)"
-        )
-    return CorrelatorEstimate(float(value), float(error), samples, rejected, warning)
+    return CorrelatorEstimate(float(value), float(error), samples)
 
 
 def correlator_mc(
@@ -687,7 +618,8 @@ def correlator_mc(
     A :class:`~relbell.distributions.Sharp` profile has no randomness, so
     the estimate equals the fixed-momentum value with zero error.  For a
     :class:`~relbell.distributions.JointGaussian` profile the kernel is
-    symmetrized over the particle swap before averaging.
+    symmetrized over the particle swap before averaging.  A draw whose
+    kernel is not finite raises :class:`DegenerateObservableError`.
     """
     return _estimate(
         ((a_dir,), (b_dir,)), dist, samples, seed, chunk_size, workers,

@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import DegenerateObservableError, DomainError
 
-#: Effective axes shorter than this are treated as degenerate.
+#: :func:`spin_observable` treats an effective axis shorter than this as
+#: degenerate; the kernels raise only where a kernel is not finite.
 DEGENERACY_TOL = 1e-14
 
 #: Rows whose ``|p/m|^2`` reaches this are taken in units of their largest
@@ -164,9 +165,10 @@ def _check_velocity(beta_vec) -> tuple[float, float, float]:
 
 
 def momentum_for_beta(beta_vec, mass: float = 1.0) -> tuple[float, float, float]:
-    """Momentum m*gamma*beta_vec realizing a given velocity; |beta| < 1."""
+    """Momentum m*gamma*beta_vec realizing a given velocity; |beta| < 1.
+    ``gamma = 1/c`` with ``c`` from :func:`_rest_factor`."""
     beta = _check_velocity(beta_vec)
-    gamma = 1.0 / math.sqrt(1.0 - _norm_sq(np.array(beta)))
+    gamma = 1.0 / float(_rest_factor(np.array(beta)[:, None])[0])
     return tuple(mass * gamma * c for c in beta)
 
 

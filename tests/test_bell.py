@@ -201,7 +201,7 @@ class TestBellAverageMC:
         est = bell_average_mc(DEFAULT_CONFIG, Sharp(p[0], mass), 100, seed=0)
         want = correlator._momentum_rows(*_sides(DEFAULT_CONFIG), p, p, mass, _chsh_sum)
         assert est.value == float(want[0])
-        assert (est.standard_error, est.rejected, est.warning) == (0.0, 0, None)
+        assert (est.standard_error, est.rejected) == (0.0, 0)
 
     def test_chunk_size_checked_for_every_profile(self):
         for dist in (Sharp.from_beta((0.9, 0.0, 0.0)),

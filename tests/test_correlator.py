@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -251,18 +252,18 @@ class TestMonteCarlo:
         assert est.value == pytest.approx(expected, rel=0, abs=1e-15)
         assert est.standard_error == 0.0
 
-    def test_degenerate_draws_are_resampled_with_warning(self):
-        # beam with gamma straddling the degeneracy cutoff for a transverse
-        # axis (m/E < 1e-14): a large fraction of draws must be redrawn and
-        # flagged
+    def test_formerly_resampled_draws_are_kept(self):
+        # gamma straddles 1e14, where the transverse axis has m/E < 1e-14:
+        # the old tolerance rule redrew many of these draws, yet each has
+        # a finite kernel, -1 for b = a at a shared momentum
         dist = CorrelatedGaussian((9.5e13, 0.0, 0.0), (3e13, 0.0, 0.0))
         est = correlator_mc((0, 1, 0), (0, 1, 0), dist, 2000, seed=5)
-        assert est.rejected > 20
-        assert est.warning is not None
-        assert est.value == -1.0
+        assert (est.value, est.rejected) == (-1.0, 0)
 
     def test_all_degenerate_raises(self):
-        dist = CorrelatedGaussian((1e16, 0.0, 0.0), (1.0, 1.0, 1.0))
+        # at |p|/m = 1e200 the transverse axis's norm (m/|p|)^2 underflows
+        # to 0, so every kernel is 0/0
+        dist = CorrelatedGaussian((1e200, 0.0, 0.0), 0.0)
         with pytest.raises(DegenerateObservableError):
             correlator_mc((0, 1, 0), (0, 1, 0), dist, 200, seed=0)
 
@@ -365,7 +366,11 @@ class TestMomentumFrame:
 
     def test_kernels_match_mpmath_up_to_overflowing_momenta(self):
         # |p|/m from 1e-2 to 1e300 and masses down to 1e-150: the rows past
-        # _SCALED_ABOVE are projected in units of their largest component
+        # _SCALED_ABOVE are projected in units of their largest component.
+        # Along x the default axis b is exactly transverse, along y b' is,
+        # so every kernel there has one transverse axis of norm (m/|p|)^2:
+        # finite up to 1e150, while past ~1e154 the product of two norms
+        # falls below the smallest normal float and the kernels raise
         rng = np.random.default_rng(51)
         axes = correlator._mc_axes(
             np.array([DEFAULT_CONFIG.a, DEFAULT_CONFIG.a_prime]),
@@ -373,18 +378,49 @@ class TestMomentumFrame:
         )
         pairs = [(a, b) for a in (DEFAULT_CONFIG.a, DEFAULT_CONFIG.a_prime)
                  for b in (DEFAULT_CONFIG.b, DEFAULT_CONFIG.b_prime)]
+        # 1e14 to 1e150, on both sides of _SCALED_ABOVE
+        transverse = 10.0 ** np.arange(14, 151, 8)
+        transverse = np.concatenate([np.outer(transverse, (1.0, 0.0, 0.0)),
+                                     np.outer(transverse, (0.0, -1.0, 0.0))])
         for mass in (1.0, 1e-150, 7.3):
             ratios = 10.0 ** rng.uniform(-2, 300, (2, 40, 1))
             p1, p2 = np.minimum(random_unit(rng, 80).reshape(2, 40, 3) * ratios * mass, 1e300)
             assert (p1 / mass > 1e60).any() and (p1 / mass < 1e60).any()
-            with np.errstate(all="raise", under="ignore"):
-                for q in (p1, p2):
-                    kernels, degenerate = correlator._leaf_kernels(axes, p1, q, mass)
-                    assert not degenerate.any()
-                    for row in range(len(p1)):
+            p = transverse.reshape(-1, 3) * mass
+            with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+                warnings.simplefilter("error")
+                for one, two in ((p1, p1), (p1, p2), (p, p), (p, 2.0 * p)):
+                    kernels = correlator._leaf_kernels(axes, one, two, mass)
+                    for row in range(len(one)):
                         for k, (a, b) in enumerate(pairs):
-                            want = mp_kernel(a, b, p1[row], q[row], mass)
+                            want = mp_kernel(a, b, one[row], two[row], mass)
                             assert abs(kernels[k, row] - want) <= 1e-14, (mass, row, k)
+                for ratio in (1e155, 1e200):
+                    for direction in ((ratio * mass, 0.0, 0.0), (0.0, -ratio * mass, 0.0)):
+                        q = np.array([direction])
+                        for two in (q, 2.0 * q):
+                            with pytest.raises(DegenerateObservableError):
+                                correlator._leaf_kernels(axes, q, two, mass)
+
+    def test_axes_all_transverse_raise_where_their_norms_underflow(self):
+        # along z every default axis is transverse: a product of two norms
+        # is (m/|p|)^4, which underflows past |p|/m ~ 1e77
+        axes = correlator._mc_axes(
+            np.array([DEFAULT_CONFIG.a, DEFAULT_CONFIG.a_prime]),
+            np.array([DEFAULT_CONFIG.b, DEFAULT_CONFIG.b_prime]),
+        )
+        # axes transverse to a shared momentum keep the rest value -a.b
+        want = -(axes.stacked[:2, :, 0] @ axes.stacked[2:, :, 0].T).ravel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ratio in (1e14, 1e61, 1e76):
+                p = np.array([[0.0, 0.0, ratio]])
+                kernels = correlator._leaf_kernels(axes, p, p, 1.0)
+                assert np.abs(kernels[:, 0] - want).max() <= 1e-15
+            for ratio in (1e78, 1e80, 1e155, 1e200):
+                p = np.array([[0.0, 0.0, ratio]])
+                with pytest.raises(DegenerateObservableError):
+                    correlator._leaf_kernels(axes, p, p, 1.0)
 
 
 def mp_boosted_axis(a, beta):

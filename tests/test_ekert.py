@@ -25,6 +25,7 @@ from relbell import (
     beta_from_momentum,
     chsh_from_beta,
     kernel_from_beta,
+    momentum_for_beta,
     run_protocol,
     verdict,
 )
@@ -172,6 +173,24 @@ class TestSifting:
         dist = CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), sigma=0.05)
         transcript = run_protocol(make_config(pair_count=4000, distribution=dist))
         assert transcript.key_disagreement_rate() == 0.0
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_two_momentum_disagreement_rate_follows_the_kernel(self, seed):
+        # with two momenta K(a, a; p1, p2) > -1, so an honest sifted bit
+        # disagrees with probability (1 + K)/2: the rate must lie within 4
+        # binomial sigmas of that probability's mean over the sifted rows
+        dist = JointGaussian(
+            momentum_for_beta((0.9, 0.0, 0.0)), 0.1, momentum_for_beta((0.0, 0.8, 0.3)), 0.1
+        )
+        transcript = run_protocol(make_config(pair_count=20_000, distribution=dist, seed=seed))
+        rows = transcript.sifted_indices
+        axes = transcript.config.alice_pool[transcript.alice_basis[rows]]
+        beta1 = beta_from_momentum(transcript.momentum1[rows], dist.mass)
+        beta2 = beta_from_momentum(transcript.momentum2[rows], dist.mass)
+        p = float(np.mean((1.0 + kernel_from_beta(axes, axes, beta1, beta2)) / 2))
+        assert p > 0.01
+        sigma = math.sqrt(p * (1.0 - p) / rows.size)
+        assert abs(transcript.key_disagreement_rate() - p) <= 4.0 * sigma
 
     def test_sifted_rounds_are_matching_key_rounds(self):
         config = make_config(key_axes=((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)))
@@ -325,9 +344,9 @@ class TestInterceptResend:
 
     def test_degenerate_resend_axis_raises(self):
         # Eve's axis is longitudinal to particle 2 and survives the boost;
-        # Bob's transverse key axis does not
+        # the norm of Bob's transverse key axis, (m/|p|)^2, underflows
         config = make_config(
-            distribution=JointGaussian((0, 0, 0), 0.0, (1e16, 0, 0), 0.0),
+            distribution=JointGaussian((0, 0, 0), 0.0, (1e200, 0, 0), 0.0),
             eve=InterceptResend(basis_pool=((1.0, 0.0, 0.0),), attack_probability=1.0),
         )
         with pytest.raises(DegenerateObservableError, match="resend axis became degenerate"):

@@ -106,6 +106,22 @@ class TestParticleKinematics:
             assert_allclose(kin.beta_vec, beta_vec, rtol=0, atol=1e-14)
             assert kin.beta < 1.0
 
+    @pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0),
+                                           tuple(np.full(3, 3**-0.5))])
+    def test_momentum_for_beta_matches_mpmath(self, direction):
+        # gamma from the rounded beta^2 was 6e-6 off at 1 - 1e-12
+        mp = pytest.importorskip("mpmath")
+        for speed in (0.3, 0.9, 0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12):
+            for mass in (1.0, 2.759):
+                beta = speed * np.array(direction)
+                got = momentum_for_beta(beta, mass)
+                with mp.workdps(50):
+                    b = [mp.mpf(float(x)) for x in beta]
+                    gamma = 1 / mp.sqrt(1 - sum(x * x for x in b))
+                    want = [mp.mpf(mass) * gamma * x for x in b]
+                    err = max(abs(g - w) for g, w in zip(got, want))
+                    assert err <= 4e-16 * mp.sqrt(sum(w * w for w in want)), (speed, mass)
+
     def test_direction_at_rest_undefined(self):
         with pytest.raises(ValueError, match="undefined"):
             ParticleKinematics.at_rest().direction

@@ -4,7 +4,7 @@ The golden scan tables pin the sharp kernel; these pins cover the sampled
 paths: the per-row protocol kernel, the intercept-resend overlap, the
 empirical threshold, the chunked Monte Carlo sums at a small and at the
 default chunk size (including the swap symmetrization of a joint beam and
-the resampling of degenerate draws), both transcript writers, the JSON form of every scan figure, and what
+a beam past the old degeneracy cutoff), both transcript writers, the JSON form of every scan figure, and what
 each command line command prints and writes with ``--out``.  The
 attacked transcripts (``p_eve_0.5``, ``p_eve_1.0``) pin CSV rows with
 ``attacked`` set.  A refactor must leave every value here
@@ -39,8 +39,9 @@ BEAMS = {
     "joint": JointGaussian(
         momentum_for_beta((0.9, 0.0, 0.0)), 0.1, momentum_for_beta((0.0, 0.8, 0.3)), 0.1
     ),
-    # gamma straddles 1e14, the degeneracy cutoff m/E < DEGENERACY_TOL of
-    # the transverse axis b, so many draws are resampled
+    # gamma straddles 1e14, where the transverse axis b has
+    # m/E < DEGENERACY_TOL: a tolerance rule redrew many of these draws,
+    # yet each has a finite kernel
     "resampled": CorrelatedGaussian((9.5e13, 0.0, 0.0), (3e13, 0.0, 0.0)),
 }
 
@@ -83,10 +84,10 @@ TRANSCRIPT_SHA256 = {
 MC_REPRS = {
     ("bell", "correlated"): ("-2.6321040657626766", "0.00027416682973755655", 0),
     ("bell", "joint"): ("-2.6516124684181595", "0.0002430576398369364", 0),
-    ("bell", "resampled"): ("-2.000000000000032", "3.1837973411620354e-16", 25334),
+    ("bell", "resampled"): ("-2.0000000000000244", "9.716223682308452e-17", 0),
     ("correlator", "correlated"): ("-0.39956735036187085", "0.0001925411880484384", 0),
     ("correlator", "joint"): ("-0.6289479650774807", "0.00013467038986968846", 0),
-    ("correlator", "resampled"): ("-1.606723574395337e-14", "2.251284689859375e-16", 25334),
+    ("correlator", "resampled"): ("-1.2309505153155896e-14", "6.870407653285634e-17", 0),
 }
 
 #: repr of (value, standard_error) and the rejected count, 100_000 samples,
@@ -95,10 +96,10 @@ MC_REPRS = {
 MC_DEFAULT_CHUNK_REPRS = {
     ("bell", "correlated"): ("-2.632200911914604", "0.0001582739314696837", 0),
     ("bell", "joint"): ("-2.651779127289326", "0.0001403512887817635", 0),
-    ("bell", "resampled"): ("-2.0000000000000338", "4.228888611409203e-16", 76632),
+    ("bell", "resampled"): ("-2.000000000000026", "3.0772294313190215e-16", 0),
     ("correlator", "correlated"): ("-0.39967733548447903", "0.00011118662605016283", 0),
     ("correlator", "joint"): ("-0.629074121739185", "7.810198320969536e-05", 0),
-    ("correlator", "resampled"): ("-1.693828971931564e-14", "2.9902758140100103e-16", 76632),
+    ("correlator", "resampled"): ("-1.3197073192242719e-14", "2.1759297981525034e-16", 0),
 }
 
 #: SHA-256 of ScanTable.to_json per figure, at the resolution given.
@@ -146,7 +147,7 @@ def test_monte_carlo_reprs(estimator, beam):
     assert mc_reprs(estimator, beam) == MC_REPRS[estimator, beam]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("beam", sorted(BEAMS))
 @pytest.mark.parametrize("estimator", ["bell", "correlator"])
 def test_monte_carlo_reprs_at_default_chunk(estimator, beam, workers):
@@ -201,13 +202,13 @@ CLI_SHA256 = {
         "5d553b13a52bb9d32f36c993311459572c315670c41ac924ac50374aa5f3d365",
         "5d553b13a52bb9d32f36c993311459572c315670c41ac924ac50374aa5f3d365",
     ),
-    # about a third of the draws have |p|/m > 1e14 and are resampled, so
-    # the record carries a warning
+    # about a third of the draws have |p|/m > 1e14, past the old
+    # degeneracy cutoff of the transverse axis; none is redrawn
     "bell_resampled": (
         ["bell", "--beta", "0.9999999999999999,0,0", "--dist", "gaussian",
          "--sigma", "1e14,0,0", "--samples", "2000", "--seed", "7"],
-        "1b1cf650b446de21dd932ce1355e507aab30fae966ab47be0becb376c7c538e8",
-        "1b1cf650b446de21dd932ce1355e507aab30fae966ab47be0becb376c7c538e8",
+        "cfc94c8fec8345e5c7da03a3afd47ca58a185faf1190269bfb5e860fd648435f",
+        "cfc94c8fec8345e5c7da03a3afd47ca58a185faf1190269bfb5e860fd648435f",
     ),
     "threshold_sharp": (
         ["threshold", "--beta", "0.9,0,0"],
