@@ -137,7 +137,7 @@ def bell_average_mc(
 
     The four correlators are evaluated on the same momentum draws and the
     four standard errors are combined in quadrature.  A sharp profile
-    gives the exact value with zero error.
+    gives the exact value with zero error and ``samples = 0``.
     """
     return _estimate(
         _sides(config), dist, samples, seed, chunk_size, workers,

@@ -24,7 +24,7 @@ import os
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .bell import (
@@ -432,15 +432,12 @@ def _estimate_output(estimate: CorrelatorEstimate):
 
 
 def _bell_estimate(run: RunConfig) -> CorrelatorEstimate:
-    """The one Bell estimate of ``bell`` and ``threshold``, from
-    :func:`bell_average_mc` as a configured protocol threshold takes it: a
-    sharp beam exactly at its momentum, reported with no samples, and any
-    other profile by Monte Carlo."""
-    dist = run.inputs["distribution"]
-    estimate = bell_average_mc(
-        run.inputs["bell"], dist, run["samples"], run["seed"], workers=run["workers"]
+    """The one Bell estimate of ``bell`` and ``threshold``, as a configured
+    protocol threshold takes it: a sharp beam's is exact, with no samples."""
+    return bell_average_mc(
+        run.inputs["bell"], run.inputs["distribution"], run["samples"], run["seed"],
+        workers=run["workers"],
     )
-    return replace(estimate, samples=0) if isinstance(dist, Sharp) else estimate
 
 
 # Each command returns (stdout, what --out writes): stdout is a text line,
@@ -448,9 +445,8 @@ def _bell_estimate(run: RunConfig) -> CorrelatorEstimate:
 
 def _cmd_correlate(run: RunConfig):
     dist = run.inputs["distribution"]
-    if isinstance(dist, Sharp):
-        beta2 = run["beta2"] or run["beta"]
-        value = float(kernel_from_beta(run["a"], run["b"], run["beta"], beta2))
+    if isinstance(dist, Sharp) and run["beta2"] is not None:
+        value = float(kernel_from_beta(run["a"], run["b"], run["beta"], run["beta2"]))
         return _estimate_output(CorrelatorEstimate(value, 0.0, 0))
     return _estimate_output(correlator_mc(
         run["a"], run["b"], dist, run["samples"], run["seed"], workers=run["workers"]

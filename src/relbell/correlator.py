@@ -123,8 +123,8 @@ def _nondegenerate(kernels: np.ndarray) -> np.ndarray:
     The one degeneracy rule of every kernel path: a kernel is not finite
     only where the product of its norms underflows (:func:`_root`), as at
     a transverse axis at ``|beta| = 1`` or at exactly transverse axes past
-    ``|p|/m ~ 1e154`` (~1e77 if both are).  Adding zero folds the -0.0 of
-    orthogonal axes at rest into 0.0.
+    ``|p|/m ~ 1e216`` (~1.3e131 if both are).  Adding zero folds the -0.0
+    of orthogonal axes at rest into 0.0.
     """
     if not np.isfinite(kernels).all():
         raise DegenerateObservableError(
@@ -174,7 +174,8 @@ def correlator_sharp(a_dir, b_dir, beta_vec) -> float:
 
 @dataclass(frozen=True)
 class CorrelatorEstimate:
-    """Monte Carlo estimate with its one-sigma standard error.  No draw is
+    """Monte Carlo estimate with its one-sigma standard error over
+    ``samples`` draws, none for an exact :class:`Sharp` value.  No draw is
     redrawn, so ``rejected`` is always 0; it stays because every Monte
     Carlo record of the command line carries it and its readers take it."""
 
@@ -334,8 +335,9 @@ def _project(axes: _Axes, p: np.ndarray, mass: float | None) -> _Projections:
     With ``M = m`` (so ``c = 1``) this is ``s = a.p/m`` and
     ``gamma^2 = 1 + |p/m|^2``.  Where ``|p/m|^2`` reaches
     ``_SCALED_ABOVE`` (or overflows) the leaf takes a per-row ``M``: the
-    mass on the other rows, whose bytes do not change, and the larger of
-    the mass and the largest ``|p_k|`` on those, so no term overflows.
+    mass on the other rows, whose bytes do not change, and ``2^-180`` times
+    the larger of the mass and the largest ``|p_k|`` on those, so no term
+    overflows and ``c^2``, a transverse axis's norm, underflows late.
     """
     if mass is None:
         return _project_velocity(axes, p)
@@ -346,7 +348,7 @@ def _project(axes: _Axes, p: np.ndarray, mass: float | None) -> _Projections:
     c = 1.0
     if not gsq.max() < _SCALED_ABOVE:  # NaN too
         big = np.abs(p).max(axis=1)
-        scale = np.where(gsq < _SCALED_ABOVE, mass, np.maximum(big, mass))
+        scale = np.where(gsq < _SCALED_ABOVE, mass, np.maximum(big, mass) * 2.0**-180)
         np.divide(p.T, scale, out=y)
         c = mass / scale
         gsq = _norm_sq(y)
@@ -564,17 +566,16 @@ def _estimate(axes, dist, samples: int, seed: int, chunk_size: int, workers: int
     the estimate's value and standard error.  The inputs are checked here,
     and this is the one place that knows each profile's policy: a
     :class:`Sharp` profile is exact (its kernels at the fixed momentum,
-    projected with its mass as one draw, are the means, with zero errors),
-    and the rest are sampled, with every pair on the same momentum draws
-    and the kernel symmetrized over the particle swap, which changes
-    nothing where both particles share one momentum.  No draw is redrawn:
-    a kernel that is not finite raises (:func:`_nondegenerate`), so
-    ``rejected`` is 0.  ``samples``,
+    projected with its mass, are the means, with zero errors and no
+    samples), and the rest are sampled, with every pair on the same
+    momentum draws and the kernel symmetrized over the particle swap,
+    which changes nothing where both particles share one momentum.  No
+    draw is redrawn: a kernel that is not finite raises
+    (:func:`_nondegenerate`), so ``rejected`` is 0.  ``samples``,
     ``chunk_size`` and ``workers`` must be integers and ``seed`` a
-    nonnegative one.  Every chunk runs on the
-    pool of ``workers`` threads; chunk streams are spawned up front and
-    partial sums are merged in chunk order, so the result does not depend
-    on ``workers``.
+    nonnegative one.  Every chunk runs on the pool of ``workers`` threads;
+    chunk streams are spawned up front and partial sums are merged in
+    chunk order, so the result does not depend on ``workers``.
     """
     _check_sampling(samples, workers)
     seed = _check_seed(seed)
@@ -586,6 +587,7 @@ def _estimate(axes, dist, samples: int, seed: int, chunk_size: int, workers: int
         p = np.array([dist.momentum])
         means = _leaf_kernels(mc_axes, p, p, dist.mass)[:, 0]
         errors = np.zeros_like(means)
+        samples = 0
     else:
         sizes = _chunk_sizes(samples, chunk_size)
         jobs = zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes)
@@ -616,10 +618,10 @@ def correlator_mc(
     """Monte Carlo average of the correlation over a momentum profile.
 
     A :class:`~relbell.distributions.Sharp` profile has no randomness, so
-    the estimate equals the fixed-momentum value with zero error.  For a
-    :class:`~relbell.distributions.JointGaussian` profile the kernel is
-    symmetrized over the particle swap before averaging.  A draw whose
-    kernel is not finite raises :class:`DegenerateObservableError`.
+    the estimate equals the fixed-momentum value with zero error and no
+    samples.  For a :class:`~relbell.distributions.JointGaussian` profile
+    the kernel is symmetrized over the particle swap before averaging.  A
+    draw whose kernel is not finite raises :class:`DegenerateObservableError`.
     """
     return _estimate(
         ((a_dir,), (b_dir,)), dist, samples, seed, chunk_size, workers,

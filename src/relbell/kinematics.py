@@ -42,10 +42,10 @@ from .errors import DegenerateObservableError, DomainError
 DEGENERACY_TOL = 1e-14
 
 #: Rows whose ``|p/m|^2`` reaches this are taken in units of their largest
-#: momentum component instead of the mass (:func:`beta_from_momentum`,
-#: :func:`relbell.correlator._project`).  Below it no product of the
-#: kernels overflows for axes of length up to ~1e15: the largest is a
-#: product of norms, at most ``|a|^2 |b|^2 gamma1^2 gamma2^2``.
+#: momentum component (times ``2^-180`` in :func:`relbell.correlator._project`,
+#: where then ``gamma^2 < 2^362``).  So no product of the kernels overflows
+#: for axes of length up to ~1e15: the largest is a product of norms, at
+#: most ``|a|^2 |b|^2 gamma1^2 gamma2^2``.
 _SCALED_ABOVE = 1e120
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -107,7 +107,7 @@ class ParticleKinematics:
     """On-shell state of a massive particle: rest mass and 3-momentum.
 
     The energy is always ``sqrt(m^2 + |p|^2)``, so ``|beta| < 1`` holds for
-    every finite momentum.
+    every momentum; a state whose energy overflows is refused.
     """
 
     mass: float
@@ -116,6 +116,9 @@ class ParticleKinematics:
     def __post_init__(self):
         object.__setattr__(self, "mass", _check_mass(self.mass))
         object.__setattr__(self, "momentum", _as_triple(self.momentum, "momentum"))
+        with np.errstate(over="ignore"):
+            if self.energy == math.inf:
+                raise ValueError(f"m^2 + |p|^2 overflows at momentum {self.momentum}")
 
     @classmethod
     def from_beta(cls, beta_vec, mass: float = 1.0) -> "ParticleKinematics":
@@ -132,11 +135,11 @@ class ParticleKinematics:
 
     @property
     def energy(self) -> float:
-        return float(_energy(self.momentum_vec, self.mass))
+        return math.sqrt(self.mass * self.mass + _norm_sq(self.momentum_vec))
 
     @property
     def beta_vec(self) -> np.ndarray:
-        return self.momentum_vec / self.energy
+        return beta_from_momentum(self.momentum_vec, self.mass)
 
     @property
     def beta(self) -> float:
@@ -177,9 +180,8 @@ def beta_from_momentum(momentum: np.ndarray, mass: float) -> np.ndarray:
 
     Rows whose ``|p/m|^2`` reaches ``_SCALED_ABOVE`` (or whose ``|p|^2``
     overflows) are divided through by the larger of the mass and their
-    largest ``|p_k|`` first, as :func:`relbell.correlator._project` takes
-    them, so no term overflows; the other rows keep the bytes of the
-    formula above.
+    largest ``|p_k|`` first, so no term overflows; the other rows keep the
+    bytes of the formula above.
     """
     p = _components(momentum)
     with np.errstate(over="ignore"):
@@ -228,11 +230,6 @@ def _norm_sq(x):
     return (sq[0] + sq[1]) + sq[2]
 
 
-def _energy(momentum, mass: float):
-    """E = sqrt(m^2 + |p|^2) of component-major momenta."""
-    return np.sqrt(mass * mass + _norm_sq(momentum))
-
-
 def _same_bits(x, y) -> bool:
     """Equal bit for bit: -0.0 and 0.0 differ, equal NaNs match."""
     x = np.asarray(x, dtype=float)
@@ -251,6 +248,10 @@ def _rest_factor(beta) -> np.ndarray:
     two-sum), and the carried errors are added last, which leaves
     ``1 - beta^2`` a few units in its last place.
     """
+    # a unit velocity rounded to floats has |beta|^2 up to 1 + 3 eps
+    with np.errstate(over="ignore"):
+        if not (_norm_sq(beta) <= 1.0 + 8.0 * np.finfo(float).eps).all():  # NaN too
+            raise DomainError("a velocity is not finite or has |beta| > 1")
     total = np.ones(beta.shape[1:])
     carry = np.zeros_like(total)
     for b in beta:

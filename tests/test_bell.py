@@ -193,6 +193,8 @@ class TestBellAverageMC:
             bell_average_sharp(DEFAULT_CONFIG, (0.9, 0.0, 0.0)), rel=0, abs=1e-14
         )
         assert est.standard_error == 0.0
+        # nothing is drawn for a sharp profile
+        assert est.samples == 0
         assert est == bell_average_mc(DEFAULT_CONFIG, dist, 1000, seed=99)
 
     def test_sharp_matches_momentum_path_bit_for_bit(self):
@@ -247,6 +249,52 @@ class TestBellAverageMC:
                     bell_average_mc(DEFAULT_CONFIG, dist, 1000, seed=0, workers=workers)
                 with pytest.raises(ValueError, match="workers must be >= 1"):
                     correlator_mc((1, 0, 0), (0, 1, 0), dist, 1000, seed=0, workers=workers)
+
+
+def hermite_chsh(dist, q):
+    """The CHSH average over a correlated Gaussian beam by a tensor
+    Gauss-Hermite rule of ``q`` nodes per momentum component, the kernels
+    formed at the nodes as the protocol forms them."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(q)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    grid = np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 3)
+    w = np.einsum("i,j,k->ijk", weights, weights, weights).ravel()
+    p = np.asarray(dist.mean) + np.asarray(dist.sigma) * grid
+    values = correlator._momentum_rows(*_sides(DEFAULT_CONFIG), p, p, dist.mass, _chsh_sum)
+    return float(w @ values)
+
+
+#: Correlated beams whose kernels are smooth over the Gaussian's reach:
+#: the mean speed with its spread, and the q = 48 reference.
+HERMITE_BEAMS = [
+    ((0.9, 0.0, 0.0), 0.5, -2.611572139675),
+    ((0.99, 0.0, 0.0), 0.3, -2.250621466710),
+    ((0.9, 0.0, 0.0), 0.04, -2.632321511429),
+]
+
+
+class TestHermiteReference:
+    """A deterministic reference for correlated beams: a tensor
+    Gauss-Hermite rule, converged where q and 2q nodes agree."""
+
+    @pytest.mark.parametrize("beta, sigma, want", HERMITE_BEAMS)
+    def test_rule_converges_and_the_monte_carlo_brackets_it(self, beta, sigma, want):
+        dist = CorrelatedGaussian.from_beta(beta, sigma)
+        q24, q48 = hermite_chsh(dist, 24), hermite_chsh(dist, 48)
+        assert abs(q24 - q48) <= 1e-8
+        assert abs(q48 - want) <= 1e-11
+        for seed in (1, 2, 3):
+            est = bell_average_mc(DEFAULT_CONFIG, dist, 2**18, seed)
+            assert abs(est.value - q48) <= 4.0 * est.standard_error, seed
+
+    @pytest.mark.parametrize("beta", [(0.5, 0.5, 0.0), (0.9999, 0.0, 0.0)])
+    def test_rule_exposes_a_spread_of_one_mass(self, beta):
+        # the kernels bend on the scale |a.p| ~ m (their poles lie at
+        # a.p = +-i m), so a spread of one mass converges slowly, whether
+        # the beam reaches p = 0 or not (|mean| = 70 m at 0.9999): q and 2q
+        # nodes differ by 2e-5 and 1.5e-6, and the q/2q check flags both
+        dist = CorrelatedGaussian.from_beta(beta, 1.0)
+        assert abs(hermite_chsh(dist, 24) - hermite_chsh(dist, 48)) > 1e-6
 
 
 class TestCorrectedThreshold:

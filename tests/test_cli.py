@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relbell import DEFAULT_CONFIG, Sharp, bell_average_mc, bell_average_sharp, cli
+from relbell import (
+    DEFAULT_CONFIG, Sharp, bell_average_mc, bell_average_sharp, cli, correlator_mc,
+)
 from relbell.cli import (
     COMMAND_FLAGS,
     UsageError,
@@ -310,6 +312,17 @@ class TestCommandOutput:
         record = json.loads(capsys.readouterr().out)
         assert set(record) >= {"value", "standard_error", "samples", "rejected"}
         assert record["samples"] == 2000
+
+    def test_sharp_correlate_is_the_estimators_value(self, capsys, tmp_path):
+        # a sharp beam goes through correlator_mc, which draws nothing
+        out = tmp_path / "record.json"
+        argv = ["correlate", "--a", "0,0,1", "--b", "0,0.6,0.8", "--beta", "0.9,0.1,0"]
+        assert main([*argv, "--out", str(out)]) == 0
+        want = correlator_mc((0, 0, 1), (0, 0.6, 0.8), Sharp.from_beta((0.9, 0.1, 0.0)), 100, 0)
+        assert capsys.readouterr().out == f"{want.value!r}\n"
+        assert json.loads(out.read_text()) == {
+            "value": want.value, "standard_error": 0.0, "samples": 0, "rejected": 0,
+        }
 
     def test_bell_prints_sharp_average(self, capsys):
         # the estimator's exact value at the beam's momentum

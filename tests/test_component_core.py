@@ -31,6 +31,7 @@ from relbell import (
     BellConfig,
     CorrelatedGaussian,
     DegenerateObservableError,
+    DomainError,
     InterceptResend,
     JointGaussian,
     ProtocolConfig,
@@ -310,6 +311,12 @@ def signed_rows():
     return np.array(list(itertools.product(SIGNED, repeat=3)))
 
 
+def signed_velocity_rows():
+    """The :func:`signed_rows` with |beta| <= 1: the rest are no velocity."""
+    rows = signed_rows()
+    return rows[np.sum(rows * rows, axis=-1) <= 1.0]
+
+
 def unit_velocity_rows():
     """|beta| = 1 rows, exactly on the axes and off them."""
     return np.array([
@@ -418,9 +425,10 @@ class TestKernel:
         # 1 - beta^2 to 0 from a speed within 1e-16 of 1, the axis keeps a
         # length m/E ~ 1e-8, so the row is not degenerate.
         rng = np.random.default_rng(31)
-        beta1 = np.concatenate([random_velocities(rng, 500), signed_rows(), unit_velocity_rows()])
-        beta2 = np.concatenate([random_velocities(rng, 500), unit_velocity_rows(), signed_rows()])
-        per_row = np.concatenate([random_unit(rng, 500), signed_rows(), unit_velocity_rows()])
+        signed = signed_velocity_rows()
+        beta1 = np.concatenate([random_velocities(rng, 500), signed, unit_velocity_rows()])
+        beta2 = np.concatenate([random_velocities(rng, 500), unit_velocity_rows(), signed])
+        per_row = np.concatenate([random_unit(rng, 500), signed, unit_velocity_rows()])
         alice = (DEFAULT_CONFIG.a, per_row, (-0.0, 1.0, 0.0))
         bob = (per_row[::-1], DEFAULT_CONFIG.b_prime)
         for b1, b2 in ((beta1, beta2), (beta1, beta1), (beta2, beta1.copy())):
@@ -488,6 +496,41 @@ class TestKernel:
             for b1, b2 in ((beta1, beta2), (beta1, beta1), (beta1[3], beta2[3]), (np.zeros(3), beta2)):
                 got = chsh_from_beta(config, b1, b2)
                 assert close(got, ref_chsh_from_beta(config, b1, b2), room(b1, b2))
+
+
+class TestVelocityDomain:
+    """Every velocity path forms ``c`` in ``_rest_factor``, which takes
+    finite velocities up to the rounded unit speed and raises on the rest."""
+
+    def test_faster_and_nan_velocities_raise(self):
+        # each of these read a number: -1.0, [0, 0, 2], and a
+        # DegenerateObservableError for the NaN
+        calls = [
+            lambda: kernel_from_beta((0, 0.6, 0.8), (0.6, 0, 0.8), (0, 0, 2.0), (0, 0, 3.0)),
+            lambda: boosted_spin_axis((0, 1, 0.5), (0, 0, 2.0)),
+            lambda: kernel_from_beta((0, 0, 1), (0, 1, 0), (np.nan, 0, 0), (0, 0, 0)),
+            lambda: boosted_spin_axis((0, 0, 1), (0, np.inf, 0)),
+            lambda: chsh_from_beta(DEFAULT_CONFIG, (0.9, 0.5, 0.0), (0.0, 0.0, 0.0)),
+        ]
+        rows = signed_rows()
+        for row in rows[np.sum(rows * rows, axis=-1) > 1.0]:
+            calls.append(lambda row=row: kernel_from_beta((0, 0, 1), (1, 0, 0), row, row))
+        for call in calls:
+            with pytest.raises(DomainError, match="not finite or has") as raised:
+                call()
+            assert raised.type is DomainError
+
+    def test_unit_velocities_rounded_to_floats_pass(self):
+        # |beta|^2 of a unit velocity reads up to 1 + 3 eps: from momenta
+        # past gamma ~ 1e8 and from normalized vectors
+        rng = np.random.default_rng(33)
+        p = random_unit(rng, 20_000) * 10.0 ** rng.uniform(10, 300, (20_000, 1))
+        unit = np.concatenate([beta_from_momentum(p, 1.0), random_unit(rng, 20_000),
+                               unit_velocity_rows()])
+        assert (np.sum(unit * unit, axis=-1) > 1.0).any()
+        axis = np.array([0.0, 0.0, 1.0])
+        assert np.isfinite(boosted_spin_axis(axis, unit)).all()
+        chsh_from_beta(DEFAULT_CONFIG, unit[:1000], unit[1000:2000])
 
 
 BEAMS = {

@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 import tracemalloc
@@ -192,7 +193,8 @@ class TestMonteCarlo:
             correlator_sharp((0, 0, 1), (0, 1, 0), (0.9, 0.0, 0.0)), rel=0, abs=1e-15
         )
         assert est.standard_error == 0.0
-        assert est.samples == 1000
+        # a sharp profile draws nothing
+        assert est.samples == 0
 
     def test_narrow_spread_brackets_sharp_value(self):
         # 100 seeded runs; the closed-form value must land inside 3 sigma in
@@ -366,11 +368,11 @@ class TestMomentumFrame:
 
     def test_kernels_match_mpmath_up_to_overflowing_momenta(self):
         # |p|/m from 1e-2 to 1e300 and masses down to 1e-150: the rows past
-        # _SCALED_ABOVE are projected in units of their largest component.
-        # Along x the default axis b is exactly transverse, along y b' is,
-        # so every kernel there has one transverse axis of norm (m/|p|)^2:
-        # finite up to 1e150, while past ~1e154 the product of two norms
-        # falls below the smallest normal float and the kernels raise
+        # _SCALED_ABOVE are projected in units of 2^-180 times their largest
+        # component.  Along x the default axis b is exactly transverse,
+        # along y b' is, so a kernel of that axis has one transverse axis of
+        # norm c^2 = (2^180 m/|p|)^2: finite up to 1e214, while past
+        # ~9.7e215 c^2 underflows to 0 and the kernels raise
         rng = np.random.default_rng(51)
         axes = correlator._mc_axes(
             np.array([DEFAULT_CONFIG.a, DEFAULT_CONFIG.a_prime]),
@@ -378,8 +380,8 @@ class TestMomentumFrame:
         )
         pairs = [(a, b) for a in (DEFAULT_CONFIG.a, DEFAULT_CONFIG.a_prime)
                  for b in (DEFAULT_CONFIG.b, DEFAULT_CONFIG.b_prime)]
-        # 1e14 to 1e150, on both sides of _SCALED_ABOVE
-        transverse = 10.0 ** np.arange(14, 151, 8)
+        # 1e14 to 1e214, on both sides of _SCALED_ABOVE
+        transverse = 10.0 ** np.arange(14, 215, 8)
         transverse = np.concatenate([np.outer(transverse, (1.0, 0.0, 0.0)),
                                      np.outer(transverse, (0.0, -1.0, 0.0))])
         for mass in (1.0, 1e-150, 7.3):
@@ -395,7 +397,7 @@ class TestMomentumFrame:
                         for k, (a, b) in enumerate(pairs):
                             want = mp_kernel(a, b, one[row], two[row], mass)
                             assert abs(kernels[k, row] - want) <= 1e-14, (mass, row, k)
-                for ratio in (1e155, 1e200):
+                for ratio in (1e216, 1e300):
                     for direction in ((ratio * mass, 0.0, 0.0), (0.0, -ratio * mass, 0.0)):
                         q = np.array([direction])
                         for two in (q, 2.0 * q):
@@ -403,24 +405,31 @@ class TestMomentumFrame:
                                 correlator._leaf_kernels(axes, q, two, mass)
 
     def test_axes_all_transverse_raise_where_their_norms_underflow(self):
-        # along z every default axis is transverse: a product of two norms
-        # is (m/|p|)^4, which underflows past |p|/m ~ 1e77
-        axes = correlator._mc_axes(
-            np.array([DEFAULT_CONFIG.a, DEFAULT_CONFIG.a_prime]),
-            np.array([DEFAULT_CONFIG.b, DEFAULT_CONFIG.b_prime]),
-        )
+        # along z every default axis is transverse: past _SCALED_ABOVE a
+        # product of two norms is c^4 = (2^180 m/|p|)^4, which underflows
+        # past |p|/m ~ 1.3e131
+        c = DEFAULT_CONFIG
+        axes = correlator._mc_axes(np.array([c.a, c.a_prime]), np.array([c.b, c.b_prime]))
+        pairs = list(itertools.product((c.a, c.a_prime), (c.b, c.b_prime)))
         # axes transverse to a shared momentum keep the rest value -a.b
         want = -(axes.stacked[:2, :, 0] @ axes.stacked[2:, :, 0].T).ravel()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for ratio in (1e14, 1e61, 1e76):
+            for ratio in (1e14, 1e61, 1e76, 1e80, 1e100, 1e130):
+                for mass in (1.0, 7.3):
+                    p = np.array([[0.0, 0.0, ratio * mass]])
+                    kernels = correlator._leaf_kernels(axes, p, p, mass)
+                    assert np.abs(kernels[:, 0] - want).max() <= 1e-15
+                    # and two momenta along z hold the 50-digit anchors
+                    kernels = correlator._leaf_kernels(axes, p, 2.0 * p, mass)
+                    for k, (a, b) in enumerate(pairs):
+                        anchor = mp_kernel(a, b, p[0], 2.0 * p[0], mass)
+                        assert abs(kernels[k, 0] - anchor) <= 1e-14, (ratio, mass, k)
+            for ratio in (1e132, 1e155, 1e200):
                 p = np.array([[0.0, 0.0, ratio]])
-                kernels = correlator._leaf_kernels(axes, p, p, 1.0)
-                assert np.abs(kernels[:, 0] - want).max() <= 1e-15
-            for ratio in (1e78, 1e80, 1e155, 1e200):
-                p = np.array([[0.0, 0.0, ratio]])
-                with pytest.raises(DegenerateObservableError):
-                    correlator._leaf_kernels(axes, p, p, 1.0)
+                for two in (p, 2.0 * p):
+                    with pytest.raises(DegenerateObservableError):
+                        correlator._leaf_kernels(axes, p, two, 1.0)
 
 
 def mp_boosted_axis(a, beta):

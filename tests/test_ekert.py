@@ -344,9 +344,10 @@ class TestInterceptResend:
 
     def test_degenerate_resend_axis_raises(self):
         # Eve's axis is longitudinal to particle 2 and survives the boost;
-        # the norm of Bob's transverse key axis, (m/|p|)^2, underflows
+        # the norm of Bob's transverse key axis, (2^180 m/|p|)^2 in the
+        # scaled row's units, underflows past |p|/m ~ 1e208
         config = make_config(
-            distribution=JointGaussian((0, 0, 0), 0.0, (1e200, 0, 0), 0.0),
+            distribution=JointGaussian((0, 0, 0), 0.0, (1e250, 0, 0), 0.0),
             eve=InterceptResend(basis_pool=((1.0, 0.0, 0.0),), attack_probability=1.0),
         )
         with pytest.raises(DegenerateObservableError, match="resend axis became degenerate"):

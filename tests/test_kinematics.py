@@ -11,6 +11,7 @@ from relbell import (
     DomainError,
     FourVector,
     ParticleKinematics,
+    beta_from_momentum,
     boosted_spin_axis,
     commutator_norm,
     correlator_integrand,
@@ -22,6 +23,7 @@ from relbell import (
 )
 from relbell import correlator
 from relbell.kinematics import PAULI_X, PAULI_Y, PAULI_Z
+from relbell.kinematics import _same_bits as same_bits
 
 PAULI = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
@@ -83,7 +85,13 @@ class TestMinkowskiDot:
         combined = FourVector(*(alpha * a + b for a, b in zip(v, w)))
         lhs = minkowski_dot(fu, combined)
         rhs = alpha * minkowski_dot(fu, fv) + minkowski_dot(fu, fw)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-9)
+        # the terms may cancel, so the bound is on their magnitudes: each side
+        # rounds about six times per term.  A subnormal result is off by up
+        # to half the smallest subnormal, which a later product scales by
+        # |u_i| or |alpha|
+        scale = sum(abs(a) * (abs(alpha * b) + abs(c)) for a, b, c in zip(u, v, w))
+        underflow = math.ulp(0.0) * (8 + sum(map(abs, u)) + abs(alpha))
+        assert abs(lhs - rhs) <= 8 * np.finfo(float).eps * scale + 4 * underflow
 
 
 class TestParticleKinematics:
@@ -141,6 +149,49 @@ class TestParticleKinematics:
             ParticleKinematics(1.0, (1.0, 0.0))
         with pytest.raises(DomainError):
             momentum_for_beta((1.0, 0.0, 0.0))
+
+    def test_overflowing_energy_is_refused(self):
+        # m^2 + |p|^2 overflows past |p| ~ 1.34e154 at m = 1: the energy was
+        # inf, and pl_eigenvalue read nan where its limit is 0.5
+        ParticleKinematics(1.0, (1e154, 0.0, 0.0))
+        for momentum in ((1e155, 0.0, 0.0), (1e160, 0.0, 0.0), (0.0, -1e200, 1.0)):
+            with pytest.raises(ValueError, match="overflows"):
+                ParticleKinematics(1.0, momentum)
+        # each square is finite, their sum is not
+        with pytest.raises(ValueError, match="overflows"):
+            ParticleKinematics(1e154, (1e154, 0.0, 0.0))
+
+    def test_beta_vec_is_the_velocity_of_beta_from_momentum(self):
+        # bit for bit on every state, and p/E itself below _SCALED_ABOVE
+        rng = np.random.default_rng(8)
+        states = [random_kinematics(rng) for _ in range(200)] + [
+            ParticleKinematics(m, p) for m, p in (
+                (1.0, (1e10, 0.0, 0.0)), (2.759, (-2.96, 0.37, 0.5)), (1e-100, (1e60, 0.0, 0.0)),
+                (1e-150, (0.0, -1e150, 3e149)), (1.0, (-0.0, 0.0, -0.0)), (7.3, (1e153, 1e152, 0.0)),
+            )
+        ]
+        for kin in states:
+            p = kin.momentum_vec
+            assert same_bits(kin.beta_vec, beta_from_momentum(p, kin.mass))
+            if np.sum(p * p) < 1e120 * kin.mass**2:
+                assert same_bits(kin.beta_vec, p / kin.energy)
+
+    def test_huge_momentum_reads_the_limit_of_its_velocity(self):
+        # |p|/m = 1e160 at m = 1 overflowed E, so p/E read beta = 0 and the
+        # observables their rest values (that state is refused now); at a
+        # small mass the same ratio agrees with |p|/m = 1e10, where beta
+        # already rounds to 1 and pl_eigenvalue reads 0.5
+        a, b = (0.0, 0.6, 0.8), (0.0, 0.8, -0.6)
+        limit = ParticleKinematics(1.0, (1e10, 0.0, 0.0))
+        for kin in (ParticleKinematics(1e-100, (1e60, 0.0, 0.0)),
+                    ParticleKinematics(1e-150, (1e10, 0.0, 0.0))):
+            assert same_bits(kin.beta_vec, limit.beta_vec)
+            assert commutator_norm(a, b, kin) == commutator_norm(a, b, limit) == 0.0
+            along = (0.6, 0.8, 0.0), (0.8, 0.0, 0.6)
+            assert correlator_integrand(*along, kin, limit) == correlator_integrand(*along, limit, limit)
+            with pytest.raises(DegenerateObservableError):
+                correlator_integrand(a, b, kin, limit)
+        assert pl_eigenvalue(FourVector(0.0, 0.0, 1.0, 0.0), limit) == 0.5
 
 
 class TestPlEigenvalue:
