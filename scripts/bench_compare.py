@@ -16,11 +16,12 @@ end-to-end metric, the pairs each side won, the metric's BENCHMARK.json
 bound with a verdict against it (``within``, ``outside`` or
 ``unresolved``, see :func:`verdict`), one traced run per side, the
 tracemalloc peaks of one 65536-draw Monte Carlo chunk of a crossed and of
-a correlated beam and of one 2^17-pair intercept-resend protocol run, and
-the minor page faults per 2^18-sample ``bell_average_mc`` call at 1 and 2
-workers on both beams, each counted in a fresh process, and the absolute
-error against mpmath of zero-spread anchors, through the Monte Carlo and
-through the empirical threshold of a protocol run.  Every run and probe
+a correlated beam and of one 2^17-pair intercept-resend protocol run, the
+minor page faults per 2^18-sample ``bell_average_mc`` call at 1 and 2
+workers on both beams and per call of that protocol run, each counted in a
+fresh process, and the absolute error against mpmath of zero-spread
+anchors, through the Monte Carlo and through the empirical threshold of a
+protocol run.  Every run and probe
 imports its side's sources afresh: Python runs with
 ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set to an empty
 directory of the side's own (:func:`python`), so a ``__pycache__`` that an
@@ -51,6 +52,8 @@ TRACED = (
     "correlator.kernel_ns_per_eval",
     "kinematics.beta_from_momentum_s",
     "bell.bell_average_mc_w1_s",
+    "ekert.run_protocol_s",
+    "ekert.bell_test_naive_s",
     "ekert.bell_test_corrected_s",
 )
 
@@ -91,18 +94,36 @@ print((faults() - before) / 4)
 """
 
 
-#: One 2^17-pair intercept-resend protocol run, measured the same way; its
-#: peak shows the per-row arrays a run holds at once.
-PROTOCOL_PEAK = """
-import sys, tracemalloc
+#: One 2^17-pair intercept-resend protocol run.
+PROTOCOL = """
+import sys
 sys.path.insert(0, "src")
 from relbell import CorrelatedGaussian, InterceptResend, ProtocolConfig, run_protocol
 config = ProtocolConfig(pair_count=2**17, seed=0,
                         distribution=CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), 0.04),
                         eve=InterceptResend(attack_probability=0.5))
+"""
+
+#: That run, measured with tracemalloc as a chunk is; its peak shows the
+#: per-row arrays a run holds at once.
+PROTOCOL_PEAK = PROTOCOL + """
+import tracemalloc
 tracemalloc.start()
 run_protocol(config)
 print(tracemalloc.get_traced_memory()[1])
+"""
+
+#: Process-wide minor page faults per call of that run, counted as
+#: CALL_FAULTS counts them: the mean of 4 calls after one warm-up call.
+PROTOCOL_FAULTS = PROTOCOL + """
+import resource
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_protocol(config)
+before = faults()
+for _ in range(4):
+    run_protocol(config)
+print((faults() - before) / 4)
 """
 
 
@@ -309,6 +330,9 @@ def main() -> int:
     }
     record["protocol_peak_bytes"] = {
         side: int(probe(path, PROTOCOL_PEAK)) for side, path in sides.items()
+    }
+    record["protocol_call_minflt"] = {
+        side: float(probe(path, PROTOCOL_FAULTS)) for side, path in sides.items()
     }
     for key, code in (("mc_anchor_abs_err", MC_ANCHOR), ("protocol_anchor_abs_err", PROTOCOL_ANCHOR)):
         record[key] = {side: json.loads(probe(path, code)) for side, path in sides.items()}

@@ -34,10 +34,11 @@ _UNIT_TOL = 1e-12
 
 
 def _dump_json(obj, stream) -> None:
-    """Stream ``obj`` as one line of canonical JSON: sorted keys, compact
-    separators, LF-terminated."""
-    json.dump(obj, stream, sort_keys=True, separators=(",", ":"))
-    stream.write("\n")
+    """Write ``obj`` as one line of canonical JSON: sorted keys, compact
+    separators, LF-terminated.  The line is encoded in one shot, which
+    ``json`` does in C; a streamed ``json.dump`` takes its pure-Python
+    encoder, for the same bytes."""
+    stream.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _write_csv(stream, names, columns) -> None:

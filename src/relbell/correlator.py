@@ -287,7 +287,10 @@ def _block_axes(alice, bob):
     each block its own slice, with ``a.a`` and ``-(a.b)`` formed on it.
     Two indexed sides, ``(pool, index)`` pairs, give one axis per side and
     row; each pool axis's ``a.a`` and each pool pair's ``-(a.b)`` are formed
-    once, on the pools, and gathered per row."""
+    once, on the pools, and gathered per row.  The indices are taken one
+    block at a time, in numpy's own index type: the block's index into the
+    stacked pools per side and into the flattened pair table per row are
+    formed on the block, so no index array covers the whole run."""
     if not isinstance(alice, tuple):
         if alice.ndim == 3:
             return lambda rows: _mc_axes(alice[..., rows], bob[..., rows])
@@ -298,16 +301,14 @@ def _block_axes(alice, bob):
     xyz = table.stacked[:, :, 0].T.copy()
     aa = table.aa[:, 0]
     nab = table.nab.reshape(-1)
-    # one index per side into the stacked pools, and one per row into the
-    # flattened pair table, made once in numpy's own index type
-    index = np.stack((index1, index2), dtype=np.intp)
-    pair = index[0] * len(pool2) + index[1]
-    index[1] += len(pool1)
 
     def gathered(rows: slice) -> _Axes:
-        block = index[:, rows]
+        block = np.stack((index1[rows], index2[rows]), dtype=np.intp)
+        pair = block[0] * len(pool2)
+        pair += block[1]
+        block[1] += len(pool1)
         return _Axes(xyz.take(block, axis=1).transpose(1, 0, 2), 1, aa.take(block),
-                     nab.take(pair[rows])[None, None])
+                     nab.take(pair)[None, None])
 
     return gathered
 

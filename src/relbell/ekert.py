@@ -276,8 +276,8 @@ class ProtocolTranscript:
             },
             "sifted": {
                 "indices": self.sifted_indices.tolist(),
-                "alice_bits": "".join(str(int(b)) for b in self.alice_key_bits),
-                "bob_bits": "".join(str(int(b)) for b in self.bob_key_bits),
+                "alice_bits": _digits(self.alice_key_bits),
+                "bob_bits": _digits(self.bob_key_bits),
             },
             "bell": {
                 "naive": self.bell_naive.to_dict() if self.bell_naive else None,
@@ -295,12 +295,22 @@ class ProtocolTranscript:
         ))
 
 
+def _digits(bits: np.ndarray) -> str:
+    """Key bits as a string of ``0`` and ``1``: each bit plus ``ord("0")``
+    is its ASCII digit, one byte per bit."""
+    return (bits.astype(np.uint8) + 48).tobytes().decode()
+
+
 def _choose_bases(rng: np.random.Generator, n: int, n_key: int, test_fraction: float) -> np.ndarray:
-    """Pool indices: key axes 0..n_key-1, test axes n_key and n_key+1."""
+    """Pool indices: key axes 0..n_key-1, test axes n_key and n_key+1.  The
+    test picks are shifted and copied over the key picks in place, so the
+    only whole-run temporaries are the three draws."""
     is_test = rng.random(n) < test_fraction
     test_pick = rng.integers(0, 2, size=n)
     key_pick = rng.integers(0, n_key, size=n)
-    return np.where(is_test, n_key + test_pick, key_pick).astype(np.int16)
+    test_pick += n_key
+    np.copyto(key_pick, test_pick, where=is_test)
+    return key_pick.astype(np.int16)
 
 
 def _draw_roles(config: ProtocolConfig, rng_alice, rng_bob, rng_outcome, rng_eve):
@@ -312,7 +322,9 @@ def _draw_roles(config: ProtocolConfig, rng_alice, rng_bob, rng_outcome, rng_eve
     n_key = len(config.key_axes)
     alice_idx = _choose_bases(rng_alice, n, n_key, config.test_fraction)
     bob_idx = _choose_bases(rng_bob, n, n_key, config.test_fraction)
-    s = (2 * rng_outcome.integers(0, 2, size=n) - 1).astype(np.int8)
+    s = rng_outcome.integers(0, 2, size=n).astype(np.int8)
+    s *= 2
+    s -= 1
     u_outcome = rng_outcome.random(n)
     eve = None
     if config.eve is not None and config.eve.attack_probability > 0.0:
@@ -324,8 +336,25 @@ def _draw_roles(config: ProtocolConfig, rng_alice, rng_bob, rng_outcome, rng_eve
     return alice_idx, bob_idx, s, u_outcome, eve
 
 
+def _signs(u: np.ndarray, probability: np.ndarray) -> np.ndarray:
+    """+1 where ``u < probability`` and -1 elsewhere, as int8, formed in
+    place on the comparison's own bytes."""
+    signs = np.less(u, probability).view(np.int8)
+    signs *= 2
+    signs -= 1
+    return signs
+
+
 def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
-    """Execute a full run and attach both Bell verdicts to the transcript."""
+    """Execute a full run and attach both Bell verdicts to the transcript.
+
+    Each per-round column is made in its transcript dtype by in-place
+    arithmetic on the draws: bases and ``eve_basis`` as int16, outcome
+    signs as int8 from the comparison's own bytes, and key bits as uint8;
+    each outcome probability ``(1 + s K) / 2`` is formed in its kernel's
+    array.  Every value takes the IEEE operations of the whole-array
+    formulas, in the same order, so the bytes are theirs.
+    """
     n = config.pair_count
     rng_momenta, *role_rngs = (
         np.random.Generator(np.random.Philox(child))
@@ -346,44 +375,52 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
 
     bob_pool = config.bob_pool
     partner_pool = bob_pool
+    # the axis particle 2 is measured along: Eve's on attacked rounds, else
+    # Bob's, as an index into Bob's pool followed by Eve's
+    partner_idx = bob_idx
     eve_basis = np.full(n, -1, dtype=np.int16)
     attacked = np.zeros(n, dtype=bool)
     if eve is not None:
         u_attack, eve_pick, u_resend = eve
         attacked = u_attack < config.eve.attack_probability
-        eve_basis[attacked] = eve_pick[attacked]
+        eve_basis = np.where(attacked, eve_pick, np.int16(-1))
+        partner_idx = np.where(attacked, eve_basis + np.int16(len(bob_pool)), bob_idx)
         partner_pool = np.concatenate((bob_pool, np.array(config.eve.basis_pool)))
 
-    # the axis particle 2 is measured along: Eve's on attacked rounds, else
-    # Bob's, as an index into Bob's pool followed by Eve's
-    partner_idx = np.where(attacked, len(bob_pool) + eve_basis, bob_idx)
+    # each round's probability of t = +1 is (1 + s K) / 2, formed in the
+    # kernel's own array
     kernel = _momentum_rows(
         (config.alice_pool, alice_idx), (partner_pool, partner_idx), p1, p2, mass
     )
-    t = np.where(u_outcome < 0.5 * (1.0 + s * kernel), 1, -1).astype(np.int8)
-
-    bob_outcome = t.copy()
+    kernel *= s
+    kernel += 1.0
+    kernel *= 0.5
+    bob_outcome = _signs(u_outcome, kernel)
     eve_outcome = np.zeros(n, dtype=np.int8)
-    if attacked.any():
-        rows = np.nonzero(attacked)[0]
+    rows = np.flatnonzero(attacked)
+    if rows.size:
+        t_rows = bob_outcome[rows]
         # the overlap of Eve's and Bob's effective axes is minus their
         # singlet kernel, both taken at Bob's momentum
         sides = ((partner_pool, partner_idx[rows]), (bob_pool, bob_idx[rows]))
         bob_momenta = p2.take(rows, axis=0)
         try:
-            overlap = -_momentum_rows(*sides, bob_momenta, bob_momenta, mass)
+            overlap = _momentum_rows(*sides, bob_momenta, bob_momenta, mass)
         except DegenerateObservableError as err:
             raise DegenerateObservableError(
                 "a resend axis became degenerate at the sampled momentum"
             ) from err
-        resent = np.where(u_resend[rows] < 0.5 * (1.0 + t[rows] * overlap), 1, -1)
-        bob_outcome[rows] = resent.astype(np.int8)
-        eve_outcome[rows] = t[rows]
+        np.negative(overlap, out=overlap)
+        overlap *= t_rows
+        overlap += 1.0
+        overlap *= 0.5
+        bob_outcome[rows] = _signs(u_resend[rows], overlap)
+        eve_outcome[rows] = t_rows
 
     sift_mask = (alice_idx == bob_idx) & (alice_idx < len(config.key_axes))
-    sifted_indices = np.nonzero(sift_mask)[0]
-    alice_key_bits = ((s[sift_mask] + 1) // 2).astype(np.uint8)
-    bob_key_bits = ((1 - bob_outcome[sift_mask]) // 2).astype(np.uint8)
+    sifted_indices = np.flatnonzero(sift_mask)
+    alice_key_bits = (s[sifted_indices] > 0).view(np.uint8)
+    bob_key_bits = (bob_outcome[sifted_indices] < 0).view(np.uint8)
 
     transcript = ProtocolTranscript(
         config=config,
@@ -411,17 +448,24 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
 def _test_statistics(transcript: ProtocolTranscript):
     """Per-basis-pair counts and correlations of the test rounds, in CHSH
     order.  Raises :class:`~relbell.errors.UndersampledTestError` when any
-    basis pair has fewer than ``MIN_TEST_ROUNDS`` rounds."""
-    n_key = len(transcript.config.key_axes)
-    a_test = transcript.alice_basis - n_key
-    b_test = transcript.bob_basis - n_key
-    test = (a_test >= 0) & (b_test >= 0)
-    pair = 2 * a_test[test] + b_test[test]
-    products = transcript.alice_outcome[test] * transcript.bob_outcome[test]
-    counts = np.bincount(pair, minlength=4).tolist()
+    basis pair has fewer than ``MIN_TEST_ROUNDS`` rounds.
+
+    Every round gets one joint basis code, ``alice * (n_key + 2) + bob``,
+    formed in ``intp`` so a large key pool cannot overflow the basis
+    dtype; two bincounts over it, of rounds and of the +-1 outcome
+    products, are sliced to the 2x2 block of the test axes."""
+    width = len(transcript.config.key_axes) + 2
+    code = transcript.alice_basis.astype(np.intp)
+    code *= width
+    code += transcript.bob_basis
+    products = transcript.alice_outcome * transcript.bob_outcome
+    test = slice(width - 2, width)
     # the products are +-1, so these sums are exact in any order and each
     # correlation equals the mean of its pair's products bit for bit
-    sums = np.bincount(pair, weights=products, minlength=4).tolist()
+    counts, sums = (
+        np.bincount(code, weights, width * width).reshape(width, width)[test, test].ravel().tolist()
+        for weights in (None, products)
+    )
     for k, count in enumerate(counts):
         if count < MIN_TEST_ROUNDS:
             raise UndersampledTestError(

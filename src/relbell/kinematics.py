@@ -281,14 +281,21 @@ def pl_eigenvalue(a: FourVector, kin: ParticleKinematics, j3: float = 0.5) -> fl
     if j3 <= 0 or abs(2.0 * j3 - round(2.0 * j3)) > 1e-12:
         raise ValueError(f"j3 must be a positive half-integer, got {j3}")
     p = kin.four_momentum
-    # on shell p.p = m^2; forming E^2 - |p|^2 instead cancels at large |p|/m
-    radicand = minkowski_dot(a, p) ** 2 - minkowski_dot(a, a) * (kin.mass * kin.mass)
+    ap, aa, m = minkowski_dot(a, p), minkowski_dot(a, a), kin.mass
+    # on shell p.p = m^2; forming E^2 - |p|^2 instead cancels at large |p|/m.
+    # Both terms are taken in units of 4^e, with 2^e the binade of the larger
+    # of |a.p| and sqrt(|a.a|) m, so no square overflows; a power of two
+    # scales exactly, and ap * ap is correctly rounded, as ap ** 2 (libm's
+    # pow) need not be
+    e = math.frexp(max(abs(ap), math.sqrt(abs(aa)) * m))[1]
+    ap = math.ldexp(ap, -e)
+    radicand = ap * ap - math.ldexp(aa, -e) * math.ldexp(m * m, -e)
     if radicand < 0.0:
         raise DomainError(
-            f"(a.p)^2 - a^2 p^2 = {radicand} < 0 for a = {a}, p = {p}; "
+            f"(a.p)^2 < a^2 p^2 for a = {a}, p = {p}; "
             "the axis must be spacelike relative to the momentum"
         )
-    return j3 * math.sqrt(radicand)
+    return j3 * math.ldexp(math.sqrt(radicand), e)
 
 
 def boosted_spin_axis(a_dir, beta_vec) -> np.ndarray:

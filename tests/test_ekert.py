@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -363,6 +364,80 @@ class TestInterceptResend:
         assert np.all(transcript.eve_outcome[~attacked] == 0)
 
 
+BEAM = CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), sigma=0.05)
+JOINT_BEAM = JointGaussian(
+    momentum_for_beta((0.85, 0.0, 0.0)), 0.04, momentum_for_beta((0.0, 0.85, 0.0)), 0.04
+)
+
+
+def key_axes(count: int) -> tuple:
+    """``count`` unit key axes: z first, then fixed random directions."""
+    rng = np.random.default_rng(count)
+    rest = rng.normal(size=(count - 1, 3))
+    rest /= np.linalg.norm(rest, axis=1, keepdims=True)
+    return ((0.0, 0.0, 1.0),) + tuple(map(tuple, rest))
+
+
+def masked_statistics(transcript):
+    """Per-basis-pair test counts and correlations from the masked test
+    rounds, as the run once formed them."""
+    n_key = len(transcript.config.key_axes)
+    a_test = transcript.alice_basis - n_key
+    b_test = transcript.bob_basis - n_key
+    test = (a_test >= 0) & (b_test >= 0)
+    pair = 2 * a_test[test] + b_test[test]
+    products = transcript.alice_outcome[test] * transcript.bob_outcome[test]
+    counts = np.bincount(pair, minlength=4).tolist()
+    sums = np.bincount(pair, weights=products, minlength=4).tolist()
+    return tuple(counts), tuple(total / count for total, count in zip(sums, counts))
+
+
+class TestBookkeeping:
+    """The per-round columns a run hands the writers and the Bell check."""
+
+    @pytest.mark.parametrize("beam", [BEAM, JOINT_BEAM], ids=["correlated", "joint"])
+    @pytest.mark.parametrize("n_key", [1, 3])
+    @pytest.mark.parametrize("p_eve", [None, 0.0, 0.5, 1.0])
+    def test_column_dtypes_and_shapes(self, beam, n_key, p_eve):
+        eve = None if p_eve is None else InterceptResend(attack_probability=p_eve)
+        t = run_protocol(make_config(pair_count=2000, distribution=beam,
+                                     key_axes=key_axes(n_key), eve=eve))
+        dtypes = dict(
+            alice_basis=np.int16, bob_basis=np.int16, eve_basis=np.int16,
+            alice_outcome=np.int8, bob_outcome=np.int8, eve_outcome=np.int8,
+            attacked=np.bool_,
+        )
+        for name, dtype in dtypes.items():
+            column = getattr(t, name)
+            assert column.dtype == dtype, name
+            assert column.shape == (2000,), name
+        assert t.momentum1.shape == t.momentum2.shape == (2000, 3)
+        assert np.issubdtype(t.sifted_indices.dtype, np.integer)
+        for bits in (t.alice_key_bits, t.bob_key_bits):
+            assert bits.dtype == np.uint8
+            assert bits.shape == t.sifted_indices.shape
+            assert set(np.unique(bits).tolist()) <= {0, 1}
+        assert t.attacked.any() == (p_eve in (0.5, 1.0))
+        assert t.attacked.all() == (p_eve == 1.0)
+
+    @pytest.mark.parametrize("n_key", [1, 3, 200])
+    def test_statistics_equal_the_masked_reference(self, n_key):
+        t = run_protocol(make_config(distribution=BEAM, key_axes=key_axes(n_key),
+                                     eve=InterceptResend(attack_probability=0.5)))
+        assert ekert._test_statistics(t) == masked_statistics(t)
+
+    def test_starved_test_pair_raises_the_same_message(self):
+        t = run_protocol(make_config(key_axes=key_axes(3)))
+        bob = t.bob_basis.copy()
+        cell = np.flatnonzero((t.alice_basis == 4) & (bob == 4))
+        bob[cell[10:]] = 0  # ten rounds only on the (a', b') cell
+        starved = dataclasses.replace(t, bob_basis=bob)
+        message = f"basis pair (1, 1) has 10 test rounds; need at least {MIN_TEST_ROUNDS}"
+        with pytest.raises(UndersampledTestError) as raised:
+            ekert._test_statistics(starved)
+        assert str(raised.value) == message
+
+
 class TestTranscriptSerialization:
     def test_json_is_deterministic(self):
         payloads = []
@@ -454,8 +529,6 @@ def transcripts_in_threads(configs, barrier=None) -> tuple[list, set]:
     assert not any(thread.is_alive() for thread in threads), "a protocol run hung"
     return results, {thread.name for thread in threads}
 
-
-BEAM = CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), sigma=0.05)
 
 
 class TestThresholdOnThePool:

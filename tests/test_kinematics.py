@@ -227,6 +227,24 @@ class TestPlEigenvalue:
         ratio = pl_eigenvalue(FourVector(0.0, 0.0, 1.0, 0.0), kin) / (kin.energy / 2.0)
         assert abs(ratio - 1e-8) <= 1e-15 * 1e-8
 
+    def test_overflowing_square_is_factored_out(self):
+        # (a.p)^2 overflows here, on a state the package accepts, and raised
+        # a bare OverflowError; the terms are taken in units of a power of two
+        mp = pytest.importorskip("mpmath")
+        kin = ParticleKinematics(1.0, (1.3e154, 0.0, 0.0))
+        w = pl_eigenvalue(FourVector(0.0, 2.0, 0.0, 0.0), kin)
+        with mp.workdps(50):
+            expected = mp.sqrt((2 * mp.mpf(1.3e154)) ** 2 + 4) / 2
+            assert math.isfinite(w)
+            assert abs(w - expected) <= 1e-15 * expected
+
+    def test_timelike_axis_along_the_momentum_raises(self):
+        # a = p/m gives (a.p)^2 = a^2 p^2; here rounding leaves the radicand
+        # below zero
+        kin = ParticleKinematics(1.0, (1.3, 0.95, -0.7))
+        with pytest.raises(DomainError, match="spacelike"):
+            pl_eigenvalue(kin.four_momentum, kin)
+
     def test_j3_validation(self):
         kin = ParticleKinematics.at_rest()
         a = FourVector(0.0, 0.0, 0.0, 1.0)
