@@ -295,7 +295,7 @@ def pl_eigenvalue(a: FourVector, kin: ParticleKinematics, j3: float = 0.5) -> fl
             f"(a.p)^2 < a^2 p^2 for a = {a}, p = {p}; "
             "the axis must be spacelike relative to the momentum"
         )
-    return j3 * math.ldexp(math.sqrt(radicand), e)
+    return math.ldexp(j3 * math.sqrt(radicand), e)
 
 
 def boosted_spin_axis(a_dir, beta_vec) -> np.ndarray:
