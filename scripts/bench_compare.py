@@ -21,13 +21,13 @@ minor page faults per 2^18-sample ``bell_average_mc`` call at 1 and 2
 workers on both beams and per call of that protocol run, each counted in a
 fresh process, and the absolute error against mpmath of zero-spread
 anchors, through the Monte Carlo and through the empirical threshold of a
-protocol run.  Every run and probe
-imports its side's sources afresh: Python runs with
-``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set to an empty
-directory of the side's own (:func:`python`), so a ``__pycache__`` that an
-earlier run left in one checkout cannot make its import, a part of
-``setup_s``, faster than the other's.  Run it on an otherwise idle
-machine: both sides share its cores with whatever else runs.
+protocol run.  Every run and probe imports its side's sources afresh:
+Python runs with ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX``
+set to an empty directory of the side's own (:func:`python`), so a
+``__pycache__`` that an earlier run left in one checkout cannot make its
+import, a part of ``setup_s``, faster than the other's.  Run it on an
+otherwise idle machine: both sides share its cores with whatever else
+runs.
 """
 
 from __future__ import annotations
