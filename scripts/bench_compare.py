@@ -16,7 +16,8 @@ end-to-end metric, the pairs each side won, the metric's BENCHMARK.json
 bound with a verdict against it (``within``, ``outside`` or
 ``unresolved``, see :func:`verdict`), one traced run per side, the
 tracemalloc peaks of one 65536-draw Monte Carlo chunk of a crossed and of
-a correlated beam and of one 2^17-pair intercept-resend protocol run, the
+a correlated beam and of one 2^17-pair intercept-resend and one honest
+protocol run, with the bytes of each run's transcript beside them, the
 minor page faults per 2^18-sample ``bell_average_mc`` call at 1 and 2
 workers on both beams and per call of that protocol run, each counted in a
 fresh process, and the absolute error against mpmath of zero-spread
@@ -94,28 +95,35 @@ print((faults() - before) / 4)
 """
 
 
-#: One 2^17-pair intercept-resend protocol run.
+#: One 2^17-pair intercept-resend protocol run; ``{eve}`` is its attacker,
+#: which the honest run of the peak probe sets to None.
 PROTOCOL = """
 import sys
 sys.path.insert(0, "src")
 from relbell import CorrelatedGaussian, InterceptResend, ProtocolConfig, run_protocol
 config = ProtocolConfig(pair_count=2**17, seed=0,
                         distribution=CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), 0.04),
-                        eve=InterceptResend(attack_probability=0.5))
+                        eve={eve})
 """
 
-#: That run, measured with tracemalloc as a chunk is; its peak shows the
-#: per-row arrays a run holds at once.
+ATTACK = "InterceptResend(attack_probability=0.5)"
+
+#: That run, measured with tracemalloc as a chunk is, and the bytes of the
+#: transcript's own arrays, each array once: the peak above them shows the
+#: per-row arrays a run holds at once beside its output.
 PROTOCOL_PEAK = PROTOCOL + """
-import tracemalloc
+import json, tracemalloc
+import numpy as np
 tracemalloc.start()
-run_protocol(config)
-print(tracemalloc.get_traced_memory()[1])
+transcript = run_protocol(config)
+peak = tracemalloc.get_traced_memory()[1]
+arrays = {{id(v): v.nbytes for v in vars(transcript).values() if isinstance(v, np.ndarray)}}
+print(json.dumps({{"peak": peak, "transcript": sum(arrays.values())}}))
 """
 
 #: Process-wide minor page faults per call of that run, counted as
 #: CALL_FAULTS counts them: the mean of 4 calls after one warm-up call.
-PROTOCOL_FAULTS = PROTOCOL + """
+PROTOCOL_FAULTS = PROTOCOL.format(eve=ATTACK) + """
 import resource
 def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -328,8 +336,15 @@ def main() -> int:
                for beam in ("correlated", "crossed") for workers in (1, 2)}
         for side, path in sides.items()
     }
-    record["protocol_peak_bytes"] = {
-        side: int(probe(path, PROTOCOL_PEAK)) for side, path in sides.items()
+    peaks = {run: {side: json.loads(probe(path, PROTOCOL_PEAK.format(eve=eve)))
+                   for side, path in sides.items()}
+             for run, eve in (("attacked", ATTACK), ("honest", None))}
+    record["protocol_peak_bytes"] = {side: peak["peak"] for side, peak in peaks["attacked"].items()}
+    record["honest_protocol_peak_bytes"] = {
+        side: peak["peak"] for side, peak in peaks["honest"].items()
+    }
+    record["protocol_transcript_bytes"] = {
+        side: {run: peaks[run][side]["transcript"] for run in peaks} for side in sides
     }
     record["protocol_call_minflt"] = {
         side: float(probe(path, PROTOCOL_FAULTS)) for side, path in sides.items()

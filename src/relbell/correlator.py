@@ -35,18 +35,20 @@ largest component where ``|p/m|`` is huge), and a velocity is a momentum in
 units of ``M = E``: ``y = beta`` and ``c = m/E = sqrt(1 - beta^2)``
 (:func:`_project_velocity`).  So sampled and recorded momenta (the Monte
 Carlo, :func:`_leaf_kernels`; the protocol run's outcome kernels, resend
-overlaps and empirical threshold, :func:`_momentum_rows`), the fixed
+overlaps and empirical threshold, :func:`_row_kernels`), the fixed
 momentum of a :class:`Sharp` profile, and velocities (the scans,
 :func:`kernel_from_beta`) share one kernel code and one degeneracy rule
 (:func:`_nondegenerate`).  Whole arrays go through one block loop,
-:func:`_momentum_rows`, in blocks of ``_BLOCK_ROWS`` rows,
-so no temporary of the kernel work covers a whole array; its axes are
-fixed, drawn per row from a pool, or given per row, and per-row axes are
-taken block by block.  The protocol takes ``K12`` as it is, Alice's axis
-on particle 1 and Bob's on particle 2; the Monte Carlo symmetrizes it over
-the particle swap (:func:`_crossed_kernels`).  Arrays that are one array
-(as a correlated beam draws them) or equal bit for bit are projected once
-and take the shared form.  Momenta never round through ``beta``, so their
+:func:`_row_kernels`, in blocks of ``_BLOCK_ROWS`` rows or any other row
+selections, so no temporary of the kernel work covers a whole array; its
+axes are fixed, drawn per row from a pool, or given per row, and per-row
+axes are taken block by block.  :func:`_momentum_rows` gathers its blocks
+into one array; the protocol consumes each block as it comes.  The
+protocol takes ``K12`` as it is, Alice's axis on particle 1 and Bob's on
+particle 2; the Monte Carlo symmetrizes it over the particle swap
+(:func:`_crossed_kernels`).  Arrays that are one array (as a correlated
+beam draws them) or equal bit for bit are projected once and take the
+shared form.  Momenta never round through ``beta``, so their
 kernels keep full precision at any ``gamma``.  Since
 ``|E v(a)/m|^2 = a.a + s_a^2 >= a.a``, every finite momentum has a
 defined kernel; a kernel is not finite only where the product of two
@@ -67,7 +69,9 @@ it is cut into the leaves of numpy's pairwise-summation tree, of at most
 ``_BLOCK_ROWS`` draws, and each leaf is drawn through the profile's
 ``sample_blocks``, its kernels formed and the leaf reduced on the spot.
 The leaf sums are added up the same tree, so the chunk's sums have the
-bytes of ``np.sum`` over a chunk-wide kernel array that is never formed.
+bytes of ``np.sum`` over a chunk-wide kernel array that is never formed;
+the protocol's empirical threshold takes its mean over the recorded
+momenta the same way.
 """
 
 from __future__ import annotations
@@ -95,22 +99,19 @@ from .kinematics import (
 #: Default number of momentum samples evaluated per RNG chunk.
 DEFAULT_CHUNK_SIZE = 65536
 
-#: Most draws per leaf of a Monte Carlo chunk (see :func:`_leaf_sizes`).  It
-#: must be at least 128, numpy's own pairwise-summation block, for a leaf's
-#: ``np.sum`` to be a subtree of the chunk's.  A component row of a leaf is
+#: Most draws per leaf of a Monte Carlo chunk (see :func:`_leaf_sizes`) and
+#: most rows per block of the row loop (:func:`_row_kernels`), which the
+#: protocol's kernels and threshold and the velocity arrays of the scans
+#: (:func:`kernel_from_beta`) go through.  A component row of a leaf is
 #: 64 KiB, and its largest temporaries, the (A, rows) projections and the
-#: (2, 2, rows) CHSH kernels, 256 KiB each.  Measured when the kernels
-#: still came from boosted velocity axes, in three rotations of 20 s
-#: mc_threshold runs on a 2-vCPU host shared with other tenants: leaves of
-#: 8192 draws gave op_p50_s 0.11-0.17 s at a peak RSS of 56.8-57.0 MB,
-#: leaves of 4096 draws 0.14-0.18 s at 51.0-51.2 MB, and the earlier path
-#: (a chunk's momenta and kernels drawn and stored at once, formed in
-#: blocks of 4096) 0.16-0.25 s at 57.1 MB.  The protocol's momentum rows
-#: (:func:`_momentum_rows`) go in blocks of the same size: twelve rotations
-#: of one protocol_run op on a 2-vCPU host gave medians of 0.094, 0.085,
-#: 0.089 and 0.101 s in blocks of 4096, 8192, 16384 and 32768 rows.
-#: Velocity arrays (the scans, :func:`kernel_from_beta`) go in the same
-#: blocks.
+#: (2, 2, rows) CHSH kernels, 256 KiB each.  Measured on a 2-vCPU Xeon host
+#: with 2 MiB of L2 per core, as the median mc_threshold op over four
+#: rotations of the leaf size in one process, against leaves of 8192 draws:
+#: leaves of 4096 draws took +31% at workers=2 but -1% to -2% at
+#: workers=1, since twice the calls into numpy each hand the GIL between
+#: the two threads; leaves of 16384 draws took +30% at workers=1 and
+#: +13% to +21% at workers=2, and of 32768 +44% and +38% to +42%, since a
+#: leaf's ten or so kernel temporaries then outgrow the 2 MiB L2.
 _BLOCK_ROWS = 8192
 
 #: The smallest normal float (:func:`_root`).
@@ -123,15 +124,16 @@ def _nondegenerate(kernels: np.ndarray) -> np.ndarray:
     The one degeneracy rule of every kernel path: a kernel is not finite
     only where the product of its norms underflows (:func:`_root`), as at
     a transverse axis at ``|beta| = 1`` or at exactly transverse axes past
-    ``|p|/m ~ 1e216`` (~1.3e131 if both are).  Adding zero folds the -0.0
-    of orthogonal axes at rest into 0.0.
+    ``|p|/m ~ 1e216`` (~1.3e131 if both are).  Adding zero in place folds
+    the -0.0 of orthogonal axes at rest into 0.0.
     """
     if not np.isfinite(kernels).all():
         raise DegenerateObservableError(
             "an effective measurement axis vanished; the axis is transverse "
             "to an ultra relativistic momentum"
         )
-    return kernels + 0.0
+    kernels += 0.0
+    return kernels
 
 
 def kernel_from_beta(a_dir, b_dir, beta1, beta2) -> np.ndarray:
@@ -225,12 +227,19 @@ def _halves(n: int) -> tuple[int, int]:
     return half, n - half
 
 
+def _leaf_rows() -> int:
+    """Most values per leaf of :func:`_leaf_sizes`: ``_BLOCK_ROWS``, but
+    never fewer than numpy's own pairwise-summation block of 128 values,
+    which ``np.sum`` adds in one pass."""
+    return max(_BLOCK_ROWS, 128)
+
+
 def _leaf_sizes(n: int) -> list[int]:
     """The leaves, left to right, of numpy's pairwise-summation tree over
     ``n`` values (:func:`_halves`), split until each has at most
-    ``_BLOCK_ROWS`` values.  A leaf of at most ``_BLOCK_ROWS >= 128``
-    values is one subtree, so its ``np.sum`` is that subtree's sum."""
-    if n <= _BLOCK_ROWS:
+    :func:`_leaf_rows` values.  A leaf of at most that many values is one
+    subtree, so its ``np.sum`` is that subtree's sum."""
+    if n <= _leaf_rows():
         return [n]
     return [size for half in _halves(n) for size in _leaf_sizes(half)]
 
@@ -239,7 +248,7 @@ def _tree_sum(n: int, leaves):
     """The leaf sums from the iterator ``leaves`` added up the tree of
     :func:`_leaf_sizes`, so the total has the bytes of ``np.sum`` over all
     ``n`` values."""
-    if n <= _BLOCK_ROWS:
+    if n <= _leaf_rows():
         return next(leaves)
     left, right = _halves(n)
     total = _tree_sum(left, leaves)
@@ -382,8 +391,10 @@ def _projections(axes: _Axes, y: np.ndarray, c, gsq: np.ndarray) -> _Projections
 def _root(norms: np.ndarray) -> np.ndarray:
     """The square roots of products of two norms, in place.  A product
     below the smallest normal float has lost digits to underflow, so it is
-    taken as 0 and its kernel is not finite (:func:`_nondegenerate`)."""
-    norms[norms < _TINY] = 0.0
+    taken as 0 and its kernel is not finite (:func:`_nondegenerate`); the
+    mask is formed only for a block where some product is that small."""
+    if norms.min() < _TINY:
+        norms[norms < _TINY] = 0.0
     return np.sqrt(norms, out=norms)
 
 
@@ -485,34 +496,66 @@ def _leaf_kernels(axes: _Axes, p1: np.ndarray, p2: np.ndarray, mass: float) -> n
     return _nondegenerate(kernels.reshape(-1, kernels.shape[-1]))
 
 
-def _momentum_rows(alice, bob, p1, p2, mass: float | None, combine=lambda k: k[0, 0]) -> np.ndarray:
-    """``combine(kernels)`` for every row of two momentum arrays of shape
-    (n, 3), or of two velocity arrays when ``mass`` is None, in the
-    projection form; a kernel that is not finite raises
-    (:func:`_nondegenerate`).
+def _block_slices(n: int, sizes=None) -> list[slice]:
+    """Consecutive slices of ``n`` rows: of the given ``sizes``, or of
+    ``_BLOCK_ROWS`` rows and a ragged last one."""
+    if sizes is None:
+        sizes = _chunk_sizes(n, _BLOCK_ROWS)
+    ends = np.cumsum(sizes).tolist()
+    return [slice(end - size, end) for size, end in zip(sizes, ends)]
+
+
+def _one_frame(p1: np.ndarray, p2: np.ndarray) -> bool:
+    """Whether two (n, 3) arrays are one array or equal bit for bit, compared
+    one block at a time, so two different arrays stop at the first block."""
+    return p2 is p1 or (
+        p1.shape == p2.shape
+        and all(_same_bits(p1[rows], p2[rows]) for rows in _block_slices(len(p1)))
+    )
+
+
+def _row_kernels(alice, bob, p1, p2, mass: float | None, combine=lambda k: k[0, 0], blocks=None):
+    """``(rows, combine(kernels))`` for each block of rows of two momentum
+    arrays of shape (n, 3), or of two velocity arrays when ``mass`` is None,
+    in the projection form; a kernel that is not finite raises
+    (:func:`_nondegenerate`).  The default ``combine`` gives the block's
+    kernels, a 1-D view the caller may write to.
 
     Both sides are fixed, (A, 3) arrays of stacked axes, both per row,
     component-major (A, 3, n) arrays, or both indexed, ``(pool, index)``
     pairs that give row ``i`` the axis ``pool[index[i]]``
     (:func:`_block_axes`).  Arrays that are one array or equal bit for bit
-    take :func:`_shared_kernels`; two momenta
+    (:func:`_one_frame`) take :func:`_shared_kernels`; two momenta
     take the unsymmetrized :func:`_k12_kernels`, Alice's axis on particle 1
-    and Bob's on particle 2.  The rows go in blocks of ``_BLOCK_ROWS``, so
-    no temporary covers all rows; each kernel is a per-row value, so the
-    blocks give the bytes of one whole-array pass.
+    and Bob's on particle 2.  ``blocks`` are the row selections, slices or
+    nonempty index arrays, by default :func:`_block_slices`; each kernel is
+    a per-row value, so any blocks give the bytes of one whole-array pass,
+    and no temporary covers more rows than a block.
     """
-    shared = p2 is p1 or _same_bits(p1, p2)
+    shared = _one_frame(p1, p2)
     axes_of = _block_axes(alice, bob)
+    for rows in _block_slices(len(p1)) if blocks is None else blocks:
+        two = None if shared else p2[rows]
+        yield rows, combine(_block_kernels(axes_of(rows), p1[rows], two, mass))
+
+
+def _block_kernels(axes: _Axes, p1: np.ndarray, p2: np.ndarray | None,
+                   mass: float | None) -> np.ndarray:
+    """The (A, B, rows) kernels of one block of :func:`_row_kernels`:
+    :func:`_shared_kernels` when ``p2`` is None, else :func:`_k12_kernels`.
+    Its temporaries end with the call, before the next block starts."""
+    one = _project(axes, p1, mass)
+    if p2 is None:
+        return _nondegenerate(_shared_kernels(axes, one))
+    return _nondegenerate(_k12_kernels(axes, one, _project(axes, p2, mass)))
+
+
+def _momentum_rows(alice, bob, p1, p2, mass: float | None, combine=lambda k: k[0, 0]) -> np.ndarray:
+    """``combine(kernels)`` for every row, one array of the blocks of
+    :func:`_row_kernels`."""
     out = np.empty(len(p1))
-    for start in range(0, len(p1), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        axes = axes_of(rows)
-        one = _project(axes, p1[rows], mass)
-        if shared:
-            kernels = _shared_kernels(axes, one)
-        else:
-            kernels = _k12_kernels(axes, one, _project(axes, p2[rows], mass))
-        out[rows] = combine(_nondegenerate(kernels))
+    for rows, values in _row_kernels(alice, bob, p1, p2, mass, combine):
+        out[rows] = values
     return out
 
 

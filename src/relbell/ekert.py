@@ -27,12 +27,25 @@ round (Alice's axis at ``p1``, the partner's, Bob's or Eve's, at ``p2``),
 the resend overlap at Bob's momentum, and the empirical threshold, which a
 standalone :func:`bell_test` forms the same way.  Two momenta take the
 unsymmetrized kernel ``K(a, b; p1, p2)``, so the threshold describes the
-outcomes it judges.  :func:`run_protocol` draws the role streams on the
-worker pool's one thread while it draws the momenta itself; the empirical
-threshold, which needs only the momenta, is queued behind those draws on
+outcomes it judges.  :func:`run_protocol` draws the bases and outcome
+streams on the worker pool's one thread while it draws the momenta and
+Eve's stream itself; the empirical threshold, which needs only the momenta, is queued behind those draws on
 the same thread, and the run waits for it where the corrected check needs
 it.  The configured threshold is computed inline, since its Monte Carlo
 chunks run on that same thread.
+
+A run must keep its per-round record, since the corrected check judges it
+against the Bell average of its own momenta, but it holds little more at
+once: the transcript's columns, Bob's outcome uniforms (8 bytes a round),
+the resend uniforms of the attacked rounds (8 bytes each), the index of
+the axis each particle 2 is measured along (2 bytes a round), and one
+block of kernel work on each of the two threads.  The outcome kernels and
+probabilities, the resend overlaps and the empirical threshold's CHSH
+values are formed one block of rows at a time, the threshold adding its
+block sums up numpy's pairwise tree, and the whole-run uniforms and index
+are released after their last use.  The draws are whole arrays: they end
+before the kernel work starts, so their temporaries raise no peak, and
+drawing them in blocks cost op time.
 
 Randomness is drawn from per-role substreams (momenta, Alice's bases,
 Bob's bases, outcomes, Eve) spawned from the run seed, so transcripts are
@@ -59,7 +72,16 @@ from .bell import (
     _write_csv,
     corrected_threshold,
 )
-from .correlator import _check_sampling, _check_seed, _integer, _momentum_rows, _pool
+from .correlator import (
+    _block_slices,
+    _check_sampling,
+    _check_seed,
+    _integer,
+    _leaf_sizes,
+    _pool,
+    _row_kernels,
+    _tree_sum,
+)
 from .distributions import MomentumDistribution
 from .errors import DegenerateObservableError, UndersampledTestError
 
@@ -313,11 +335,9 @@ def _choose_bases(rng: np.random.Generator, n: int, n_key: int, test_fraction: f
     return key_pick.astype(np.int16)
 
 
-def _draw_roles(config: ProtocolConfig, rng_alice, rng_bob, rng_outcome, rng_eve):
-    """Every draw of a run but the momenta, each role from its own stream:
-    Alice's and Bob's bases, Alice's outcome signs and the uniforms of
-    Bob's outcomes, and, when an attack can fire, Eve's three draws
-    (``None`` otherwise)."""
+def _draw_roles(config: ProtocolConfig, rng_alice, rng_bob, rng_outcome):
+    """Alice's and Bob's bases, Alice's outcome signs and the uniforms of
+    Bob's outcomes, each role from its own stream."""
     n = config.pair_count
     n_key = len(config.key_axes)
     alice_idx = _choose_bases(rng_alice, n, n_key, config.test_fraction)
@@ -325,15 +345,22 @@ def _draw_roles(config: ProtocolConfig, rng_alice, rng_bob, rng_outcome, rng_eve
     s = rng_outcome.integers(0, 2, size=n).astype(np.int8)
     s *= 2
     s -= 1
-    u_outcome = rng_outcome.random(n)
-    eve = None
-    if config.eve is not None and config.eve.attack_probability > 0.0:
-        # fixed three draws regardless of the probability, so attacked sets
-        # are nested as the probability rises with the same seed
-        u_attack = rng_eve.random(n)
-        eve_pick = rng_eve.integers(0, len(config.eve.basis_pool), size=n).astype(np.int16)
-        eve = u_attack, eve_pick, rng_eve.random(n)
-    return alice_idx, bob_idx, s, u_outcome, eve
+    return alice_idx, bob_idx, s, rng_outcome.random(n)
+
+
+def _draw_eve(config: ProtocolConfig, rng_eve):
+    """Eve's three draws, or ``None`` when no attack can fire: the attacked
+    flags, ``eve_basis`` (-1 where no attack fired) and the resend uniforms
+    of the attacked rounds alone, in round order."""
+    if config.eve is None or config.eve.attack_probability == 0.0:
+        return None
+    n = config.pair_count
+    # fixed three draws regardless of the probability, so attacked sets
+    # are nested as the probability rises with the same seed
+    attacked = rng_eve.random(n) < config.eve.attack_probability
+    eve_basis = rng_eve.integers(0, len(config.eve.basis_pool), size=n).astype(np.int16)
+    np.copyto(eve_basis, -1, where=~attacked)
+    return attacked, eve_basis, np.compress(attacked, rng_eve.random(n))
 
 
 def _signs(u: np.ndarray, probability: np.ndarray) -> np.ndarray:
@@ -350,72 +377,91 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
 
     Each per-round column is made in its transcript dtype by in-place
     arithmetic on the draws: bases and ``eve_basis`` as int16, outcome
-    signs as int8 from the comparison's own bytes, and key bits as uint8;
-    each outcome probability ``(1 + s K) / 2`` is formed in its kernel's
-    array.  Every value takes the IEEE operations of the whole-array
-    formulas, in the same order, so the bytes are theirs.
+    signs as int8 from the comparison's own bytes, and key bits as uint8.
+    After the draws every other per-round array is one block of rows: each
+    block's outcome probability ``(1 + s K) / 2`` is formed in its kernel's
+    array (:func:`~relbell.correlator._row_kernels`), and each block's
+    attacked rounds take their resend overlap in the same way.  Only Bob's
+    outcome uniforms, the resend uniforms of the attacked rounds and the
+    index of the axis each particle 2 is measured along cover the run, each
+    released after its last use.  Every value takes the IEEE operations of the
+    whole-array formulas, in the same order, so the bytes are theirs.
     """
     n = config.pair_count
-    rng_momenta, *role_rngs = (
+    rng_momenta, rng_alice, rng_bob, rng_outcome, rng_eve = (
         np.random.Generator(np.random.Philox(child))
         for child in np.random.SeedSequence(config.seed).spawn(6)[:5]
     )
-    # the pool thread draws the roles' streams while this one draws the
-    # momenta, and then forms the empirical threshold, which needs only the
-    # momenta; the configured one stays here, since its Monte Carlo chunks
-    # run on that same thread, and no pool job waits on another
-    roles_job = _pool(1).submit(_draw_roles, config, *role_rngs)
+    # the pool thread draws the bases and outcome streams while this one
+    # draws the momenta and Eve's stream; the pool then forms the empirical
+    # threshold, which needs only the momenta; the configured one stays
+    # here, since its Monte Carlo chunks run on that same thread, and no
+    # pool job waits on another
+    roles_job = _pool(1).submit(_draw_roles, config, rng_alice, rng_bob, rng_outcome)
     p1, p2 = config.distribution.sample(rng_momenta, n)
     mass = config.distribution.mass
     threshold_job = (
         _pool(1).submit(_corrected_threshold, config, p1, p2)
         if config.threshold_mode == "empirical" else None
     )
-    alice_idx, bob_idx, s, u_outcome, eve = roles_job.result()
+    eve = _draw_eve(config, rng_eve)
+    alice_idx, bob_idx, s, u_outcome = roles_job.result()
+    # the job holds the uniforms too
+    del roles_job
 
     bob_pool = config.bob_pool
-    partner_pool = bob_pool
-    # the axis particle 2 is measured along: Eve's on attacked rounds, else
-    # Bob's, as an index into Bob's pool followed by Eve's
-    partner_idx = bob_idx
-    eve_basis = np.full(n, -1, dtype=np.int16)
+    partner = bob_pool, bob_idx
     attacked = np.zeros(n, dtype=bool)
+    eve_basis = np.full(n, -1, dtype=np.int16)
     if eve is not None:
-        u_attack, eve_pick, u_resend = eve
-        attacked = u_attack < config.eve.attack_probability
-        eve_basis = np.where(attacked, eve_pick, np.int16(-1))
-        partner_idx = np.where(attacked, eve_basis + np.int16(len(bob_pool)), bob_idx)
-        partner_pool = np.concatenate((bob_pool, np.array(config.eve.basis_pool)))
+        attacked, eve_basis, u_resend = eve
+        del eve
+        # the axis particle 2 is measured along: Eve's on attacked rounds,
+        # else Bob's, as an index into Bob's pool followed by Eve's
+        eve_pool = np.array(config.eve.basis_pool)
+        partner = (
+            np.concatenate((bob_pool, eve_pool)),
+            np.where(attacked, eve_basis + np.int16(len(bob_pool)), bob_idx),
+        )
 
     # each round's probability of t = +1 is (1 + s K) / 2, formed in the
-    # kernel's own array
-    kernel = _momentum_rows(
-        (config.alice_pool, alice_idx), (partner_pool, partner_idx), p1, p2, mass
-    )
-    kernel *= s
-    kernel += 1.0
-    kernel *= 0.5
-    bob_outcome = _signs(u_outcome, kernel)
+    # block's kernel array; each comparison lands in the bytes of Bob's
+    # outcomes, which become +-1 once every block is in
+    bob_outcome = np.empty(n, dtype=np.int8)
+    heads = bob_outcome.view(bool)
+    for rows, kernel in _row_kernels((config.alice_pool, alice_idx), partner, p1, p2, mass):
+        kernel *= s[rows]
+        kernel += 1.0
+        kernel *= 0.5
+        np.less(u_outcome[rows], kernel, out=heads[rows])
+    del u_outcome, partner
+    bob_outcome *= 2
+    bob_outcome -= 1
     eve_outcome = np.zeros(n, dtype=np.int8)
-    rows = np.flatnonzero(attacked)
-    if rows.size:
-        t_rows = bob_outcome[rows]
+    if attacked.any():
+        # each block's attacked rounds, in order, take the resend uniforms
+        # in order
+        blocks = (block.start + np.flatnonzero(attacked[block])
+                  for block in _block_slices(n) if attacked[block].any())
+        done = 0
         # the overlap of Eve's and Bob's effective axes is minus their
         # singlet kernel, both taken at Bob's momentum
-        sides = ((partner_pool, partner_idx[rows]), (bob_pool, bob_idx[rows]))
-        bob_momenta = p2.take(rows, axis=0)
+        sides = (eve_pool, eve_basis), (bob_pool, bob_idx)
         try:
-            overlap = _momentum_rows(*sides, bob_momenta, bob_momenta, mass)
+            for rows, overlap in _row_kernels(*sides, p2, p2, mass, blocks=blocks):
+                t_rows = bob_outcome[rows]
+                np.negative(overlap, out=overlap)
+                overlap *= t_rows
+                overlap += 1.0
+                overlap *= 0.5
+                bob_outcome[rows] = _signs(u_resend[done:done + rows.size], overlap)
+                eve_outcome[rows] = t_rows
+                done += rows.size
         except DegenerateObservableError as err:
             raise DegenerateObservableError(
                 "a resend axis became degenerate at the sampled momentum"
             ) from err
-        np.negative(overlap, out=overlap)
-        overlap *= t_rows
-        overlap += 1.0
-        overlap *= 0.5
-        bob_outcome[rows] = _signs(u_resend[rows], overlap)
-        eve_outcome[rows] = t_rows
+        del u_resend
 
     sift_mask = (alice_idx == bob_idx) & (alice_idx < len(config.key_axes))
     sifted_indices = np.flatnonzero(sift_mask)
@@ -493,11 +539,17 @@ def _corrected_threshold(config: ProtocolConfig, momentum1, momentum2) -> float:
 
 def _empirical_threshold(config: ProtocolConfig, momentum1, momentum2) -> float:
     """|Bell average| over the recorded momenta, in the projection form
-    with ``K12`` for two momenta, as the outcomes are drawn."""
-    bell = _momentum_rows(
-        *_sides(config.bell), momentum1, momentum2, config.distribution.mass, _chsh_sum
+    with ``K12`` for two momenta, as the outcomes are drawn.  Each leaf of
+    numpy's pairwise-summation tree (:func:`~relbell.correlator._leaf_sizes`)
+    is one block of rows, summed on the spot, and the leaf sums are added
+    up the same tree, so the mean has the bytes of ``np.mean`` over a
+    per-row CHSH array that is never formed."""
+    n = len(momentum1)
+    blocks = _block_slices(n, _leaf_sizes(n))
+    rows = _row_kernels(
+        *_sides(config.bell), momentum1, momentum2, config.distribution.mass, _chsh_sum, blocks
     )
-    return abs(float(np.mean(bell)))
+    return abs(float(_tree_sum(n, (bell.sum() for _, bell in rows)) / n))
 
 
 def _bell_result(

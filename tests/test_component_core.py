@@ -20,6 +20,7 @@ thresholds those of that form per row.
 
 import io
 import itertools
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -246,6 +247,13 @@ def counted_projections(monkeypatch) -> list:
 def same_bytes(x, y):
     x, y = np.asarray(x), np.asarray(y)
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def json_bytes(transcript) -> str:
+    """A transcript's JSON form."""
+    stream = io.StringIO()
+    transcript.to_json(stream)
+    return stream.getvalue()
 
 
 EPS = np.finfo(float).eps
@@ -700,3 +708,80 @@ class TestProtocolThreshold:
         blocked = io.StringIO()
         transcript.to_json(blocked)
         assert blocked.getvalue() == whole.getvalue()
+
+    @pytest.mark.parametrize("beam", sorted(BEAMS))
+    def test_zero_attack_in_small_blocks_is_eve_free(self, beam, monkeypatch):
+        # an attack that cannot fire draws nothing from Eve's stream
+        configs = [ProtocolConfig(1000, BEAMS[beam], seed=8, eve=eve)
+                   for eve in (None, InterceptResend(attack_probability=0.0))]
+        whole = json_bytes(run_protocol(configs[0]))
+        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 64)
+        for config in configs:
+            assert json_bytes(run_protocol(config)) == whole
+
+    @pytest.mark.parametrize("beam", sorted(BEAMS))
+    def test_attacks_in_small_blocks_are_nested(self, beam, monkeypatch):
+        # one uniform per round decides the attack, and Eve's bases and
+        # resend uniforms follow whatever the probability, so on one seed a
+        # likelier attack adds rounds and keeps the others' draws
+        configs = [
+            ProtocolConfig(1000, BEAMS[beam], seed=8, eve=InterceptResend(attack_probability=p))
+            for p in (0.3, 0.7)
+        ]
+        whole = [json_bytes(run_protocol(config)) for config in configs]
+        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 64)
+        low, high = (run_protocol(config) for config in configs)
+        assert [json_bytes(t) for t in (low, high)] == whole
+        assert np.all(high.attacked[low.attacked])
+        assert 64 < low.attacked.sum() < high.attacked.sum() < 1000 - 64
+        assert same_bytes(low.eve_basis[low.attacked], high.eve_basis[low.attacked])
+        for transcript in (low, high):
+            bob_outcome, eve_outcome = ref_protocol_outcomes(transcript)
+            assert same_bytes(transcript.bob_outcome, bob_outcome)
+            assert same_bytes(transcript.eve_outcome, eve_outcome)
+
+    @pytest.mark.parametrize("beam", sorted(BEAMS))
+    def test_configured_threshold_in_small_blocks(self, beam, monkeypatch):
+        config = ProtocolConfig(
+            1000, BEAMS[beam], seed=8, eve=InterceptResend(attack_probability=0.5),
+            threshold_mode="configured", threshold_samples=2000,
+        )
+        whole = json_bytes(run_protocol(config))
+        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 64)
+        transcript = run_protocol(config)
+        assert json_bytes(transcript) == whole
+        assert bell_test(transcript, corrected=True) == transcript.bell_corrected
+        bob_outcome, eve_outcome = ref_protocol_outcomes(transcript)
+        assert same_bytes(transcript.bob_outcome, bob_outcome)
+        assert same_bytes(transcript.eve_outcome, eve_outcome)
+
+
+#: Bytes a round that a 2^16-round run, every round attacked, may trace at
+#: its peak above its transcript's arrays.  The run holds two whole-run
+#: uniform arrays, 16 bytes a round, the index of each particle 2's axis,
+#: 4 at its peak, and a block of kernel work on each of two threads, ~41
+#: bytes a round for one momentum array and ~76 for two, where the
+#: unsymmetrized kernel projects each apiece: ~55-58 and ~91-93 measured.
+#: Whole-run kernel, CHSH, uniform and momentum temporaries put the same
+#: runs at 109-120 and 119-157.
+PEAK_BOUND = {"correlated": 80, "crossed": 110}
+
+
+class TestProtocolMemory:
+    """A run holds its transcript and little more: no whole-run float
+    array but Bob's outcome uniforms and the attacked rounds' resend
+    uniforms, and otherwise a block of rows of work per thread."""
+
+    @pytest.mark.parametrize("beam", sorted(PEAK_BOUND))
+    def test_peak_above_the_transcript(self, beam):
+        n = 2**16
+        config = ProtocolConfig(n, BEAMS[beam], seed=4, eve=InterceptResend(attack_probability=1.0))
+        run_protocol(config)
+        tracemalloc.start()
+        try:
+            transcript = run_protocol(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = {id(v): v.nbytes for v in vars(transcript).values() if isinstance(v, np.ndarray)}
+        assert (peak - sum(arrays.values())) / n < PEAK_BOUND[beam]
