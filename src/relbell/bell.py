@@ -107,8 +107,8 @@ def _sides(config: BellConfig):
 
 
 def _chsh_sum(k) -> np.ndarray:
-    """``K(a, b) + K(a, b') + K(a', b) - K(a', b')`` over leading (2, 2) axes."""
-    return ((k[0, 0] + k[0, 1]) + k[1, 0]) - k[1, 1]
+    """``K(a, b) + K(a, b') + K(a', b) - K(a', b')`` over a leading axis of the four pairs."""
+    return ((k[0] + k[1]) + k[2]) - k[3]
 
 
 def chsh_from_beta(config: BellConfig, beta1, beta2) -> np.ndarray:
@@ -142,7 +142,7 @@ def bell_average_mc(
     """
     return _estimate(
         _sides(config), dist, samples, seed, chunk_size, workers,
-        lambda means, errors: (_chsh_sum(means.reshape(2, 2)), np.sqrt(np.sum(errors * errors))),
+        lambda means, errors: (_chsh_sum(means), np.sqrt(np.sum(errors * errors))),
     )
 
 

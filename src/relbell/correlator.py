@@ -33,23 +33,22 @@ units of a scale ``M`` per row, ``y = p/M`` and ``c = m/M``, which scales
 every numerator and its norm alike.  A momentum takes ``M = m`` (or its
 largest component where ``|p/m|`` is huge), and a velocity is a momentum in
 units of ``M = E``: ``y = beta`` and ``c = m/E = sqrt(1 - beta^2)``
-(:func:`_project_velocity`).  So sampled and recorded momenta (the Monte
-Carlo, :func:`_leaf_kernels`; the protocol run's outcome kernels, resend
-overlaps and empirical threshold, :func:`_row_kernels`), the fixed
+(:func:`_project_velocity`).  So sampled and recorded momenta, the fixed
 momentum of a :class:`Sharp` profile, and velocities (the scans,
-:func:`kernel_from_beta`) share one kernel code and one degeneracy rule
-(:func:`_nondegenerate`).  Whole arrays go through one block loop,
-:func:`_row_kernels`, in blocks of ``_BLOCK_ROWS`` rows or any other row
-selections, so no temporary of the kernel work covers a whole array; its
-axes are fixed, drawn per row from a pool, or given per row, and per-row
-axes are taken block by block.  :func:`_momentum_rows` gathers its blocks
-into one array; the protocol consumes each block as it comes.  The
-protocol takes ``K12`` as it is, Alice's axis on particle 1 and Bob's on
-particle 2; the Monte Carlo symmetrizes it over the particle swap
-(:func:`_crossed_kernels`).  Arrays that are one array (as a correlated
-beam draws them) or equal bit for bit are projected once and take the
-shared form.  Momenta never round through ``beta``, so their
-kernels keep full precision at any ``gamma``.  Since
+:func:`kernel_from_beta`) share one kernel code, one degeneracy rule
+(:func:`_nondegenerate`) and one block function, :func:`_leaf_kernels`.
+A block whose two arrays are one array (as a correlated beam draws them)
+or equal bit for bit is projected once and takes the shared form; two
+arrays take ``K12`` as it is, Alice's axis on particle 1 and Bob's on
+particle 2, except in the Monte Carlo, which symmetrizes it over the
+particle swap (:func:`_crossed_kernels`).  Every whole-array pass is cut
+into the leaves of numpy's pairwise-summation tree (:func:`_leaf_slices`),
+so no temporary of the kernel work covers a whole array;
+:func:`_row_kernels` is the loop over them, its axes fixed, drawn per row
+from a pool, or given per row, and taken leaf by leaf.
+:func:`_momentum_rows` gathers its leaves into one array; the protocol
+consumes each leaf as it comes.  Momenta never round through ``beta``, so
+their kernels keep full precision at any ``gamma``.  Since
 ``|E v(a)/m|^2 = a.a + s_a^2 >= a.a``, every finite momentum has a
 defined kernel; a kernel is not finite only where the product of two
 norms ``sq`` underflows, as for a transverse axis at ``|beta| = 1`` or at
@@ -80,6 +79,7 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -99,15 +99,16 @@ from .kinematics import (
 #: Default number of momentum samples evaluated per RNG chunk.
 DEFAULT_CHUNK_SIZE = 65536
 
-#: Most draws per leaf of a Monte Carlo chunk (see :func:`_leaf_sizes`) and
-#: most rows per block of the row loop (:func:`_row_kernels`), which the
-#: protocol's kernels and threshold and the velocity arrays of the scans
-#: (:func:`kernel_from_beta`) go through.  A component row of a leaf is
-#: 64 KiB, and its largest temporaries, the (A, rows) projections and the
-#: (2, 2, rows) CHSH kernels, 256 KiB each.  Measured on a 2-vCPU Xeon host
-#: with 2 MiB of L2 per core, as the median mc_threshold op over four
-#: rotations of the leaf size in one process, against leaves of 8192 draws:
-#: leaves of 4096 draws took +31% at workers=2 but -1% to -2% at
+#: Most rows per leaf of numpy's pairwise-summation tree (:func:`_leaf_sizes`),
+#: the one block size of the kernel work: each Monte Carlo chunk's draws and
+#: every whole-array pass (:func:`_leaf_slices`), which the protocol's
+#: outcome and resend passes, its empirical threshold and the velocity
+#: arrays of the scans (:func:`kernel_from_beta`) go through.  A component
+#: row of a leaf is 64 KiB, and its largest temporaries, the (A, rows)
+#: projections and the (4, rows) CHSH kernels, 256 KiB each.  Measured on a
+#: 2-vCPU Xeon host with 2 MiB of L2 per core, as the median mc_threshold op
+#: over four rotations of the leaf size in one process, against leaves of
+#: 8192 draws: leaves of 4096 draws took +31% at workers=2 but -1% to -2% at
 #: workers=1, since twice the calls into numpy each hand the GIL between
 #: the two threads; leaves of 16384 draws took +30% at workers=1 and
 #: +13% to +21% at workers=2, and of 32768 +44% and +38% to +42%, since a
@@ -290,9 +291,9 @@ def _mc_axes(alice: np.ndarray, bob: np.ndarray) -> _Axes:
 
 
 def _block_axes(alice, bob):
-    """A function of a block's ``rows`` that gives the block's
-    :class:`_Axes`.  Two fixed sides, (A, 3) arrays, give the same axes to
-    every block.  Two per-row sides, component-major (A, 3, n) arrays, give
+    """A function of a block's ``rows``, a slice or an index array, that
+    gives the block's :class:`_Axes`.  Two fixed sides, (A, 3) arrays, give
+    the same axes to every block.  Two per-row sides, component-major (A, 3, n) arrays, give
     each block its own slice, with ``a.a`` and ``-(a.b)`` formed on it.
     Two indexed sides, ``(pool, index)`` pairs, give one axis per side and
     row; each pool axis's ``a.a`` and each pool pair's ``-(a.b)`` are formed
@@ -311,7 +312,7 @@ def _block_axes(alice, bob):
     aa = table.aa[:, 0]
     nab = table.nab.reshape(-1)
 
-    def gathered(rows: slice) -> _Axes:
+    def gathered(rows) -> _Axes:
         block = np.stack((index1[rows], index2[rows]), dtype=np.intp)
         pair = block[0] * len(pool2)
         pair += block[1]
@@ -482,76 +483,53 @@ def _crossed_kernels(axes: _Axes, one: _Projections, two: _Projections) -> np.nd
     return n21
 
 
-def _leaf_kernels(axes: _Axes, p1: np.ndarray, p2: np.ndarray, mass: float) -> np.ndarray:
-    """Per-pair kernel rows of one block of draws, (pairs, rows) in
-    row-major (Alice, Bob) pair order; a kernel that is not finite raises
-    (:func:`_nondegenerate`).  Momenta that are one array or equal bit for
-    bit are projected once and take :func:`_shared_kernels`; two momenta
-    are projected apiece and take :func:`_crossed_kernels`."""
+def _leaf_kernels(axes: _Axes, p1: np.ndarray, p2: np.ndarray, mass: float | None,
+                  pair=_crossed_kernels) -> np.ndarray:
+    """The kernels of one block of rows, (pairs, rows) in row-major (Alice,
+    Bob) pair order, for every caller.  Momenta, or velocities when ``mass``
+    is None, that are one array or equal bit for bit are projected once and
+    take :func:`_shared_kernels`; two arrays are projected apiece and take
+    ``pair``, :func:`_k12_kernels` everywhere but in the Monte Carlo.  A
+    kernel that is not finite raises (:func:`_nondegenerate`)."""
     one = _project(axes, p1, mass)
     if p2 is p1 or _same_bits(p1, p2):
         kernels = _shared_kernels(axes, one)
     else:
-        kernels = _crossed_kernels(axes, one, _project(axes, p2, mass))
+        kernels = pair(axes, one, _project(axes, p2, mass))
     return _nondegenerate(kernels.reshape(-1, kernels.shape[-1]))
 
 
-def _block_slices(n: int, sizes=None) -> list[slice]:
-    """Consecutive slices of ``n`` rows: of the given ``sizes``, or of
-    ``_BLOCK_ROWS`` rows and a ragged last one."""
-    if sizes is None:
-        sizes = _chunk_sizes(n, _BLOCK_ROWS)
-    ends = np.cumsum(sizes).tolist()
-    return [slice(end - size, end) for size, end in zip(sizes, ends)]
+def _leaf_slices(n: int) -> list[slice]:
+    """The leaves of :func:`_leaf_sizes` as consecutive slices of ``n``
+    rows, the one blocking rule of every whole-array pass.  An empty array
+    has no leaf, so it forms no block."""
+    sizes = _leaf_sizes(n) if n else []
+    return [slice(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
 
 
-def _one_frame(p1: np.ndarray, p2: np.ndarray) -> bool:
-    """Whether two (n, 3) arrays are one array or equal bit for bit, compared
-    one block at a time, so two different arrays stop at the first block."""
-    return p2 is p1 or (
-        p1.shape == p2.shape
-        and all(_same_bits(p1[rows], p2[rows]) for rows in _block_slices(len(p1)))
-    )
-
-
-def _row_kernels(alice, bob, p1, p2, mass: float | None, combine=lambda k: k[0, 0], blocks=None):
-    """``(rows, combine(kernels))`` for each block of rows of two momentum
-    arrays of shape (n, 3), or of two velocity arrays when ``mass`` is None,
-    in the projection form; a kernel that is not finite raises
-    (:func:`_nondegenerate`).  The default ``combine`` gives the block's
-    kernels, a 1-D view the caller may write to.
+def _row_kernels(alice, bob, p1, p2, mass: float | None, combine=lambda k: k[0]):
+    """``(rows, combine(kernels))`` for each leaf (:func:`_leaf_slices`) of
+    two momentum arrays of shape (n, 3), or of two velocity arrays when
+    ``mass`` is None, with the (pairs, rows) kernels of :func:`_leaf_kernels`
+    on :func:`_k12_kernels`.  The default ``combine`` gives the first
+    pair's kernels, a 1-D view the caller may write to.
 
     Both sides are fixed, (A, 3) arrays of stacked axes, both per row,
     component-major (A, 3, n) arrays, or both indexed, ``(pool, index)``
     pairs that give row ``i`` the axis ``pool[index[i]]``
-    (:func:`_block_axes`).  Arrays that are one array or equal bit for bit
-    (:func:`_one_frame`) take :func:`_shared_kernels`; two momenta
-    take the unsymmetrized :func:`_k12_kernels`, Alice's axis on particle 1
-    and Bob's on particle 2.  ``blocks`` are the row selections, slices or
-    nonempty index arrays, by default :func:`_block_slices`; each kernel is
-    a per-row value, so any blocks give the bytes of one whole-array pass,
-    and no temporary covers more rows than a block.
+    (:func:`_block_axes`).  Each kernel is a per-row value, so the leaves
+    give the bytes of one whole-array pass, and no temporary covers more
+    rows than a leaf.
     """
-    shared = _one_frame(p1, p2)
     axes_of = _block_axes(alice, bob)
-    for rows in _block_slices(len(p1)) if blocks is None else blocks:
-        two = None if shared else p2[rows]
-        yield rows, combine(_block_kernels(axes_of(rows), p1[rows], two, mass))
+    for rows in _leaf_slices(len(p1)):
+        one = p1[rows]
+        two = one if p2 is p1 else p2[rows]
+        yield rows, combine(_leaf_kernels(axes_of(rows), one, two, mass, _k12_kernels))
 
 
-def _block_kernels(axes: _Axes, p1: np.ndarray, p2: np.ndarray | None,
-                   mass: float | None) -> np.ndarray:
-    """The (A, B, rows) kernels of one block of :func:`_row_kernels`:
-    :func:`_shared_kernels` when ``p2`` is None, else :func:`_k12_kernels`.
-    Its temporaries end with the call, before the next block starts."""
-    one = _project(axes, p1, mass)
-    if p2 is None:
-        return _nondegenerate(_shared_kernels(axes, one))
-    return _nondegenerate(_k12_kernels(axes, one, _project(axes, p2, mass)))
-
-
-def _momentum_rows(alice, bob, p1, p2, mass: float | None, combine=lambda k: k[0, 0]) -> np.ndarray:
-    """``combine(kernels)`` for every row, one array of the blocks of
+def _momentum_rows(alice, bob, p1, p2, mass: float | None, combine=lambda k: k[0]) -> np.ndarray:
+    """``combine(kernels)`` for every row, one array of the leaves of
     :func:`_row_kernels`."""
     out = np.empty(len(p1))
     for rows, values in _row_kernels(alice, bob, p1, p2, mass, combine):

@@ -118,8 +118,11 @@ class CorrelatedGaussian(_Profile):
 class JointGaussian(_Profile):
     """Independent Gaussian momenta for the two particles.
 
-    The correlation kernel is symmetrized over the particle swap
-    ``(p1, p2) -> (p2, p1)`` when averaging over this profile.
+    Only the Monte Carlo estimator (``correlator_mc``, ``bell_average_mc``,
+    ``corrected_threshold``, a protocol's configured threshold) symmetrizes
+    the kernel over the particle swap ``(p1, p2) -> (p2, p1)``; a protocol
+    run's outcomes and empirical threshold average this profile's recorded
+    draws with ``K(a, b; p1, p2)`` as it is (ROADMAP item 1).
     """
 
     kind: ClassVar[str] = "joint_gaussian"

@@ -41,11 +41,12 @@ the resend uniforms of the attacked rounds (8 bytes each), the index of
 the axis each particle 2 is measured along (2 bytes a round), and one
 block of kernel work on each of the two threads.  The outcome kernels and
 probabilities, the resend overlaps and the empirical threshold's CHSH
-values are formed one block of rows at a time, the threshold adding its
-block sums up numpy's pairwise tree, and the whole-run uniforms and index
-are released after their last use.  The draws are whole arrays: they end
-before the kernel work starts, so their temporaries raise no peak, and
-drawing them in blocks cost op time.
+values are formed one leaf of numpy's pairwise tree at a time
+(:func:`~relbell.correlator._leaf_slices`), the threshold adding its leaf
+sums up that tree, and the whole-run uniforms and index are released after
+their last use, the outcome pass ending before the resend pass.  The draws
+are whole arrays: they end before the kernel work starts, so their
+temporaries raise no peak, and drawing them in blocks cost op time.
 
 Randomness is drawn from per-role substreams (momenta, Alice's bases,
 Bob's bases, outcomes, Eve) spawned from the run seed, so transcripts are
@@ -73,11 +74,12 @@ from .bell import (
     corrected_threshold,
 )
 from .correlator import (
-    _block_slices,
+    _block_axes,
     _check_sampling,
     _check_seed,
     _integer,
-    _leaf_sizes,
+    _leaf_kernels,
+    _leaf_slices,
     _pool,
     _row_kernels,
     _tree_sum,
@@ -378,10 +380,11 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     Each per-round column is made in its transcript dtype by in-place
     arithmetic on the draws: bases and ``eve_basis`` as int16, outcome
     signs as int8 from the comparison's own bytes, and key bits as uint8.
-    After the draws every other per-round array is one block of rows: each
-    block's outcome probability ``(1 + s K) / 2`` is formed in its kernel's
-    array (:func:`~relbell.correlator._row_kernels`), and each block's
-    attacked rounds take their resend overlap in the same way.  Only Bob's
+    After the draws every other per-round array is one leaf of rows
+    (:func:`~relbell.correlator._leaf_slices`): each leaf's outcome
+    probability ``(1 + s K) / 2`` is formed in its kernel's array, and then
+    each leaf's attacked rounds take their resend overlap the same way, in
+    the shared form at Bob's momentum.  Only Bob's
     outcome uniforms, the resend uniforms of the attacked rounds and the
     index of the axis each particle 2 is measured along cover the run, each
     released after its last use.  Every value takes the IEEE operations of the
@@ -439,16 +442,18 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     bob_outcome -= 1
     eve_outcome = np.zeros(n, dtype=np.int8)
     if attacked.any():
-        # each block's attacked rounds, in order, take the resend uniforms
-        # in order
-        blocks = (block.start + np.flatnonzero(attacked[block])
-                  for block in _block_slices(n) if attacked[block].any())
-        done = 0
         # the overlap of Eve's and Bob's effective axes is minus their
-        # singlet kernel, both taken at Bob's momentum
-        sides = (eve_pool, eve_basis), (bob_pool, bob_idx)
+        # singlet kernel, both at Bob's momentum; each leaf's attacked
+        # rounds, in order, take the resend uniforms in order
+        axes_of = _block_axes((eve_pool, eve_basis), (bob_pool, bob_idx))
+        done = 0
         try:
-            for rows, overlap in _row_kernels(*sides, p2, p2, mass, blocks=blocks):
+            for leaf in _leaf_slices(n):
+                rows = leaf.start + np.flatnonzero(attacked[leaf])
+                if not rows.size:
+                    continue
+                q = p2[rows]
+                overlap = _leaf_kernels(axes_of(rows), q, q, mass)[0]
                 t_rows = bob_outcome[rows]
                 np.negative(overlap, out=overlap)
                 overlap *= t_rows
@@ -539,16 +544,14 @@ def _corrected_threshold(config: ProtocolConfig, momentum1, momentum2) -> float:
 
 def _empirical_threshold(config: ProtocolConfig, momentum1, momentum2) -> float:
     """|Bell average| over the recorded momenta, in the projection form
-    with ``K12`` for two momenta, as the outcomes are drawn.  Each leaf of
-    numpy's pairwise-summation tree (:func:`~relbell.correlator._leaf_sizes`)
-    is one block of rows, summed on the spot, and the leaf sums are added
-    up the same tree, so the mean has the bytes of ``np.mean`` over a
+    with ``K12`` for two momenta, as the outcomes are drawn.  Each block of
+    :func:`~relbell.correlator._row_kernels` is a leaf of numpy's
+    pairwise-summation tree, summed on the spot, and the leaf sums are
+    added up the same tree, so the mean has the bytes of ``np.mean`` over a
     per-row CHSH array that is never formed."""
     n = len(momentum1)
-    blocks = _block_slices(n, _leaf_sizes(n))
-    rows = _row_kernels(
-        *_sides(config.bell), momentum1, momentum2, config.distribution.mass, _chsh_sum, blocks
-    )
+    rows = _row_kernels(*_sides(config.bell), momentum1, momentum2, config.distribution.mass,
+                        _chsh_sum)
     return abs(float(_tree_sum(n, (bell.sum() for _, bell in rows)) / n))
 
 
@@ -557,7 +560,7 @@ def _bell_result(
 ) -> BellTestResult:
     """The CHSH check of the test statistics against one threshold."""
     counts, correlations = statistics
-    c_hat = float(_chsh_sum(np.reshape(correlations, (2, 2))))
+    c_hat = _chsh_sum(correlations)
     standard_error = math.sqrt(sum((1.0 - e * e) / count for e, count in zip(correlations, counts)))
     return BellTestResult(
         c_hat=c_hat,

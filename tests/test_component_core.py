@@ -45,6 +45,7 @@ from relbell import (
     run_protocol,
 )
 from relbell import correlator
+from relbell.bell import _chsh_sum, _sides
 from relbell.kinematics import DEGENERACY_TOL
 
 # ---------------------------------------------------------------------------
@@ -785,3 +786,58 @@ class TestProtocolMemory:
             tracemalloc.stop()
         arrays = {id(v): v.nbytes for v in vars(transcript).values() if isinstance(v, np.ndarray)}
         assert (peak - sum(arrays.values())) / n < PEAK_BOUND[beam]
+
+
+class TestLeafBlocks:
+    """Every whole-array pass runs over the leaves of ``_leaf_sizes``, and
+    each leaf takes the shared form when its two arrays are equal bit for
+    bit, as a Monte Carlo leaf does."""
+
+    def test_shared_form_is_decided_per_leaf(self, monkeypatch):
+        # four leaves of 8192 rows; the copy differs in the last row alone,
+        # so the first three leaves project once and take the shared form,
+        # and only the last projects each array apiece.  Deciding on the
+        # whole arrays took K12 on every leaf, which differs from the
+        # shared form in the last bits of 8082 of the first 24576 CHSH rows
+        dist = BEAMS["correlated"]
+        p, _ = dist.sample(np.random.default_rng(7), 4 * 8192)
+        q = p.copy()
+        q[-1, 0] = np.nextafter(q[-1, 0], np.inf)
+        assert correlator._leaf_sizes(len(p)) == [8192] * 4
+        sides = _sides(DEFAULT_CONFIG)
+        head = slice(0, 3 * 8192)
+        axes = correlator._mc_axes(*sides)
+        one = correlator._project(axes, p[head], dist.mass)
+        k12 = _chsh_sum(correlator._k12_kernels(axes, one, one).reshape(4, -1))
+        built = counted_projections(monkeypatch)
+        got = correlator._momentum_rows(*sides, p, q, dist.mass, _chsh_sum)
+        assert len(built) == 5
+        want = correlator._momentum_rows(*sides, p, p, dist.mass, _chsh_sum)
+        assert same_bytes(got[head], want[head])
+        assert not same_bytes(got[head], k12)
+
+    @pytest.mark.parametrize("mass", [1.0, None])
+    def test_shared_form_is_k12_at_rest(self, mass):
+        # at zero momentum, or zero velocity, the two forms give the same
+        # bytes, so a leaf of rest rows reads the same in either form;
+        # a signed zero on the second particle takes K12 and reads the same
+        rng = np.random.default_rng(29)
+        axes = correlator._mc_axes(random_unit(rng, 5), random_unit(rng, 7))
+        rest = np.zeros((64, 3))
+        one = correlator._project(axes, rest, mass)
+        shared = correlator._nondegenerate(correlator._shared_kernels(axes, one))
+        for second in (rest, -rest):
+            two = correlator._project(axes, second, mass)
+            k12 = correlator._nondegenerate(correlator._k12_kernels(axes, one, two))
+            assert same_bytes(k12, shared)
+
+    def test_empty_arrays_give_empty_results(self):
+        # no rows make no leaf: a leaf of zero rows would reduce an empty
+        # projection
+        assert correlator._leaf_slices(0) == []
+        empty = np.zeros((0, 3))
+        c = DEFAULT_CONFIG
+        for got in (kernel_from_beta(c.a, c.b, empty, empty),
+                    kernel_from_beta(empty, empty, empty, empty),
+                    chsh_from_beta(c, empty, empty)):
+            assert got.shape == (0,)
