@@ -796,9 +796,9 @@ class TestLeafBlocks:
     def test_shared_form_is_decided_per_leaf(self, monkeypatch):
         # four leaves of 8192 rows; the copy differs in the last row alone,
         # so the first three leaves project once and take the shared form,
-        # and only the last projects each array apiece.  Deciding on the
-        # whole arrays took K12 on every leaf, which differs from the
-        # shared form in the last bits of 8082 of the first 24576 CHSH rows
+        # and only the last projects each array apiece.  K12 differs from
+        # the shared form in the last bits of 8082 of the first 24576 CHSH
+        # rows, so a rule decided on the whole arrays fails here
         dist = BEAMS["correlated"]
         p, _ = dist.sample(np.random.default_rng(7), 4 * 8192)
         q = p.copy()
