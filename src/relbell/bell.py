@@ -18,13 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .correlator import (
-    DEFAULT_CHUNK_SIZE,
-    CorrelatorEstimate,
-    _estimate,
-    _momentum_rows,
-    kernel_from_beta,
-)
+from .correlator import CorrelatorEstimate, _estimate, _momentum_rows, kernel_from_beta
 from .distributions import MomentumDistribution
 from .kinematics import _as_triple, _broadcast_rows, _check_mass, _check_velocity
 
@@ -131,17 +125,18 @@ def bell_average_mc(
     samples: int,
     seed: int,
     *,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int = 1,
 ) -> CorrelatorEstimate:
     """Monte Carlo Bell average over a momentum profile.
 
     The four correlators are evaluated on the same momentum draws and the
     four standard errors are combined in quadrature.  A sharp profile
-    gives the exact value with zero error and ``samples = 0``.
+    gives the exact value with zero error and ``samples = 0``.  The
+    estimate is bitwise reproducible for a given ``(seed, samples)``,
+    whatever ``workers``.
     """
     return _estimate(
-        _sides(config), dist, samples, seed, chunk_size, workers,
+        _sides(config), dist, samples, seed, workers,
         lambda means, errors: (_chsh_sum(means), np.sqrt(np.sum(errors * errors))),
     )
 
@@ -152,7 +147,6 @@ def corrected_threshold(
     samples: int = 100_000,
     seed: int = 0,
     *,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int = 1,
 ) -> float:
     """Motion-corrected Bell threshold: |c| attainable by an honest source.
@@ -161,10 +155,7 @@ def corrected_threshold(
     fast honest pairs as eavesdropping; the corrected threshold is the
     magnitude of the Bell average under the actual momentum profile.
     """
-    estimate = bell_average_mc(
-        config, dist, samples, seed, chunk_size=chunk_size, workers=workers
-    )
-    return abs(estimate.value)
+    return abs(bell_average_mc(config, dist, samples, seed, workers=workers).value)
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,8 +56,8 @@ a scaled row of a huge ``|p|/m``, and there every caller raises.
 
 Averages over momentum profiles are estimated by Monte Carlo with a
 splittable, counter-based generator (Philox keyed through ``SeedSequence``
-spawning, one child per fixed-size chunk), so results are bitwise
-reproducible for a given ``(seed, samples, chunk_size)`` regardless of how
+spawning, one child per chunk of ``DEFAULT_CHUNK_SIZE`` draws), so results
+are bitwise reproducible for a given ``(seed, samples)`` regardless of how
 many worker threads evaluate the chunks.  :func:`_estimate` is the one
 estimator: it checks the inputs, answers a sharp profile exactly, runs
 every chunk on the worker pool, merges the chunks in order and returns the
@@ -96,7 +96,9 @@ from .kinematics import (
     _same_bits,
 )
 
-#: Default number of momentum samples evaluated per RNG chunk.
+#: The fixed number of draws per Monte Carlo chunk, each chunk drawn from
+#: its own spawned stream (the last chunk takes the rest); a part of every
+#: sampled estimate's bytes.
 DEFAULT_CHUNK_SIZE = 65536
 
 #: Most rows per leaf of numpy's pairwise-summation tree (:func:`_leaf_sizes`),
@@ -112,7 +114,9 @@ DEFAULT_CHUNK_SIZE = 65536
 #: workers=1, since twice the calls into numpy each hand the GIL between
 #: the two threads; leaves of 16384 draws took +30% at workers=1 and
 #: +13% to +21% at workers=2, and of 32768 +44% and +38% to +42%, since a
-#: leaf's ten or so kernel temporaries then outgrow the 2 MiB L2.
+#: leaf's ten or so kernel temporaries then outgrow the 2 MiB L2.  It must be
+#: at least numpy's own pairwise-summation block of 128 values, which
+#: ``np.sum`` adds in one pass, so that each leaf is one subtree.
 _BLOCK_ROWS = 8192
 
 #: The smallest normal float (:func:`_root`).
@@ -214,11 +218,6 @@ def _check_sampling(samples: int, workers: int = 1, name: str = "samples") -> No
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
-def _chunk_sizes(samples: int, chunk_size: int) -> list[int]:
-    full, rest = divmod(samples, chunk_size)
-    return [chunk_size] * full + ([rest] if rest else [])
-
-
 def _halves(n: int) -> tuple[int, int]:
     """How ``np.sum`` splits a contiguous run of ``n > 128`` values: it adds
     the pairwise sums of the first ``half`` values and of the rest, with
@@ -228,19 +227,12 @@ def _halves(n: int) -> tuple[int, int]:
     return half, n - half
 
 
-def _leaf_rows() -> int:
-    """Most values per leaf of :func:`_leaf_sizes`: ``_BLOCK_ROWS``, but
-    never fewer than numpy's own pairwise-summation block of 128 values,
-    which ``np.sum`` adds in one pass."""
-    return max(_BLOCK_ROWS, 128)
-
-
 def _leaf_sizes(n: int) -> list[int]:
     """The leaves, left to right, of numpy's pairwise-summation tree over
     ``n`` values (:func:`_halves`), split until each has at most
-    :func:`_leaf_rows` values.  A leaf of at most that many values is one
+    ``_BLOCK_ROWS`` values.  A leaf of at most that many values is one
     subtree, so its ``np.sum`` is that subtree's sum."""
-    if n <= _leaf_rows():
+    if n <= _BLOCK_ROWS:
         return [n]
     return [size for half in _halves(n) for size in _leaf_sizes(half)]
 
@@ -249,7 +241,7 @@ def _tree_sum(n: int, leaves):
     """The leaf sums from the iterator ``leaves`` added up the tree of
     :func:`_leaf_sizes`, so the total has the bytes of ``np.sum`` over all
     ``n`` values."""
-    if n <= _leaf_rows():
+    if n <= _BLOCK_ROWS:
         return next(leaves)
     left, right = _halves(n)
     total = _tree_sum(left, leaves)
@@ -578,7 +570,7 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return pool
 
 
-def _estimate(axes, dist, samples: int, seed: int, chunk_size: int, workers: int, combine):
+def _estimate(axes, dist, samples: int, seed: int, workers: int, combine):
     """The one Monte Carlo estimator: ``combine(means, errors)`` of the
     per-pair kernel means over a momentum profile.
 
@@ -593,16 +585,15 @@ def _estimate(axes, dist, samples: int, seed: int, chunk_size: int, workers: int
     momentum draws and the kernel symmetrized over the particle swap,
     which changes nothing where both particles share one momentum.  No
     draw is redrawn: a kernel that is not finite raises
-    (:func:`_nondegenerate`), so ``rejected`` is 0.  ``samples``,
-    ``chunk_size`` and ``workers`` must be integers and ``seed`` a
-    nonnegative one.  Every chunk runs on the pool of ``workers`` threads;
-    chunk streams are spawned up front and partial sums are merged in
-    chunk order, so the result does not depend on ``workers``.
+    (:func:`_nondegenerate`), so ``rejected`` is 0.  ``samples`` and
+    ``workers`` must be integers and ``seed`` a nonnegative one.  The draws
+    are cut into chunks of ``DEFAULT_CHUNK_SIZE``, and every chunk runs on
+    the pool of ``workers`` threads; chunk streams are spawned up front and
+    partial sums are merged in chunk order, so the result depends on
+    ``(seed, samples)`` alone and not on ``workers``.
     """
     _check_sampling(samples, workers)
     seed = _check_seed(seed)
-    if _integer(chunk_size, "chunk_size") < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     axes = tuple(np.reshape(np.asarray(side, dtype=float), (len(side), 3)) for side in axes)
     mc_axes = _mc_axes(*axes)
     if isinstance(dist, Sharp):
@@ -611,7 +602,8 @@ def _estimate(axes, dist, samples: int, seed: int, chunk_size: int, workers: int
         errors = np.zeros_like(means)
         samples = 0
     else:
-        sizes = _chunk_sizes(samples, chunk_size)
+        full, rest = divmod(samples, DEFAULT_CHUNK_SIZE)
+        sizes = [DEFAULT_CHUNK_SIZE] * full + ([rest] if rest else [])
         jobs = zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes)
         sums = np.zeros(len(axes[0]) * len(axes[1]))
         squares = np.zeros_like(sums)
@@ -634,7 +626,6 @@ def correlator_mc(
     samples: int,
     seed: int,
     *,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int = 1,
 ) -> CorrelatorEstimate:
     """Monte Carlo average of the correlation over a momentum profile.
@@ -644,8 +635,10 @@ def correlator_mc(
     samples.  For a :class:`~relbell.distributions.JointGaussian` profile
     the kernel is symmetrized over the particle swap before averaging.  A
     draw whose kernel is not finite raises :class:`DegenerateObservableError`.
+    The estimate is bitwise reproducible for a given ``(seed, samples)``,
+    whatever ``workers``.
     """
     return _estimate(
-        ((a_dir,), (b_dir,)), dist, samples, seed, chunk_size, workers,
+        ((a_dir,), (b_dir,)), dist, samples, seed, workers,
         lambda means, errors: (means[0], errors[0]),
     )

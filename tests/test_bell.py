@@ -197,6 +197,17 @@ class TestBellAverageMC:
         assert est.samples == 0
         assert est == bell_average_mc(DEFAULT_CONFIG, dist, 1000, seed=99)
 
+    def test_sharp_velocity_and_momentum_routes_agree_to_ulps(self):
+        # bell_average_sharp takes beta as given, while Sharp.from_beta (and
+        # the command line's --beta) first builds the momentum m gamma beta,
+        # so the two round apart by a few ulps
+        rng = np.random.default_rng(23)
+        speeds = rng.uniform(0.0, 0.9999, 2000)
+        for beta in random_unit(rng, 2000) * speeds[:, None]:
+            want = bell_average_sharp(DEFAULT_CONFIG, beta)
+            got = bell_average_mc(DEFAULT_CONFIG, Sharp.from_beta(beta), 100, seed=0).value
+            assert abs(got - want) <= 4 * np.spacing(abs(want)), beta
+
     def test_sharp_matches_momentum_path_bit_for_bit(self):
         # run_protocol's path: the recorded momenta projected with the mass
         p, mass = np.array([[-2.96, 0.37, 0.5]]), 2.759
@@ -205,23 +216,16 @@ class TestBellAverageMC:
         assert est.value == float(want[0])
         assert (est.standard_error, est.rejected) == (0.0, 0)
 
-    def test_chunk_size_checked_for_every_profile(self):
-        for dist in (Sharp.from_beta((0.9, 0.0, 0.0)),
-                     CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), sigma=0.02)):
-            with pytest.raises(ValueError, match="chunk_size"):
-                bell_average_mc(DEFAULT_CONFIG, dist, 1000, seed=0, chunk_size=0)
-            with pytest.raises(ValueError, match="chunk_size"):
-                correlator_mc((1, 0, 0), (0, 1, 0), dist, 1000, seed=0, chunk_size=0)
-
     def test_gaussian_brackets_sharp_value(self):
         dist = CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), sigma=0.02)
         est = bell_average_mc(DEFAULT_CONFIG, dist, 20_000, seed=1)
         assert est.standard_error > 0.0
         assert abs(est.value - gully(0.9)) < 4.0 * est.standard_error
 
-    def test_errors_combine_in_quadrature_over_shared_draws(self):
+    def test_errors_combine_in_quadrature_over_shared_draws(self, monkeypatch):
+        monkeypatch.setattr(correlator, "DEFAULT_CHUNK_SIZE", 1024)
         dist = CorrelatedGaussian.from_beta((0.8, 0.0, 0.0), sigma=0.05)
-        kwargs = dict(samples=5000, seed=9, chunk_size=1024)
+        kwargs = dict(samples=5000, seed=9)
         bell_est = bell_average_mc(DEFAULT_CONFIG, dist, **kwargs)
         parts = [
             correlator_mc(a_dir, b_dir, dist, **kwargs)
@@ -233,9 +237,10 @@ class TestBellAverageMC:
         assert bell_est.value == pytest.approx(value, rel=0, abs=1e-15)
         assert bell_est.standard_error == pytest.approx(error, rel=1e-12)
 
-    def test_worker_independence(self):
+    def test_worker_independence(self, monkeypatch):
+        monkeypatch.setattr(correlator, "DEFAULT_CHUNK_SIZE", 4096)
         dist = CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), sigma=0.02)
-        kwargs = dict(samples=30_000, seed=4, chunk_size=4096)
+        kwargs = dict(samples=30_000, seed=4)
         assert bell_average_mc(DEFAULT_CONFIG, dist, **kwargs, workers=1) == (
             bell_average_mc(DEFAULT_CONFIG, dist, **kwargs, workers=3)
         )

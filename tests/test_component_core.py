@@ -481,14 +481,14 @@ class TestKernel:
                 kernel(*args)
 
     def test_chsh_from_beta_in_small_blocks(self, monkeypatch):
-        # 1000 rows make 15 blocks of 64 and a ragged one of 40, with the
-        # bytes of one block
+        # 1000 rows make the leaves [120, 128, 120, 128, 120, 128, 128, 128]
+        # of numpy's own 128-value blocks, with the bytes of one block
         rng = np.random.default_rng(34)
         beta1 = random_velocities(rng, 1000) * 0.999
         beta2 = random_velocities(rng, 1000) * 0.999
         cases = ((beta1, beta2), (beta2, beta2.copy()), (np.zeros(3), beta2))
         whole = [chsh_from_beta(DEFAULT_CONFIG, b1, b2) for b1, b2 in cases]
-        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 64)
+        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 128)
         for (b1, b2), want in zip(cases, whole):
             got = chsh_from_beta(DEFAULT_CONFIG, b1, b2)
             assert same_bytes(got, want)
@@ -564,11 +564,12 @@ def same_estimate(got, want):
 
 class TestMonteCarlo:
     @pytest.mark.parametrize("beam", sorted(MC_BEAMS))
-    def test_bell_average_mc_matches_reference(self, beam):
+    def test_bell_average_mc_matches_reference(self, beam, monkeypatch):
         dist = MC_BEAMS[beam]
         want = ref_bell_average_mc(DEFAULT_CONFIG, dist, 5003, 17, 999)
+        monkeypatch.setattr(correlator, "DEFAULT_CHUNK_SIZE", 999)
         for workers in (1, 2):
-            got = bell_average_mc(DEFAULT_CONFIG, dist, 5003, 17, chunk_size=999, workers=workers)
+            got = bell_average_mc(DEFAULT_CONFIG, dist, 5003, 17, workers=workers)
             assert same_estimate(got, want), workers
 
     @pytest.mark.parametrize("beam", sorted(MC_BEAMS))
@@ -577,8 +578,9 @@ class TestMonteCarlo:
         # 999-draw chunk into nine, of 64 to 128 draws
         dist = MC_BEAMS[beam]
         monkeypatch.setattr(correlator, "_BLOCK_ROWS", 128)
+        monkeypatch.setattr(correlator, "DEFAULT_CHUNK_SIZE", 999)
         assert correlator._leaf_sizes(999) == [120, 128, 120, 128, 120, 128, 120, 64, 71]
-        got = bell_average_mc(DEFAULT_CONFIG, dist, 5003, 17, chunk_size=999, workers=2)
+        got = bell_average_mc(DEFAULT_CONFIG, dist, 5003, 17, workers=2)
         assert same_estimate(got, ref_bell_average_mc(DEFAULT_CONFIG, dist, 5003, 17, 999))
 
     @pytest.mark.parametrize("beam", ["correlated", "crossed"])
@@ -617,10 +619,15 @@ class TestMonteCarlo:
                 + mean_kernel(c.a_prime, c.b) - mean_kernel(c.a_prime, c.b_prime))
         assert abs(est.value - want) <= 1e-14
 
-    @pytest.mark.parametrize("block_rows", [128, 1024, 8192])
+    @pytest.mark.parametrize("block_rows", [128, 1024, 8192, None])
     def test_leaf_tree_reproduces_np_sum(self, block_rows, monkeypatch):
         # values spread over 16 decades, so a different order of additions
-        # rounds differently
+        # rounds differently; None keeps the shipped block size, which must
+        # be at least numpy's own pairwise block of 128 values for each leaf
+        # to be one subtree of np.sum
+        if block_rows is None:
+            block_rows = correlator._BLOCK_ROWS
+            assert block_rows >= 128
         monkeypatch.setattr(correlator, "_BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(41)
         for n in (1, 7, 8, 100, 128, 129, 1000, 2000, 4096, 8192, 8193, 12345, 34464, 65535, 65536):
@@ -647,7 +654,8 @@ class TestMonteCarlo:
         # one projection pass per leaf for one momentum array or bit-equal
         # arrays, two for a crossed beam; each 250-draw chunk is one leaf
         built = counted_projections(monkeypatch)
-        bell_average_mc(DEFAULT_CONFIG, BEAMS[beam], 1000, 5, chunk_size=250)
+        monkeypatch.setattr(correlator, "DEFAULT_CHUNK_SIZE", 250)
+        bell_average_mc(DEFAULT_CONFIG, BEAMS[beam], 1000, 5)
         assert len(built) == 4 * frames_per_chunk
 
     def test_signed_zero_momenta_get_two_frames(self, monkeypatch):
@@ -678,8 +686,9 @@ class TestProtocolThreshold:
 
     @pytest.mark.parametrize("beam", sorted(BEAMS))
     def test_indexed_kernels_match_reference(self, beam, monkeypatch):
-        # per-row axes from two pools, in blocks of 64 and a ragged one
-        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 64)
+        # per-row axes from two pools, in the leaves of 120 and 128 rows
+        # that 1000 rows make at blocks of 128
+        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 128)
         rng = np.random.default_rng(35)
         pool1, pool2 = random_unit(rng, 3), random_unit(rng, 7)
         i, j = rng.integers(0, 3, 1000), rng.integers(0, 7, 1000)
@@ -691,14 +700,14 @@ class TestProtocolThreshold:
 
     @pytest.mark.parametrize("beam", sorted(BEAMS))
     def test_run_in_small_blocks_matches_reference(self, beam, monkeypatch):
-        # 1000 pairs make 15 blocks of 64 and a ragged one of 40; about half
-        # of them are attacked, so the resend rows end on a ragged block too
+        # 1000 pairs make the leaves [120, 128, 120, 128, 120, 128, 128, 128];
+        # about half of them are attacked, so each leaf resends a ragged part
         config = ProtocolConfig(
             1000, BEAMS[beam], seed=8, eve=InterceptResend(attack_probability=0.5)
         )
         whole = io.StringIO()
         run_protocol(config).to_json(whole)
-        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 64)
+        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 128)
         transcript = run_protocol(config)
         bob_outcome, eve_outcome = ref_protocol_outcomes(transcript)
         assert 64 < transcript.attacked.sum() < 1000 - 64
@@ -716,7 +725,7 @@ class TestProtocolThreshold:
         configs = [ProtocolConfig(1000, BEAMS[beam], seed=8, eve=eve)
                    for eve in (None, InterceptResend(attack_probability=0.0))]
         whole = json_bytes(run_protocol(configs[0]))
-        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 64)
+        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 128)
         for config in configs:
             assert json_bytes(run_protocol(config)) == whole
 
@@ -730,7 +739,7 @@ class TestProtocolThreshold:
             for p in (0.3, 0.7)
         ]
         whole = [json_bytes(run_protocol(config)) for config in configs]
-        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 64)
+        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 128)
         low, high = (run_protocol(config) for config in configs)
         assert [json_bytes(t) for t in (low, high)] == whole
         assert np.all(high.attacked[low.attacked])
@@ -748,7 +757,7 @@ class TestProtocolThreshold:
             threshold_mode="configured", threshold_samples=2000,
         )
         whole = json_bytes(run_protocol(config))
-        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 64)
+        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 128)
         transcript = run_protocol(config)
         assert json_bytes(transcript) == whole
         assert bell_test(transcript, corrected=True) == transcript.bell_corrected

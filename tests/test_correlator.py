@@ -215,9 +215,10 @@ class TestMonteCarlo:
         est = correlator_mc((0, 0, 1), (0, 1, 0), dist, 5000, seed=3)
         assert abs(est.value) <= 1.0 + 5.0 * est.standard_error
 
-    def test_bitwise_deterministic_and_worker_independent(self):
+    def test_bitwise_deterministic_and_worker_independent(self, monkeypatch):
+        monkeypatch.setattr(correlator, "DEFAULT_CHUNK_SIZE", 4096)
         dist = CorrelatedGaussian.from_beta((0.7, 0.0, 0.0), sigma=0.05)
-        kwargs = dict(samples=30_000, seed=12, chunk_size=4096)
+        kwargs = dict(samples=30_000, seed=12)
         first = correlator_mc((0, 0, 1), (0, 1, 0), dist, **kwargs, workers=1)
         again = correlator_mc((0, 0, 1), (0, 1, 0), dist, **kwargs, workers=1)
         threaded = correlator_mc((0, 0, 1), (0, 1, 0), dist, **kwargs, workers=4)
@@ -233,9 +234,10 @@ class TestMonteCarlo:
             return evaluate(*args)
 
         monkeypatch.setattr(correlator, "_evaluate_chunk", recording)
+        monkeypatch.setattr(correlator, "DEFAULT_CHUNK_SIZE", 100)
         dist = CorrelatedGaussian.from_beta((0.7, 0.0, 0.0), sigma=0.05)
         for seed in range(3):
-            correlator_mc((0, 0, 1), (0, 1, 0), dist, 1000, seed, chunk_size=100, workers=2)
+            correlator_mc((0, 0, 1), (0, 1, 0), dist, 1000, seed, workers=2)
         assert 1 <= len(names) <= 2
         assert threading.current_thread().name not in names
 
@@ -279,13 +281,12 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("field, bad", [
         ("samples", 1000.5), ("samples", 1000.0), ("samples", "1000"), ("samples", True),
-        ("chunk_size", 512.0), ("chunk_size", None), ("chunk_size", False),
         ("workers", 2.0), ("workers", True),
         ("seed", -1), ("seed", 1.5), ("seed", "7"), ("seed", True),
     ])
     def test_inputs_are_checked_up_front(self, field, bad):
         # each raises a ValueError naming the field, sharp profiles included
-        kwargs = dict(samples=1000, seed=0, chunk_size=4096, workers=1) | {field: bad}
+        kwargs = dict(samples=1000, seed=0, workers=1) | {field: bad}
         samples, seed = kwargs.pop("samples"), kwargs.pop("seed")
         for dist in (Sharp.from_beta((0.1, 0.0, 0.0)),
                      CorrelatedGaussian.from_beta((0.1, 0.0, 0.0), sigma=0.02)):
@@ -294,11 +295,12 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match=field):
                 correlator_mc((0, 0, 1), (0, 1, 0), dist, samples, seed, **kwargs)
 
-    def test_numpy_integers_are_integers(self):
+    def test_numpy_integers_are_integers(self, monkeypatch):
+        monkeypatch.setattr(correlator, "DEFAULT_CHUNK_SIZE", 400)
         dist = CorrelatedGaussian.from_beta((0.1, 0.0, 0.0), sigma=0.02)
         est = bell_average_mc(DEFAULT_CONFIG, dist, np.int64(1000), np.uint32(3),
-                              chunk_size=np.int32(400), workers=np.int8(2))
-        assert est == bell_average_mc(DEFAULT_CONFIG, dist, 1000, 3, chunk_size=400)
+                              workers=np.int8(2))
+        assert est == bell_average_mc(DEFAULT_CONFIG, dist, 1000, 3)
 
     def test_sharp_matches_momentum_path_bit_for_bit(self):
         # run_protocol's path: the recorded momenta projected with the mass

@@ -30,6 +30,7 @@ from relbell import (
     run_protocol,
     scan_figure,
 )
+from relbell import correlator
 from relbell.cli import main
 from relbell.correlator import DEFAULT_CHUNK_SIZE
 
@@ -126,12 +127,14 @@ def transcript_digests(beam: str, eve: str) -> tuple[str, str]:
     return tuple(digests)
 
 
-def mc_reprs(estimator: str, beam: str, **kwargs) -> tuple[str, str, int]:
-    kwargs = dict(samples=2**15, seed=11, chunk_size=4096) | kwargs
-    if estimator == "bell":
-        est = bell_average_mc(DEFAULT_CONFIG, BEAMS[beam], **kwargs)
-    else:
-        est = correlator_mc(DEFAULT_CONFIG.a, DEFAULT_CONFIG.b, BEAMS[beam], **kwargs)
+def mc_reprs(estimator: str, beam: str, chunk_size: int = 4096, **kwargs) -> tuple[str, str, int]:
+    kwargs = dict(samples=2**15, seed=11) | kwargs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlator, "DEFAULT_CHUNK_SIZE", chunk_size)
+        if estimator == "bell":
+            est = bell_average_mc(DEFAULT_CONFIG, BEAMS[beam], **kwargs)
+        else:
+            est = correlator_mc(DEFAULT_CONFIG.a, DEFAULT_CONFIG.b, BEAMS[beam], **kwargs)
     return repr(est.value), repr(est.standard_error), est.rejected
 
 
