@@ -199,6 +199,19 @@ _FIG6_B = np.array([-0.5, -0.5, _S])
 
 _FIG3_BETAS = (0.95, 0.99)
 
+_IN_PLANE = (("phi",), lambda phi: (np.cos(phi), np.sin(phi), np.zeros_like(phi)))
+
+#: Figures 1-5: the angle columns scanned after ``beta``, and the direction
+#: of motion as a function of those columns.
+_GRID_SCANS = {
+    1: _IN_PLANE,
+    2: (("theta",), lambda theta: (np.sin(theta), np.zeros_like(theta), np.cos(theta))),
+    3: (("phi", "theta"), lambda phi, theta: (
+        np.cos(phi) * np.sin(theta), np.sin(phi) * np.sin(theta), np.cos(theta))),
+    4: _IN_PLANE,
+    5: ((), lambda: (1.0, 0.0, 0.0)),
+}
+
 
 def _check_scan(figure: int, resolution: int, mass: float, beta_max: float) -> None:
     """Range checks on the :func:`scan_figure` inputs, before any grid work."""
@@ -231,7 +244,8 @@ def scan_figure(
        projections, against the reference curve ``sqrt(1 - beta^2) - 1``;
        this scan alone includes the ``beta = 1`` endpoint.
 
-    ``resolution`` is the number of points per scanned axis.
+    ``resolution`` is the number of points per scanned axis.  Figures 1-5
+    share one grid path; each gives only its angles (:data:`_GRID_SCANS`).
     """
     _check_scan(figure, resolution, mass, beta_max)
     meta = {
@@ -241,60 +255,31 @@ def scan_figure(
         "config": config.to_dict(),
         "momentum": "sharp",
     }
-    betas = np.linspace(0.0, beta_max, resolution)
-    phis = np.linspace(0.0, 2.0 * math.pi, resolution)
-    thetas = np.linspace(0.0, math.pi, resolution)
-
-    if figure == 1:
-        bb, pp = [g.ravel() for g in np.meshgrid(betas, phis, indexing="ij")]
-        vecs = bb[:, None] * np.stack([np.cos(pp), np.sin(pp), np.zeros_like(pp)], axis=-1)
-        c = chsh_from_beta(config, vecs, vecs)
-        columns = ("beta", "phi", "c", "abs_c")
-        data = (bb, pp, c, np.abs(c))
-        meta["beta_max"] = beta_max
-    elif figure == 2:
-        bb, tt = [g.ravel() for g in np.meshgrid(betas, thetas, indexing="ij")]
-        vecs = bb[:, None] * np.stack([np.sin(tt), np.zeros_like(tt), np.cos(tt)], axis=-1)
-        c = chsh_from_beta(config, vecs, vecs)
-        columns = ("beta", "theta", "c", "abs_c")
-        data = (bb, tt, c, np.abs(c))
-        meta["beta_max"] = beta_max
-    elif figure == 3:
-        bb, pp, tt = [
-            g.ravel() for g in np.meshgrid(np.array(_FIG3_BETAS), phis, thetas, indexing="ij")
-        ]
-        vecs = bb[:, None] * np.stack(
-            [np.cos(pp) * np.sin(tt), np.sin(pp) * np.sin(tt), np.cos(tt)], axis=-1
-        )
-        c = chsh_from_beta(config, vecs, vecs)
-        columns = ("beta", "phi", "theta", "c", "abs_c")
-        data = (bb, pp, tt, c, np.abs(c))
-        meta["betas"] = list(_FIG3_BETAS)
-    elif figure == 4:
-        bb, pp = [g.ravel() for g in np.meshgrid(betas, phis, indexing="ij")]
-        vecs = bb[:, None] * np.stack([np.cos(pp), np.sin(pp), np.zeros_like(pp)], axis=-1)
-        c = chsh_from_beta(config, np.zeros_like(vecs), vecs)
-        columns = ("beta", "phi", "c", "abs_c")
-        data = (bb, pp, c, np.abs(c))
-        meta["beta_max"] = beta_max
-        meta["particle_1"] = "at rest"
-    elif figure == 5:
-        vecs = betas[:, None] * np.array([1.0, 0.0, 0.0])
-        c = chsh_from_beta(config, vecs, vecs)
-        columns = ("beta", "c", "abs_c")
-        data = (betas, c, np.abs(c))
-        meta["beta_max"] = beta_max
-    else:  # figure 6
+    if figure == 6:
         full = np.linspace(0.0, 1.0, resolution)
         vecs = full[:, None] * np.array([0.0, 0.0, 1.0])
         corr = kernel_from_beta(_FIG6_A, _FIG6_B, vecs, vecs)
         reference = np.sqrt(np.maximum(1.0 - full * full, 0.0)) - 1.0
-        columns = ("beta", "correlation", "reference")
-        data = (full, corr, reference)
         meta["axes"] = {"a": _FIG6_A.tolist(), "b": _FIG6_B.tolist(), "n": [0.0, 0.0, 1.0]}
+        return ScanTable(("beta", "correlation", "reference"), (full, corr, reference), meta)
 
-    if "abs_c" in columns:
-        worst = float(np.max(data[columns.index("abs_c")]))
-        if worst > TSIRELSON_BOUND + 1e-9:
-            raise AssertionError(f"scan exceeded the quantum bound: |c| = {worst}")
-    return ScanTable(columns=columns, data=data, metadata=meta)
+    angles, direction = _GRID_SCANS[figure]
+    scanned = {
+        "beta": np.array(_FIG3_BETAS) if figure == 3 else np.linspace(0.0, beta_max, resolution),
+        "phi": np.linspace(0.0, 2.0 * math.pi, resolution),
+        "theta": np.linspace(0.0, math.pi, resolution),
+    }
+    grid = [g.ravel() for g in np.meshgrid(*(scanned[name] for name in ("beta", *angles)),
+                                            indexing="ij")]
+    vecs = grid[0][:, None] * np.stack(direction(*grid[1:]), axis=-1)
+    c = chsh_from_beta(config, np.zeros_like(vecs) if figure == 4 else vecs, vecs)
+    if figure == 3:
+        meta["betas"] = list(_FIG3_BETAS)
+    else:
+        meta["beta_max"] = beta_max
+    if figure == 4:
+        meta["particle_1"] = "at rest"
+    abs_c = np.abs(c)
+    if abs_c.max() > TSIRELSON_BOUND + 1e-9:
+        raise AssertionError(f"scan exceeded the quantum bound: |c| = {abs_c.max()}")
+    return ScanTable(("beta", *angles, "c", "abs_c"), (*grid, c, abs_c), meta)

@@ -283,10 +283,12 @@ def _mc_axes(alice: np.ndarray, bob: np.ndarray) -> _Axes:
 
 
 def _block_axes(alice, bob):
-    """A function of a block's ``rows``, a slice or an index array, that
-    gives the block's :class:`_Axes`.  Two fixed sides, (A, 3) arrays, give
-    the same axes to every block.  Two per-row sides, component-major (A, 3, n) arrays, give
-    each block its own slice, with ``a.a`` and ``-(a.b)`` formed on it.
+    """A function of a block's ``rows`` that gives the block's
+    :class:`_Axes`: a leaf's slice, or the index array of the rows that
+    :func:`_row_kernels`' ``where`` mask selects in the leaf.  Two fixed
+    sides, (A, 3) arrays, give the same axes to every block.  Two per-row
+    sides, component-major (A, 3, n) arrays, give each block its own rows,
+    with ``a.a`` and ``-(a.b)`` formed on them.
     Two indexed sides, ``(pool, index)`` pairs, give one axis per side and
     row; each pool axis's ``a.a`` and each pool pair's ``-(a.b)`` are formed
     once, on the pools, and gathered per row.  The indices are taken one
@@ -404,10 +406,7 @@ def _shared_kernels(axes: _Axes, one: _Projections) -> np.ndarray:
     k = axes.count
     kernels = _outer(one.t[:k], one.t[k:])
     np.subtract(axes.nab * (one.c * one.c), kernels, out=kernels)
-    norms = _root(_outer(one.sq[:k], one.sq[k:]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernels /= norms
-    return kernels
+    return _normalized(kernels, one.sq, one.sq, k, None)
 
 
 def _crossed_terms(axes: _Axes, one: _Projections, two: _Projections):
@@ -437,7 +436,8 @@ def _crossed_terms(axes: _Axes, one: _Projections, two: _Projections):
 
 def _normalized(n, sq1, sq2, k: int, tmp) -> np.ndarray:
     """``n / sqrt(sq1_a sq2_b)`` in place, over Alice's ``sq1[:k]`` and
-    Bob's ``sq2[k:]``, with ``tmp`` as the buffer of the norms."""
+    Bob's ``sq2[k:]``, with ``tmp`` as the buffer of the norms (a new
+    array when it is None)."""
     norms = _root(_outer(sq1[:k], sq2[k:], out=tmp))
     with np.errstate(divide="ignore", invalid="ignore"):
         n /= norms
@@ -499,7 +499,7 @@ def _leaf_slices(n: int) -> list[slice]:
     return [slice(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
 
 
-def _row_kernels(alice, bob, p1, p2, mass: float | None, combine=lambda k: k[0]):
+def _row_kernels(alice, bob, p1, p2, mass: float | None, combine=lambda k: k[0], where=None):
     """``(rows, combine(kernels))`` for each leaf (:func:`_leaf_slices`) of
     two momentum arrays of shape (n, 3), or of two velocity arrays when
     ``mass`` is None, with the (pairs, rows) kernels of :func:`_leaf_kernels`
@@ -509,12 +509,18 @@ def _row_kernels(alice, bob, p1, p2, mass: float | None, combine=lambda k: k[0])
     Both sides are fixed, (A, 3) arrays of stacked axes, both per row,
     component-major (A, 3, n) arrays, or both indexed, ``(pool, index)``
     pairs that give row ``i`` the axis ``pool[index[i]]``
-    (:func:`_block_axes`).  Each kernel is a per-row value, so the leaves
-    give the bytes of one whole-array pass, and no temporary covers more
-    rows than a leaf.
+    (:func:`_block_axes`).  ``where``, a boolean mask of the n rows,
+    selects rows: each leaf then gives only its selected rows, in order, as
+    an index array, and a leaf with none gives nothing.  Each kernel is a
+    per-row value, so the leaves give the bytes of one whole-array pass
+    over the selected rows, and no temporary covers more rows than a leaf.
     """
     axes_of = _block_axes(alice, bob)
     for rows in _leaf_slices(len(p1)):
+        if where is not None:
+            rows = rows.start + np.flatnonzero(where[rows])
+            if not rows.size:
+                continue
         one = p1[rows]
         two = one if p2 is p1 else p2[rows]
         yield rows, combine(_leaf_kernels(axes_of(rows), one, two, mass, _k12_kernels))

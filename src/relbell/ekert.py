@@ -41,8 +41,9 @@ the resend uniforms of the attacked rounds (8 bytes each), the index of
 the axis each particle 2 is measured along (2 bytes a round), and one
 block of kernel work on each of the two threads.  The outcome kernels and
 probabilities, the resend overlaps and the empirical threshold's CHSH
-values are formed one leaf of numpy's pairwise tree at a time
-(:func:`~relbell.correlator._leaf_slices`), the threshold adding its leaf
+values are formed one leaf of numpy's pairwise tree at a time, each pass
+one loop of :func:`~relbell.correlator._row_kernels` (the resend over the
+attacked rows alone, by its ``where`` mask), the threshold adding its leaf
 sums up that tree, and the whole-run uniforms and index are released after
 their last use, the outcome pass ending before the resend pass.  The draws
 are whole arrays: they end before the kernel work starts, so their
@@ -74,12 +75,9 @@ from .bell import (
     corrected_threshold,
 )
 from .correlator import (
-    _block_axes,
     _check_sampling,
     _check_seed,
     _integer,
-    _leaf_kernels,
-    _leaf_slices,
     _pool,
     _row_kernels,
     _tree_sum,
@@ -381,14 +379,15 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     arithmetic on the draws: bases and ``eve_basis`` as int16, outcome
     signs as int8 from the comparison's own bytes, and key bits as uint8.
     After the draws every other per-round array is one leaf of rows
-    (:func:`~relbell.correlator._leaf_slices`): each leaf's outcome
+    (:func:`~relbell.correlator._row_kernels`): each leaf's outcome
     probability ``(1 + s K) / 2`` is formed in its kernel's array, and then
-    each leaf's attacked rounds take their resend overlap the same way, in
-    the shared form at Bob's momentum.  Only Bob's
-    outcome uniforms, the resend uniforms of the attacked rounds and the
-    index of the axis each particle 2 is measured along cover the run, each
-    released after its last use.  Every value takes the IEEE operations of the
-    whole-array formulas, in the same order, so the bytes are theirs.
+    each leaf's attacked rounds, selected by the ``where`` mask, take their
+    resend overlap the same way, in the shared form at Bob's momentum.
+    Only Bob's outcome uniforms, the resend uniforms of the attacked rounds
+    and the index of the axis each particle 2 is measured along cover the
+    run, each released after its last use.  Every value takes the IEEE
+    operations of the whole-array formulas, in the same order, so the bytes
+    are theirs.
     """
     n = config.pair_count
     rng_momenta, rng_alice, rng_bob, rng_outcome, rng_eve = (
@@ -445,15 +444,10 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
         # the overlap of Eve's and Bob's effective axes is minus their
         # singlet kernel, both at Bob's momentum; each leaf's attacked
         # rounds, in order, take the resend uniforms in order
-        axes_of = _block_axes((eve_pool, eve_basis), (bob_pool, bob_idx))
         done = 0
         try:
-            for leaf in _leaf_slices(n):
-                rows = leaf.start + np.flatnonzero(attacked[leaf])
-                if not rows.size:
-                    continue
-                q = p2[rows]
-                overlap = _leaf_kernels(axes_of(rows), q, q, mass)[0]
+            for rows, overlap in _row_kernels((eve_pool, eve_basis), (bob_pool, bob_idx), p2, p2,
+                                              mass, where=attacked):
                 t_rows = bob_outcome[rows]
                 np.negative(overlap, out=overlap)
                 overlap *= t_rows

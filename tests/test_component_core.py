@@ -840,6 +840,48 @@ class TestLeafBlocks:
             k12 = correlator._nondegenerate(correlator._k12_kernels(axes, one, two))
             assert same_bytes(k12, shared)
 
+    @pytest.mark.parametrize("beam", sorted(BEAMS))
+    @pytest.mark.parametrize("indexed", [False, True], ids=["fixed", "indexed"])
+    def test_where_yields_the_selected_rows_of_each_leaf(self, beam, indexed, monkeypatch):
+        # 1000 rows make the leaves [120, 128, 120, 128, 120, 128, 128, 128]
+        # at blocks of 128; the mask selects none of the second and sixth,
+        # which yield nothing, and about half of the rest
+        monkeypatch.setattr(correlator, "_BLOCK_ROWS", 128)
+        rng = np.random.default_rng(43)
+        dist = BEAMS[beam]
+        p1, p2 = dist.sample(rng, 1000)
+        if indexed:
+            pools = random_unit(rng, 3), random_unit(rng, 7)
+            index = rng.integers(0, 3, 1000), rng.integers(0, 7, 1000)
+            sides = lambda rows: tuple((pool, i[rows]) for pool, i in zip(pools, index))
+            combine = lambda k: k[0]
+        else:
+            sides = lambda rows: _sides(DEFAULT_CONFIG)
+            combine = _chsh_sum
+
+        def blocks(where):
+            return list(correlator._row_kernels(*sides(slice(None)), p1, p2, dist.mass,
+                                                combine, where=where))
+
+        holes = rng.random(1000) < 0.5
+        holes[120:248] = holes[616:744] = False
+        got = blocks(holes)
+        assert len(got) == 6 and all(rows.size for rows, _ in got)
+        rows = np.concatenate([rows for rows, _ in got])
+        assert same_bytes(rows, np.flatnonzero(holes))
+        q1, q2 = p1[rows], p2[rows]
+        want = correlator._momentum_rows(*sides(rows), q1, q2, dist.mass, combine)
+        assert same_bytes(np.concatenate([values for _, values in got]), want)
+
+        assert blocks(np.zeros(1000, dtype=bool)) == []
+
+        every = blocks(np.ones(1000, dtype=bool))
+        whole = blocks(None)
+        assert len(every) == len(whole) == 8
+        for (rows, values), (leaf, want) in zip(every, whole):
+            assert same_bytes(rows, np.arange(leaf.start, leaf.stop))
+            assert same_bytes(values, want)
+
     def test_empty_arrays_give_empty_results(self):
         # no rows make no leaf: a leaf of zero rows would reduce an empty
         # projection

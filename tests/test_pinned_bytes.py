@@ -4,8 +4,10 @@ The golden scan tables pin the sharp kernel; these pins cover the sampled
 paths: the per-row protocol kernel, the intercept-resend overlap, the
 empirical threshold, the chunked Monte Carlo sums at a small and at the
 default chunk size (including the swap symmetrization of a joint beam and
-a beam past the old degeneracy cutoff), both transcript writers, the JSON form of every scan figure, and what
-each command line command prints and writes with ``--out``.  The
+a beam past the old degeneracy cutoff), both transcript writers, the JSON
+form of every scan figure (at the default arguments and at a non-default
+mass, beta_max and config), and what each command line command prints and
+writes with ``--out``.  The
 attacked transcripts (``p_eve_0.5``, ``p_eve_1.0``) pin CSV rows with
 ``attacked`` set.  A refactor must leave every value here
 unchanged; update them only after an intentional numerical change, and
@@ -20,6 +22,7 @@ import pytest
 
 from relbell import (
     DEFAULT_CONFIG,
+    BellConfig,
     CorrelatedGaussian,
     InterceptResend,
     JointGaussian,
@@ -114,6 +117,26 @@ SCAN_JSON_SHA256 = {
 }
 
 
+#: DEFAULT_CONFIG turned by the rotation of the quaternion (1, 2, 2, 4) / 5.
+ROTATED_CONFIG = BellConfig(
+    a=(-0.4242640687119285, 0.028284271247461946, 0.905096679918781),
+    a_prime=(0.4242640687119285, -0.8768124086713189, 0.2262741699796953),
+    b=(0.0, -0.6, 0.8),
+    b_prime=(-0.6, 0.64, 0.48),
+)
+
+#: SHA-256 of ScanTable.to_json per figure, at the resolution given, with
+#: mass 0.511, beta_max 0.95 and ROTATED_CONFIG, so each figure's metadata
+#: and config pass through to its table.
+SCAN_JSON_OFF_DEFAULT_SHA256 = {
+    1: (9, "449e78dd80ba1045bdda60d4d7ae8cb60320672fdfadb908e907c7f7779264d1"),
+    2: (9, "597c3fb9266466b84afde8cf16d76fec6c2d293505943670f7e599cf1611d349"),
+    3: (5, "62010041a1921e654d2df6242c281347f49f621509625bfeb99e0258eb13a718"),
+    4: (9, "7083621a4b515e396f8dcb31111e990f6e925fffaeb93c2fd2fe98e4620408e0"),
+    5: (17, "083cc7d16934c18faa86acee4d678959f545b182c9ac65203027d5ef2c9b4bc0"),
+    6: (17, "e104bafd43167f2eded5ec6709269503d997d021c50b18b5cd63b06dfe580fab"),
+}
+
 def transcript_digests(beam: str, eve: str) -> tuple[str, str]:
     config = ProtocolConfig(
         pair_count=20_000, distribution=BEAMS[beam], seed=3, eve=EVES[eve]
@@ -165,6 +188,14 @@ def test_scan_json_bytes(figure):
     scan_figure(figure, resolution).to_json(buffer)
     assert hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest() == digest
 
+
+
+@pytest.mark.parametrize("figure", sorted(SCAN_JSON_OFF_DEFAULT_SHA256))
+def test_scan_json_bytes_off_default(figure):
+    resolution, digest = SCAN_JSON_OFF_DEFAULT_SHA256[figure]
+    buffer = io.StringIO()
+    scan_figure(figure, resolution, mass=0.511, beta_max=0.95, config=ROTATED_CONFIG).to_json(buffer)
+    assert hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest() == digest
 
 _SHARP_AXES = ["--a", "1,0,0", "--b", "0.6,0.8,0", "--beta", "0.3,0.5,0.2"]
 _GAUSSIAN = ["--beta", "0.9,0,0", "--dist", "gaussian", "--sigma", "0.05"]
