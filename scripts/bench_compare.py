@@ -24,12 +24,14 @@ workers on both beams and per call of that protocol run, each counted in a
 fresh process, and the absolute error against mpmath of zero-spread
 anchors, through the Monte Carlo and through the empirical threshold of a
 protocol run.  Every run and probe imports its side's sources afresh:
-Python runs with ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX``
-set to an empty directory of the side's own (:func:`python`), so a
-``__pycache__`` that an earlier run left in one checkout cannot make its
-import, a part of ``setup_s``, faster than the other's.  Run it on an
-otherwise idle machine: both sides share its cores with whatever else
-runs.
+Python runs with ``PYTHONDONTWRITEBYTECODE=1`` (:func:`python`), and the
+script refuses to start while either checkout holds a
+``src/relbell/__pycache__``, so bytecode that an earlier run left in one
+checkout cannot make its import, a part of ``setup_s``, faster than the
+other's.  numpy and the standard library load from their installed
+bytecode, as in any run, so ``setup_s`` reads what perfbench reads on
+its own.  Run it on an otherwise idle machine: both sides share its
+cores with whatever else runs.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -206,18 +207,16 @@ print(source_digest())
 """
 
 
-#: One empty bytecode-cache directory per checkout, made on first use.
-_CACHES: dict[Path, str] = {}
+#: The bytecode cache of the package's sources, relative to a checkout; the
+#: script refuses to compare a checkout that holds one.
+PYCACHE = Path("src/relbell/__pycache__")
 
 
 def python(path: Path, argv: list[str]) -> str:
     """The stdout of Python run with ``argv`` in the checkout at ``path``,
-    with ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set to
-    the checkout's own empty directory: Python then reads no bytecode from
-    the checkout's ``__pycache__`` and writes none anywhere, so each run
-    compiles the sources it imports."""
-    cache = _CACHES.setdefault(path, tempfile.mkdtemp(prefix="bench-pycache-"))
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+    with ``PYTHONDONTWRITEBYTECODE=1``, so no run leaves bytecode of the
+    checkout's sources for the next one to read."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run([sys.executable, *argv], cwd=path, env=env, capture_output=True,
                           text=True, check=True).stdout
 
@@ -293,6 +292,10 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = str(bench["run_seconds"])
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    cached = [str(path / PYCACHE) for path in sides.values() if (path / PYCACHE).exists()]
+    if cached:
+        parser.exit(2, "bench_compare.py: remove the bytecode cache first, so both sides "
+                       "compile their sources alike: " + ", ".join(cached) + "\n")
     import numpy
 
     record = {
@@ -307,9 +310,9 @@ def main() -> int:
             "run_seconds": bench["run_seconds"],
             "pairs": PAIRS,
             "first_seed": FIRST_SEED,
-            "bytecode": "every run and probe with PYTHONDONTWRITEBYTECODE=1 and "
-                        "PYTHONPYCACHEPREFIX set to an empty directory per side, so "
-                        "neither side imports bytecode cached in its checkout",
+            "bytecode": "every run and probe with PYTHONDONTWRITEBYTECODE=1, and "
+                        "neither checkout held src/relbell/__pycache__, so both "
+                        "sides compile their own sources",
         },
         "workloads": {},
     }

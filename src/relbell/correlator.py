@@ -60,8 +60,8 @@ spawning, one child per chunk of ``DEFAULT_CHUNK_SIZE`` draws), so results
 are bitwise reproducible for a given ``(seed, samples)`` regardless of how
 many worker threads evaluate the chunks.  :func:`_estimate` is the one
 estimator: it checks the inputs, answers a sharp profile exactly, runs
-every chunk on the worker pool, merges the chunks in order and returns the
-:class:`CorrelatorEstimate`; :func:`correlator_mc` and
+every chunk on its caller (one worker) or the pool, merges the chunks in
+order and returns the :class:`CorrelatorEstimate`; :func:`correlator_mc` and
 :func:`relbell.bell.bell_average_mc` differ only in how they combine the
 per-pair means and errors.  A chunk is streamed (:func:`_evaluate_chunk`):
 it is cut into the leaves of numpy's pairwise-summation tree, of at most
@@ -563,11 +563,12 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     call can start before the last call's threads have handed their arenas
     back; each such overlap adds an arena holding a chunk's memory, so the
     resident size of a run varied by ~7 MB with the timing.  The process id
-    in the key gives a forked child pools of its own.  Besides the Monte
-    Carlo chunks, :func:`relbell.ekert.run_protocol` draws its role streams
-    and then forms its empirical threshold on the one-thread pool; no job
-    on a pool may wait on a job of that same pool, since with one thread it
-    would wait on itself.
+    in the key gives a forked child pools of its own.  The Monte Carlo
+    takes a pool only for two or more workers (:func:`_estimate`); the
+    one-thread pool is :func:`relbell.ekert.run_protocol`'s, which draws
+    its role streams and then forms its corrected threshold there, in
+    either mode, since a one-worker Monte Carlo runs on its caller and
+    waits on no pool job.
     """
     key = (os.getpid(), workers)
     pool = _POOLS.get(key)
@@ -593,10 +594,11 @@ def _estimate(axes, dist, samples: int, seed: int, workers: int, combine):
     draw is redrawn: a kernel that is not finite raises
     (:func:`_nondegenerate`), so ``rejected`` is 0.  ``samples`` and
     ``workers`` must be integers and ``seed`` a nonnegative one.  The draws
-    are cut into chunks of ``DEFAULT_CHUNK_SIZE``, and every chunk runs on
-    the pool of ``workers`` threads; chunk streams are spawned up front and
-    partial sums are merged in chunk order, so the result depends on
-    ``(seed, samples)`` alone and not on ``workers``.
+    are cut into chunks of ``DEFAULT_CHUNK_SIZE``; one worker runs every
+    chunk on the calling thread, and more run them on the pool of
+    ``workers`` threads (:func:`_pool`).  Chunk streams are spawned up
+    front and partial sums are merged in chunk order, so the result
+    depends on ``(seed, samples)`` alone and not on ``workers``.
     """
     _check_sampling(samples, workers)
     seed = _check_seed(seed)
@@ -613,7 +615,7 @@ def _estimate(axes, dist, samples: int, seed: int, workers: int, combine):
         jobs = zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes)
         sums = np.zeros(len(axes[0]) * len(axes[1]))
         squares = np.zeros_like(sums)
-        for chunk_sum, chunk_sq in _pool(workers).map(
+        for chunk_sum, chunk_sq in (map if workers == 1 else _pool(workers).map)(
             lambda job: _evaluate_chunk(mc_axes, dist, *job), jobs
         ):
             sums += chunk_sum

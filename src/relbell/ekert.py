@@ -29,10 +29,11 @@ standalone :func:`bell_test` forms the same way.  Two momenta take the
 unsymmetrized kernel ``K(a, b; p1, p2)``, so the threshold describes the
 outcomes it judges.  :func:`run_protocol` draws the bases and outcome
 streams on the worker pool's one thread while it draws the momenta and
-Eve's stream itself; the empirical threshold, which needs only the momenta, is queued behind those draws on
-the same thread, and the run waits for it where the corrected check needs
-it.  The configured threshold is computed inline, since its Monte Carlo
-chunks run on that same thread.
+Eve's stream itself.  The corrected threshold of either mode is one job
+queued behind those draws on the same thread: the empirical one needs
+only the momenta, and the configured one is a one-worker Monte Carlo,
+which runs on its caller, that thread.  The run waits on that job where
+the corrected check needs it.
 
 A run must keep its per-round record, since the corrected check judges it
 against the Bell average of its own momenta, but it holds little more at
@@ -217,8 +218,14 @@ def verdict(c_hat: float, standard_error: float, threshold: float, significance:
     The run is flagged only when |c_hat| lies more than
     ``z(1 - significance)`` standard errors below the threshold.
     """
+    return _judged(c_hat, standard_error, threshold, significance)[1]
+
+
+def _judged(c_hat: float, standard_error: float, threshold: float, significance: float):
+    """The one-sided normal quantile ``z(1 - significance)`` and the
+    :func:`verdict` it gives."""
     z = NormalDist().inv_cdf(1.0 - significance)
-    return "clean" if abs(c_hat) >= threshold - z * standard_error else "eavesdropper"
+    return z, "clean" if abs(c_hat) >= threshold - z * standard_error else "eavesdropper"
 
 
 #: Per-round transcript fields written by both writers, in CSV column order.
@@ -363,10 +370,15 @@ def _draw_eve(config: ProtocolConfig, rng_eve):
     return attacked, eve_basis, np.compress(attacked, rng_eve.random(n))
 
 
-def _signs(u: np.ndarray, probability: np.ndarray) -> np.ndarray:
-    """+1 where ``u < probability`` and -1 elsewhere, as int8, formed in
-    place on the comparison's own bytes."""
-    signs = np.less(u, probability).view(np.int8)
+def _outcomes(u: np.ndarray, s: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """+1 where ``u < (1 + s K) / 2`` and -1 elsewhere, as int8: the
+    probability of +1 against a partner's outcome ``s`` at kernel ``K``,
+    formed in the kernel's array, and the signs in place on the
+    comparison's own bytes."""
+    kernel *= s
+    kernel += 1.0
+    kernel *= 0.5
+    signs = np.less(u, kernel).view(np.int8)
     signs *= 2
     signs -= 1
     return signs
@@ -379,10 +391,12 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     arithmetic on the draws: bases and ``eve_basis`` as int16, outcome
     signs as int8 from the comparison's own bytes, and key bits as uint8.
     After the draws every other per-round array is one leaf of rows
-    (:func:`~relbell.correlator._row_kernels`): each leaf's outcome
-    probability ``(1 + s K) / 2`` is formed in its kernel's array, and then
-    each leaf's attacked rounds, selected by the ``where`` mask, take their
-    resend overlap the same way, in the shared form at Bob's momentum.
+    (:func:`~relbell.correlator._row_kernels`), and one step,
+    :func:`_outcomes`, draws both passes' signs: each leaf's outcomes
+    against Alice's ``s``, and then each leaf's attacked rounds, selected
+    by the ``where`` mask, against Eve's ``-t`` on the resend kernel, in
+    the shared form at Bob's momentum.  The corrected threshold, in either
+    mode, is one job on the one-thread pool, and the run waits on it last.
     Only Bob's outcome uniforms, the resend uniforms of the attacked rounds
     and the index of the axis each particle 2 is measured along cover the
     run, each released after its last use.  Every value takes the IEEE
@@ -395,17 +409,12 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
         for child in np.random.SeedSequence(config.seed).spawn(6)[:5]
     )
     # the pool thread draws the bases and outcome streams while this one
-    # draws the momenta and Eve's stream; the pool then forms the empirical
-    # threshold, which needs only the momenta; the configured one stays
-    # here, since its Monte Carlo chunks run on that same thread, and no
-    # pool job waits on another
+    # draws the momenta and Eve's stream; the pool then forms the corrected
+    # threshold, which needs only the momenta (or none)
     roles_job = _pool(1).submit(_draw_roles, config, rng_alice, rng_bob, rng_outcome)
     p1, p2 = config.distribution.sample(rng_momenta, n)
     mass = config.distribution.mass
-    threshold_job = (
-        _pool(1).submit(_corrected_threshold, config, p1, p2)
-        if config.threshold_mode == "empirical" else None
-    )
+    threshold_job = _pool(1).submit(_corrected_threshold, config, p1, p2)
     eve = _draw_eve(config, rng_eve)
     alice_idx, bob_idx, s, u_outcome = roles_job.result()
     # the job holds the uniforms too
@@ -426,34 +435,22 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
             np.where(attacked, eve_basis + np.int16(len(bob_pool)), bob_idx),
         )
 
-    # each round's probability of t = +1 is (1 + s K) / 2, formed in the
-    # block's kernel array; each comparison lands in the bytes of Bob's
-    # outcomes, which become +-1 once every block is in
     bob_outcome = np.empty(n, dtype=np.int8)
-    heads = bob_outcome.view(bool)
     for rows, kernel in _row_kernels((config.alice_pool, alice_idx), partner, p1, p2, mass):
-        kernel *= s[rows]
-        kernel += 1.0
-        kernel *= 0.5
-        np.less(u_outcome[rows], kernel, out=heads[rows])
+        bob_outcome[rows] = _outcomes(u_outcome[rows], s[rows], kernel)
     del u_outcome, partner
-    bob_outcome *= 2
-    bob_outcome -= 1
     eve_outcome = np.zeros(n, dtype=np.int8)
     if attacked.any():
         # the overlap of Eve's and Bob's effective axes is minus their
-        # singlet kernel, both at Bob's momentum; each leaf's attacked
-        # rounds, in order, take the resend uniforms in order
+        # singlet kernel, both at Bob's momentum, so Bob's outcome follows
+        # Eve's t as a partner's -t; each leaf's attacked rounds, in order,
+        # take the resend uniforms in order
         done = 0
         try:
             for rows, overlap in _row_kernels((eve_pool, eve_basis), (bob_pool, bob_idx), p2, p2,
                                               mass, where=attacked):
                 t_rows = bob_outcome[rows]
-                np.negative(overlap, out=overlap)
-                overlap *= t_rows
-                overlap += 1.0
-                overlap *= 0.5
-                bob_outcome[rows] = _signs(u_resend[done:done + rows.size], overlap)
+                bob_outcome[rows] = _outcomes(u_resend[done:done + rows.size], -t_rows, overlap)
                 eve_outcome[rows] = t_rows
                 done += rows.size
         except DegenerateObservableError as err:
@@ -485,8 +482,8 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     # one set of test statistics serves both checks
     statistics = _test_statistics(transcript)
     transcript.bell_naive = _bell_result(config, statistics, TSIRELSON_BOUND, corrected=False)
-    threshold = threshold_job.result() if threshold_job else _corrected_threshold(config, p1, p2)
-    transcript.bell_corrected = _bell_result(config, statistics, threshold, corrected=True)
+    transcript.bell_corrected = _bell_result(config, statistics, threshold_job.result(),
+                                             corrected=True)
     return transcript
 
 
@@ -556,13 +553,14 @@ def _bell_result(
     counts, correlations = statistics
     c_hat = _chsh_sum(correlations)
     standard_error = math.sqrt(sum((1.0 - e * e) / count for e, count in zip(correlations, counts)))
+    z, judged = _judged(c_hat, standard_error, threshold, config.significance)
     return BellTestResult(
         c_hat=c_hat,
         standard_error=standard_error,
         threshold=float(threshold),
-        verdict=verdict(c_hat, standard_error, threshold, config.significance),
+        verdict=judged,
         corrected=corrected,
-        z_value=NormalDist().inv_cdf(1.0 - config.significance),
+        z_value=z,
         significance=config.significance,
         pair_counts=counts,
         pair_correlations=correlations,

@@ -241,6 +241,26 @@ class TestMonteCarlo:
         assert 1 <= len(names) <= 2
         assert threading.current_thread().name not in names
 
+    def test_one_worker_runs_every_chunk_on_its_caller(self, monkeypatch):
+        names = []
+        evaluate = correlator._evaluate_chunk
+
+        def recording(*args):
+            names.append(threading.current_thread().name)
+            return evaluate(*args)
+
+        monkeypatch.setattr(correlator, "_evaluate_chunk", recording)
+        monkeypatch.setattr(correlator, "DEFAULT_CHUNK_SIZE", 300)
+        dist = JointGaussian((0.5, 0.0, 0.0), 0.2, (0.0, 0.8, 0.0), 0.2)
+        for estimate in (
+            lambda workers: correlator_mc((0, 0, 1), (0, 1, 0), dist, 1000, 4, workers=workers),
+            lambda workers: bell_average_mc(DEFAULT_CONFIG, dist, 1000, 4, workers=workers),
+        ):
+            names.clear()
+            one = estimate(1)
+            assert names == [threading.current_thread().name] * 4
+            assert repr(one) == repr(estimate(2))
+
     def test_joint_gaussian_symmetrizes_over_swap(self):
         # zero-width joint profile: the estimate is the symmetrized kernel
         p1 = (2.0, 0.0, 0.0)

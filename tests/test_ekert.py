@@ -30,7 +30,7 @@ from relbell import (
     run_protocol,
     verdict,
 )
-from relbell import ekert
+from relbell import correlator, ekert
 from relbell.ekert import SCHEMA_VERSION
 from test_pinned_bytes import MC_REPRS, TRANSCRIPT_SHA256, mc_reprs, transcript_digests
 
@@ -532,8 +532,9 @@ def transcripts_in_threads(configs, barrier=None) -> tuple[list, set]:
 
 
 class TestThresholdOnThePool:
-    """The empirical threshold is formed on the one-thread worker pool while
-    the caller draws the rounds; the configured one stays with the caller."""
+    """The corrected threshold of either mode is one job on the one-thread
+    worker pool, formed while the caller draws the rounds; the configured
+    one's one-worker Monte Carlo runs on that pool thread too."""
 
     def configs(self):
         return [
@@ -546,21 +547,31 @@ class TestThresholdOnThePool:
     def test_concurrent_runs_match_serial_runs(self, monkeypatch):
         configs = self.configs()
         serial = [transcripts_in_threads([config])[0][0] for config in configs]
-        names = set()
-        empirical = ekert._empirical_threshold
+        calls, chunks = [], set()
+        corrected, evaluate = ekert._corrected_threshold, correlator._evaluate_chunk
 
-        def recording(*args):
-            names.add(threading.current_thread().name)
-            return empirical(*args)
+        def recording(config, *args):
+            calls.append((config.threshold_mode, threading.current_thread().name))
+            return corrected(config, *args)
 
-        monkeypatch.setattr(ekert, "_empirical_threshold", recording)
+        def recording_chunk(*args):
+            chunks.add(threading.current_thread().name)
+            return evaluate(*args)
+
+        monkeypatch.setattr(ekert, "_corrected_threshold", recording)
+        monkeypatch.setattr(correlator, "_evaluate_chunk", recording_chunk)
         concurrent, callers = transcripts_in_threads(
             configs, threading.Barrier(len(configs))
         )
         assert concurrent == serial
-        # the empirical threshold ran on the one pool thread, never a caller's
+        # one threshold job per run, both modes on the one pool thread and
+        # never on a caller's
+        assert sorted(mode for mode, _ in calls) == sorted(c.threshold_mode for c in configs)
+        names = {name for _, name in calls}
         assert len(names) == 1
         assert not names & (callers | {threading.current_thread().name})
+        # the configured threshold's Monte Carlo chunks ran on that thread too
+        assert chunks == names
 
     @pytest.mark.parametrize("fail", [
         lambda: TestBellTest().test_undersampled_pair_raises(),
