@@ -563,12 +563,10 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     call can start before the last call's threads have handed their arenas
     back; each such overlap adds an arena holding a chunk's memory, so the
     resident size of a run varied by ~7 MB with the timing.  The process id
-    in the key gives a forked child pools of its own.  The Monte Carlo
-    takes a pool only for two or more workers (:func:`_estimate`); the
-    one-thread pool is :func:`relbell.ekert.run_protocol`'s, which draws
-    its role streams and then forms its corrected threshold there, in
-    either mode, since a one-worker Monte Carlo runs on its caller and
-    waits on no pool job.
+    in the key gives a forked child pools of its own.  A one-worker Monte
+    Carlo runs on its caller (:func:`_estimate`), so the one-thread pool
+    serves :func:`relbell.ekert.run_protocol`'s role draws and corrected
+    threshold alone, and no job on it waits on another.
     """
     key = (os.getpid(), workers)
     pool = _POOLS.get(key)
@@ -594,11 +592,10 @@ def _estimate(axes, dist, samples: int, seed: int, workers: int, combine):
     draw is redrawn: a kernel that is not finite raises
     (:func:`_nondegenerate`), so ``rejected`` is 0.  ``samples`` and
     ``workers`` must be integers and ``seed`` a nonnegative one.  The draws
-    are cut into chunks of ``DEFAULT_CHUNK_SIZE``; one worker runs every
-    chunk on the calling thread, and more run them on the pool of
-    ``workers`` threads (:func:`_pool`).  Chunk streams are spawned up
-    front and partial sums are merged in chunk order, so the result
-    depends on ``(seed, samples)`` alone and not on ``workers``.
+    are cut into chunks of ``DEFAULT_CHUNK_SIZE``, run on the caller for one
+    worker and else on the pool of ``workers`` threads; chunk streams are
+    spawned up front and partial sums are merged in chunk order, so the
+    result depends on ``(seed, samples)`` alone and not on ``workers``.
     """
     _check_sampling(samples, workers)
     seed = _check_seed(seed)

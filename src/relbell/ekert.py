@@ -30,10 +30,9 @@ unsymmetrized kernel ``K(a, b; p1, p2)``, so the threshold describes the
 outcomes it judges.  :func:`run_protocol` draws the bases and outcome
 streams on the worker pool's one thread while it draws the momenta and
 Eve's stream itself.  The corrected threshold of either mode is one job
-queued behind those draws on the same thread: the empirical one needs
-only the momenta, and the configured one is a one-worker Monte Carlo,
-which runs on its caller, that thread.  The run waits on that job where
-the corrected check needs it.
+queued behind those draws on that thread, which also runs a configured
+threshold's one-worker Monte Carlo; the run waits on that job where the
+corrected check needs it.
 
 A run must keep its per-round record, since the corrected check judges it
 against the Bell average of its own momenta, but it holds little more at
@@ -222,8 +221,7 @@ def verdict(c_hat: float, standard_error: float, threshold: float, significance:
 
 
 def _judged(c_hat: float, standard_error: float, threshold: float, significance: float):
-    """The one-sided normal quantile ``z(1 - significance)`` and the
-    :func:`verdict` it gives."""
+    """The normal quantile ``z(1 - significance)`` and its :func:`verdict`."""
     z = NormalDist().inv_cdf(1.0 - significance)
     return z, "clean" if abs(c_hat) >= threshold - z * standard_error else "eavesdropper"
 
@@ -372,9 +370,8 @@ def _draw_eve(config: ProtocolConfig, rng_eve):
 
 def _outcomes(u: np.ndarray, s: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """+1 where ``u < (1 + s K) / 2`` and -1 elsewhere, as int8: the
-    probability of +1 against a partner's outcome ``s`` at kernel ``K``,
-    formed in the kernel's array, and the signs in place on the
-    comparison's own bytes."""
+    probability is formed in the kernel's array, and the signs in place on
+    the comparison's own bytes."""
     kernel *= s
     kernel += 1.0
     kernel *= 0.5
@@ -391,12 +388,10 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     arithmetic on the draws: bases and ``eve_basis`` as int16, outcome
     signs as int8 from the comparison's own bytes, and key bits as uint8.
     After the draws every other per-round array is one leaf of rows
-    (:func:`~relbell.correlator._row_kernels`), and one step,
-    :func:`_outcomes`, draws both passes' signs: each leaf's outcomes
-    against Alice's ``s``, and then each leaf's attacked rounds, selected
-    by the ``where`` mask, against Eve's ``-t`` on the resend kernel, in
-    the shared form at Bob's momentum.  The corrected threshold, in either
-    mode, is one job on the one-thread pool, and the run waits on it last.
+    (:func:`~relbell.correlator._row_kernels`), and :func:`_outcomes` draws
+    the signs of both passes: each leaf's outcomes against Alice's ``s``,
+    then each leaf's attacked rounds (the ``where`` mask) against Eve's
+    ``-t`` on the resend kernel, in the shared form at Bob's momentum.
     Only Bob's outcome uniforms, the resend uniforms of the attacked rounds
     and the index of the axis each particle 2 is measured along cover the
     run, each released after its last use.  Every value takes the IEEE
@@ -442,9 +437,8 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     eve_outcome = np.zeros(n, dtype=np.int8)
     if attacked.any():
         # the overlap of Eve's and Bob's effective axes is minus their
-        # singlet kernel, both at Bob's momentum, so Bob's outcome follows
-        # Eve's t as a partner's -t; each leaf's attacked rounds, in order,
-        # take the resend uniforms in order
+        # singlet kernel, both at Bob's momentum, so Eve's t enters as -t;
+        # each leaf's attacked rounds take the resend uniforms in order
         done = 0
         try:
             for rows, overlap in _row_kernels((eve_pool, eve_basis), (bob_pool, bob_idx), p2, p2,
