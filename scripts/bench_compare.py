@@ -19,7 +19,10 @@ tracemalloc peaks of one 65536-draw Monte Carlo chunk of a crossed and of
 a correlated beam, the median, minimum and maximum of ``PEAK_PROBES``
 tracemalloc peaks of one 2^17-pair intercept-resend and one honest
 protocol run, with the bytes of each run's transcript beside them, the
-minor page faults per 2^18-sample ``bell_average_mc`` call at 1 and 2
+quartiles of the wall time of calls of those two protocol runs,
+``CALLS_PER_PROBE`` of each in each of ``PEAK_PROBES`` fresh processes
+per side (:data:`PROTOCOL_CALL`), the minor page
+faults per 2^18-sample ``bell_average_mc`` call at 1 and 2
 workers on both beams and per call of that protocol run, each counted in a
 fresh process, and the absolute error against mpmath of zero-spread
 anchors, through the Monte Carlo and through the empirical threshold of a
@@ -129,6 +132,28 @@ peak = tracemalloc.get_traced_memory()[1]
 arrays = {{id(v): v.nbytes for v in vars(transcript).values() if isinstance(v, np.ndarray)}}
 print(json.dumps({{"peak": peak, "transcript": sum(arrays.values())}}))
 """
+
+#: Timed calls of each protocol run per fresh process of the call probe.
+CALLS_PER_PROBE = 5
+
+#: Wall time of the honest and the intercept-resend run through the public
+#: API: one untimed call of each, which starts the pool and fills the
+#: allocator, then ``CALLS_PER_PROBE`` timed calls of each, interleaved, as
+#: a JSON object of lists.  It shows which of the runs a protocol_run op
+#: makes moved.
+PROTOCOL_CALL = PROTOCOL.format(eve=None) + """
+import dataclasses, json, time
+runs = dict(honest=config, attacked=dataclasses.replace(config, eve=%s))
+for run in runs.values():
+    run_protocol(run)
+times = {name: [] for name in runs}
+for _ in range(%d):
+    for name, run in runs.items():
+        start = time.perf_counter()
+        run_protocol(run)
+        times[name].append(time.perf_counter() - start)
+print(json.dumps(times))
+""" % (ATTACK, CALLS_PER_PROBE)
 
 #: Process-wide minor page faults per call of that run, counted as
 #: CALL_FAULTS counts them: the mean of 4 calls after one warm-up call.
@@ -360,6 +385,16 @@ def main() -> int:
             values = [p["peak"] for p in probes]
             record[key][side] = {"median": statistics.median(values),
                                  "min": min(values), "max": max(values)}
+    calls = {side: {"honest": [], "attacked": []} for side in sides}
+    for k in range(PEAK_PROBES):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            for run, times in json.loads(probe(sides[side], PROTOCOL_CALL)).items():
+                calls[side][run].extend(times)
+    record["protocol_call_s"] = {
+        "probes": PEAK_PROBES, "calls_per_probe": CALLS_PER_PROBE,
+        **{side: {run: quartiles(times) for run, times in runs.items()}
+           for side, runs in calls.items()},
+    }
     record["protocol_transcript_bytes"] = {
         side: {run: peaks[run][side][0]["transcript"] for run in protocol_runs} for side in sides
     }

@@ -511,18 +511,25 @@ def _row_kernels(alice, bob, p1, p2, mass: float | None, combine=lambda k: k[0],
     pairs that give row ``i`` the axis ``pool[index[i]]``
     (:func:`_block_axes`).  ``where``, a boolean mask of the n rows,
     selects rows: each leaf then gives only its selected rows, in order, as
-    an index array, and a leaf with none gives nothing.  Each kernel is a
-    per-row value, so the leaves give the bytes of one whole-array pass
-    over the selected rows, and no temporary covers more rows than a leaf.
+    an index array, and a leaf with none gives nothing.  The momenta of
+    those rows are gathered with ``take``, which copies whole rows of an
+    (n, 3) array at several times the speed of fancy indexing.  Each kernel
+    is a per-row value, so the leaves give the bytes of one whole-array
+    pass over the selected rows, and no temporary covers more rows than a
+    leaf.
     """
     axes_of = _block_axes(alice, bob)
+
+    def rows_of(p, rows):
+        return p[rows] if where is None else p.take(rows, axis=0)
+
     for rows in _leaf_slices(len(p1)):
         if where is not None:
             rows = rows.start + np.flatnonzero(where[rows])
             if not rows.size:
                 continue
-        one = p1[rows]
-        two = one if p2 is p1 else p2[rows]
+        one = rows_of(p1, rows)
+        two = one if p2 is p1 else rows_of(p2, rows)
         yield rows, combine(_leaf_kernels(axes_of(rows), one, two, mass, _k12_kernels))
 
 

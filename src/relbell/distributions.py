@@ -51,15 +51,33 @@ class _Profile:
         return {"kind": self.kind, **fields}
 
 
+#: Rows of the ``(sigma, mean)`` pattern :func:`_gaussian` scales against.
+_PATTERN_ROWS = 128
+
+
 def _gaussian(rng: np.random.Generator, mean, sigma, n: int) -> np.ndarray:
-    """``n`` draws of ``mean + sigma * z``, one per row.  Each column is
-    scaled and shifted in place, which gives the bytes of the broadcast
-    form at a fraction of its cost: broadcasting a (3,) array over (n, 3)
-    runs numpy's inner loop over three elements at a time."""
+    """``n`` draws of ``mean + sigma * z``, one per row.
+
+    The draws are scaled and shifted in place over contiguous memory,
+    against ``(sigma, mean)`` repeated over ``_PATTERN_ROWS`` rows: each
+    whole run of that many rows as one row of a 2-D view, then the rows
+    left over against the pattern's head.  Each element still gets
+    ``z * s`` and then ``+ m``, so the bytes are those of the broadcast
+    form, at a fraction of its cost: broadcasting a (3,) array over (n, 3)
+    runs numpy's inner loop over three elements at a time, and a pass per
+    column strides over the whole array six times."""
     p = rng.standard_normal((n, 3))
-    for column, s, m in zip(p.T, sigma, mean):
-        column *= s
-        column += m
+    pattern = np.empty((2, _PATTERN_ROWS, 3))
+    pattern[0] = sigma
+    pattern[1] = mean
+    scale, shift = pattern.reshape(2, -1)
+    whole = n - n % _PATTERN_ROWS
+    tiles = p[:whole].reshape(-1, scale.size)
+    tiles *= scale
+    tiles += shift
+    tail = p[whole:].reshape(-1)
+    tail *= scale[:tail.size]
+    tail += shift[:tail.size]
     return p
 
 

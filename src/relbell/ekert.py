@@ -32,7 +32,9 @@ streams on the worker pool's one thread while it draws the momenta and
 Eve's stream itself.  The corrected threshold of either mode is one job
 queued behind those draws on that thread, which also runs a configured
 threshold's one-worker Monte Carlo; the run waits on that job where the
-corrected check needs it.
+corrected check needs it.  A configured job first counts the test rounds
+per basis pair from the bases it follows, and starts no Monte Carlo for a
+run whose check is to raise :class:`~relbell.errors.UndersampledTestError`.
 
 A run must keep its per-round record, since the corrected check judges it
 against the Bell average of its own momenta, but it holds little more at
@@ -90,6 +92,10 @@ MIN_TEST_ROUNDS = 25
 
 #: Transcript schema version written to JSON output.
 SCHEMA_VERSION = 1
+
+#: Most axes an indexed pool can hold: transcripts store pool indices as
+#: int16, and a run indexes Bob's pool followed by Eve's in one int16 array.
+MAX_POOL_AXES = int(np.iinfo(np.int16).max) + 1
 
 
 @dataclass(frozen=True)
@@ -155,6 +161,16 @@ class ProtocolConfig:
                 f"threshold_mode must be 'empirical' or 'configured', got {self.threshold_mode!r}"
             )
         _check_sampling(self.threshold_samples, name="threshold_samples")
+        pools = {"key_axes plus the two test axes": len(self.key_axes) + 2}
+        if self.eve is not None:
+            pools["Bob's pool plus the eavesdropper's basis_pool"] = (
+                len(self.key_axes) + 2 + len(self.eve.basis_pool))
+        for name, size in pools.items():
+            if size > MAX_POOL_AXES:
+                raise ValueError(
+                    f"{name} make {size} axes; an int16 pool index addresses at most "
+                    f"{MAX_POOL_AXES}"
+                )
 
     def to_dict(self) -> dict:
         return {
@@ -330,33 +346,42 @@ def _digits(bits: np.ndarray) -> str:
 
 def _choose_bases(rng: np.random.Generator, n: int, n_key: int, test_fraction: float) -> np.ndarray:
     """Pool indices: key axes 0..n_key-1, test axes n_key and n_key+1.  The
-    test picks are shifted and copied over the key picks in place, so the
-    only whole-run temporaries are the three draws."""
+    picks are blended in place by the exact integer arithmetic
+    ``key + is_test * (n_key + test - key)``, so the only whole-run
+    temporaries are the three draws: a masked copy under a random mask
+    branches on every element and costs several times as much."""
     is_test = rng.random(n) < test_fraction
     test_pick = rng.integers(0, 2, size=n)
     key_pick = rng.integers(0, n_key, size=n)
     test_pick += n_key
-    np.copyto(key_pick, test_pick, where=is_test)
+    test_pick -= key_pick
+    test_pick *= is_test
+    key_pick += test_pick
     return key_pick.astype(np.int16)
 
 
-def _draw_roles(config: ProtocolConfig, rng_alice, rng_bob, rng_outcome):
-    """Alice's and Bob's bases, Alice's outcome signs and the uniforms of
-    Bob's outcomes, each role from its own stream."""
+def _draw_bases(config: ProtocolConfig, rng_alice, rng_bob):
+    """Alice's and Bob's bases, each from its own stream."""
     n = config.pair_count
     n_key = len(config.key_axes)
-    alice_idx = _choose_bases(rng_alice, n, n_key, config.test_fraction)
-    bob_idx = _choose_bases(rng_bob, n, n_key, config.test_fraction)
+    return (_choose_bases(rng_alice, n, n_key, config.test_fraction),
+            _choose_bases(rng_bob, n, n_key, config.test_fraction))
+
+
+def _draw_outcomes(n: int, rng_outcome):
+    """Alice's outcome signs and the uniforms of Bob's outcomes."""
     s = rng_outcome.integers(0, 2, size=n).astype(np.int8)
     s *= 2
     s -= 1
-    return alice_idx, bob_idx, s, rng_outcome.random(n)
+    return s, rng_outcome.random(n)
 
 
 def _draw_eve(config: ProtocolConfig, rng_eve):
     """Eve's three draws, or ``None`` when no attack can fire: the attacked
     flags, ``eve_basis`` (-1 where no attack fired) and the resend uniforms
-    of the attacked rounds alone, in round order."""
+    of the attacked rounds alone, in round order.  ``eve_basis`` is
+    ``(basis + 1) * attacked - 1``, formed in place in int16, which a
+    masked copy under the random flags costs more than."""
     if config.eve is None or config.eve.attack_probability == 0.0:
         return None
     n = config.pair_count
@@ -364,8 +389,23 @@ def _draw_eve(config: ProtocolConfig, rng_eve):
     # are nested as the probability rises with the same seed
     attacked = rng_eve.random(n) < config.eve.attack_probability
     eve_basis = rng_eve.integers(0, len(config.eve.basis_pool), size=n).astype(np.int16)
-    np.copyto(eve_basis, -1, where=~attacked)
+    eve_basis += 1
+    eve_basis *= attacked
+    eve_basis -= 1
     return attacked, eve_basis, np.compress(attacked, rng_eve.random(n))
+
+
+def _partner_index(bob_idx, attacked, eve_basis, bob_axes: int) -> np.ndarray:
+    """The axis each particle 2 is measured along, as an int16 index into
+    Bob's pool of ``bob_axes`` axes followed by Eve's: Eve's axis on
+    attacked rounds, else Bob's.  It is the exact integer blend
+    ``bob + attacked * (eve + bob_axes - bob)``, formed in place; the config
+    keeps both pools within ``MAX_POOL_AXES``, so no int16 step wraps."""
+    index = eve_basis + np.int16(bob_axes)
+    index -= bob_idx
+    index *= attacked
+    index += bob_idx
+    return index
 
 
 def _outcomes(u: np.ndarray, s: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -387,6 +427,10 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     Each per-round column is made in its transcript dtype by in-place
     arithmetic on the draws: bases and ``eve_basis`` as int16, outcome
     signs as int8 from the comparison's own bytes, and key bits as uint8.
+    Where a column picks between two draws by a random mask (the bases,
+    ``eve_basis`` and the index of each particle 2's axis), it is an exact
+    integer blend, ``x + mask * (y - x)``: a masked copy or ``np.where``
+    branches on every element and costs several times the arithmetic.
     After the draws every other per-round array is one leaf of rows
     (:func:`~relbell.correlator._row_kernels`), and :func:`_outcomes` draws
     the signs of both passes: each leaf's outcomes against Alice's ``s``,
@@ -405,15 +449,18 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     )
     # the pool thread draws the bases and outcome streams while this one
     # draws the momenta and Eve's stream; the pool then forms the corrected
-    # threshold, which needs only the momenta (or none)
-    roles_job = _pool(1).submit(_draw_roles, config, rng_alice, rng_bob, rng_outcome)
+    # threshold, which needs only the momenta (or none) and the bases
+    pool = _pool(1)
+    bases_job = pool.submit(_draw_bases, config, rng_alice, rng_bob)
+    outcomes_job = pool.submit(_draw_outcomes, n, rng_outcome)
     p1, p2 = config.distribution.sample(rng_momenta, n)
     mass = config.distribution.mass
-    threshold_job = _pool(1).submit(_corrected_threshold, config, p1, p2)
+    threshold_job = pool.submit(_threshold_unless_short, config, p1, p2, bases_job)
     eve = _draw_eve(config, rng_eve)
-    alice_idx, bob_idx, s, u_outcome = roles_job.result()
+    alice_idx, bob_idx = bases_job.result()
+    s, u_outcome = outcomes_job.result()
     # the job holds the uniforms too
-    del roles_job
+    del outcomes_job
 
     bob_pool = config.bob_pool
     partner = bob_pool, bob_idx
@@ -422,13 +469,9 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     if eve is not None:
         attacked, eve_basis, u_resend = eve
         del eve
-        # the axis particle 2 is measured along: Eve's on attacked rounds,
-        # else Bob's, as an index into Bob's pool followed by Eve's
         eve_pool = np.array(config.eve.basis_pool)
-        partner = (
-            np.concatenate((bob_pool, eve_pool)),
-            np.where(attacked, eve_basis + np.int16(len(bob_pool)), bob_idx),
-        )
+        partner = (np.concatenate((bob_pool, eve_pool)),
+                   _partner_index(bob_idx, attacked, eve_basis, len(bob_pool)))
 
     bob_outcome = np.empty(n, dtype=np.int8)
     for rows, kernel in _row_kernels((config.alice_pool, alice_idx), partner, p1, p2, mass):
@@ -481,34 +524,66 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     return transcript
 
 
+def _test_counts(config: ProtocolConfig, alice_basis, bob_basis, agree=None) -> np.ndarray:
+    """Rounds per test basis pair, in CHSH order, as a (4, 1) array, or with
+    ``agree``, a bool per round, a (4, 2) array of the rounds whose outcomes
+    differ and agree.
+
+    Every round gets one joint basis code, ``alice * (n_key + 2) + bob``,
+    formed in ``intp`` so a large key pool cannot overflow the basis dtype,
+    and with ``agree`` doubled plus the round's flag; one integer bincount
+    over it is sliced to the 2x2 block of the test axes."""
+    width = len(config.key_axes) + 2
+    code = alice_basis.astype(np.intp)
+    code *= width
+    code += bob_basis
+    split = 1
+    if agree is not None:
+        split = 2
+        code *= 2
+        code += agree
+    test = slice(width - 2, width)
+    counts = np.bincount(code, minlength=split * width * width)
+    return counts.reshape(width, width, split)[test, test].reshape(4, split)
+
+
 def _test_statistics(transcript: ProtocolTranscript):
     """Per-basis-pair counts and correlations of the test rounds, in CHSH
     order.  Raises :class:`~relbell.errors.UndersampledTestError` when any
     basis pair has fewer than ``MIN_TEST_ROUNDS`` rounds.
 
-    Every round gets one joint basis code, ``alice * (n_key + 2) + bob``,
-    formed in ``intp`` so a large key pool cannot overflow the basis
-    dtype; two bincounts over it, of rounds and of the +-1 outcome
-    products, are sliced to the 2x2 block of the test axes."""
-    width = len(transcript.config.key_axes) + 2
-    code = transcript.alice_basis.astype(np.intp)
-    code *= width
-    code += transcript.bob_basis
-    products = transcript.alice_outcome * transcript.bob_outcome
-    test = slice(width - 2, width)
-    # the products are +-1, so these sums are exact in any order and each
-    # correlation equals the mean of its pair's products bit for bit
-    counts, sums = (
-        np.bincount(code, weights, width * width).reshape(width, width)[test, test].ravel().tolist()
-        for weights in (None, products)
-    )
+    One integer bincount (:func:`_test_counts`) gives each pair's rounds
+    whose outcomes differ and agree: their total is the pair's count and
+    their difference the sum of its +-1 outcome products."""
+    differ, agree = _test_counts(
+        transcript.config, transcript.alice_basis, transcript.bob_basis,
+        transcript.alice_outcome == transcript.bob_outcome,
+    ).T.tolist()
+    counts = [a + d for a, d in zip(agree, differ)]
     for k, count in enumerate(counts):
         if count < MIN_TEST_ROUNDS:
             raise UndersampledTestError(
                 f"basis pair {divmod(k, 2)} has {count} test rounds; "
                 f"need at least {MIN_TEST_ROUNDS}"
             )
-    return tuple(counts), tuple(total / count for total, count in zip(sums, counts))
+    # the sums are exact integers and a quotient of two integers rounds
+    # once, so each correlation equals the mean of its pair's products bit
+    # for bit
+    return tuple(counts), tuple((a - d) / count for a, d, count in zip(agree, differ, counts))
+
+
+def _threshold_unless_short(config: ProtocolConfig, momentum1, momentum2, bases_job):
+    """:func:`_corrected_threshold` for :func:`run_protocol`'s pool job, or
+    ``None`` for a configured threshold when the bases, the result of
+    ``bases_job``, leave a test basis pair with fewer than
+    ``MIN_TEST_ROUNDS`` rounds.  The run then raises
+    :class:`~relbell.errors.UndersampledTestError` from
+    :func:`_test_statistics` without reading this job, so no Monte Carlo
+    runs for it.  The bases job ran before this one on the same thread."""
+    if (config.threshold_mode == "configured"
+            and _test_counts(config, *bases_job.result()).min() < MIN_TEST_ROUNDS):
+        return None
+    return _corrected_threshold(config, momentum1, momentum2)
 
 
 def _corrected_threshold(config: ProtocolConfig, momentum1, momentum2) -> float:

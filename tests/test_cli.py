@@ -224,6 +224,15 @@ class TestExitCodes:
             assert main(argv) == 1, argv
             assert "error:" in capsys.readouterr().err
 
+    def test_pool_past_the_int16_index_limit_exits_one(self, capsys):
+        # Bob's 3 axes followed by Eve's 32766 make one axis too many
+        argv = ["protocol", "--eve-probability", "0.5", "--eve-pool", ";".join(["0,0,1"] * 32766)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: Bob's pool plus the eavesdropper's basis_pool make 32769 axes; "
+            "an int16 pool index addresses at most 32768\n"
+        )
+
     def test_negative_seed_message(self, capsys):
         assert main(["bell", "--seed", "-1"]) == 1
         assert "--seed must be >= 0" in capsys.readouterr().err

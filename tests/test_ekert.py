@@ -159,6 +159,20 @@ class TestProtocolConfigValidation:
         with pytest.raises(ValueError, match="at least one axis"):
             InterceptResend(basis_pool=())
 
+    def test_pools_must_fit_an_int16_index(self):
+        limit = ekert.MAX_POOL_AXES
+        assert limit == 32768
+        z = (0.0, 0.0, 1.0)
+        # key axes plus the two test axes make Alice's and Bob's pools
+        assert len(make_config(key_axes=(z,) * (limit - 2)).key_axes) == limit - 2
+        with pytest.raises(ValueError, match=f"make {limit + 1} axes.*at most {limit}"):
+            make_config(key_axes=(z,) * (limit - 1))
+        # Bob's pool followed by Eve's is indexed as one
+        eve = InterceptResend(basis_pool=(z,) * (limit - 3))
+        assert make_config(eve=eve).eve == eve
+        with pytest.raises(ValueError, match=f"basis_pool make {limit + 1} axes"):
+            make_config(eve=InterceptResend(basis_pool=(z,) * (limit - 2)))
+
 
 class TestSifting:
     @pytest.mark.parametrize("beta", [0.0, 0.9, 0.99])
@@ -426,6 +440,53 @@ class TestBookkeeping:
                                      eve=InterceptResend(attack_probability=0.5)))
         assert ekert._test_statistics(t) == masked_statistics(t)
 
+    @pytest.mark.parametrize("n_key", [1, 3, 200])
+    @pytest.mark.parametrize("test_fraction", [0.37, 0.5])
+    def test_bases_equal_the_masked_copy(self, n_key, test_fraction):
+        def masked(rng, n):
+            is_test = rng.random(n) < test_fraction
+            test_pick = rng.integers(0, 2, size=n) + n_key
+            key_pick = rng.integers(0, n_key, size=n)
+            np.copyto(key_pick, test_pick, where=is_test)
+            return key_pick.astype(np.int16)
+
+        for n in (1, 777, 2**17):
+            bases = ekert._choose_bases(np.random.default_rng(n), n, n_key, test_fraction)
+            assert bases.dtype == np.int16
+            assert bases.tobytes() == masked(np.random.default_rng(n), n).tobytes()
+
+    @pytest.mark.parametrize("n_key", [1, 3, 200])
+    @pytest.mark.parametrize("p_eve", [0.3, 1.0])
+    @pytest.mark.parametrize("eve_axes", [1, 4])
+    def test_eve_and_partner_equal_the_select_forms(self, n_key, p_eve, eve_axes):
+        eve = InterceptResend(basis_pool=key_axes(eve_axes), attack_probability=p_eve)
+        config = make_config(pair_count=30_001, key_axes=key_axes(n_key), eve=eve)
+        n = config.pair_count
+        attacked, eve_basis, u_resend = ekert._draw_eve(config, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        flags = rng.random(n) < p_eve
+        picks = rng.integers(0, eve_axes, size=n).astype(np.int16)
+        np.copyto(picks, -1, where=~flags)
+        assert attacked.tobytes() == flags.tobytes()
+        assert eve_basis.dtype == np.int16 and eve_basis.tobytes() == picks.tobytes()
+        assert u_resend.tobytes() == rng.random(n)[flags].tobytes()
+
+        bob_idx = ekert._choose_bases(np.random.default_rng(6), n, n_key, 0.5)
+        bob_axes = n_key + 2
+        partner = ekert._partner_index(bob_idx, attacked, eve_basis, bob_axes)
+        expected = np.where(attacked, eve_basis + np.int16(bob_axes), bob_idx)
+        assert partner.dtype == np.int16 and partner.tobytes() == expected.tobytes()
+
+    def test_partner_index_reaches_the_pool_limit(self):
+        # Bob's 3 axes followed by Eve's MAX_POOL_AXES - 3: Eve's last axis
+        # is index 32767, the largest an int16 holds, with no wrap on the way
+        last = ekert.MAX_POOL_AXES - 4
+        bob_idx = np.array([0, 2, 1, 2], dtype=np.int16)
+        attacked = np.array([True, True, False, False])
+        eve_basis = np.array([last, last, -1, -1], dtype=np.int16)
+        partner = ekert._partner_index(bob_idx, attacked, eve_basis, 3)
+        assert partner.tolist() == [32767, 32767, 1, 2]
+
     def test_starved_test_pair_raises_the_same_message(self):
         t = run_protocol(make_config(key_axes=key_axes(3)))
         bob = t.bob_basis.copy()
@@ -572,6 +633,29 @@ class TestThresholdOnThePool:
         assert not names & (callers | {threading.current_thread().name})
         # the configured threshold's Monte Carlo chunks ran on that thread too
         assert chunks == names
+
+    def test_short_configured_run_starts_no_monte_carlo(self, monkeypatch):
+        """The configured job counts the test basis pairs from the bases it
+        follows on the pool thread, and skips a Monte Carlo whose run raises
+        for a short pair."""
+        calls = []
+        threshold = ekert.corrected_threshold
+
+        def recording(*args):
+            calls.append(args[2])
+            return threshold(*args)
+
+        monkeypatch.setattr(ekert, "corrected_threshold", recording)
+        short = make_config(pair_count=200, distribution=BEAM, threshold_mode="configured",
+                            threshold_samples=2**20)
+        with pytest.raises(UndersampledTestError, match="test rounds"):
+            run_protocol(short)
+        # wait for every job queued on the one pool thread
+        correlator._pool(1).submit(lambda: None).result(timeout=60)
+        assert calls == []
+        run_protocol(make_config(distribution=BEAM, threshold_mode="configured",
+                                 threshold_samples=2000))
+        assert calls == [2000]
 
     @pytest.mark.parametrize("fail", [
         lambda: TestBellTest().test_undersampled_pair_raises(),
