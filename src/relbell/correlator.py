@@ -573,7 +573,8 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     in the key gives a forked child pools of its own.  A one-worker Monte
     Carlo runs on its caller (:func:`_estimate`), so the one-thread pool
     serves :func:`relbell.ekert.run_protocol`'s role draws and corrected
-    threshold alone, and no job on it waits on another.
+    threshold alone, and no job on it waits on another: the threshold job
+    reads the bases job's result, which the one thread finished first.
     """
     key = (os.getpid(), workers)
     pool = _POOLS.get(key)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from relbell.distributions import _gaussian
+from relbell.distributions import _PATTERN_ROWS, _gaussian
 
 
 def column_form(rng, mean, sigma, n):
@@ -27,7 +27,9 @@ COMPONENTS = {
 }
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 127, 128, 129, 511, 512, 513, 8192, 65536, 100003])
+@pytest.mark.parametrize("n", [
+    0, 1, 7, _PATTERN_ROWS - 1, _PATTERN_ROWS, _PATTERN_ROWS + 1, 511, 512, 513, 8192, 65536, 100003,
+])
 @pytest.mark.parametrize("components", COMPONENTS.values(), ids=COMPONENTS.keys())
 def test_gaussian_keeps_the_bytes_of_both_reference_forms(n, components):
     mean, sigma = components
