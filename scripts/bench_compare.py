@@ -21,7 +21,10 @@ tracemalloc peaks of one 2^17-pair intercept-resend and one honest
 protocol run, with the bytes of each run's transcript beside them, the
 quartiles of the wall time of calls of those two protocol runs,
 ``CALLS_PER_PROBE`` of each in each of ``PEAK_PROBES`` fresh processes
-per side (:data:`PROTOCOL_CALL`), the minor page
+per side (:data:`PROTOCOL_CALL`), the quartiles of the wall time of a
+protocol call that raises after queuing its threshold job and of the run
+after it, one of each in each of ``PEAK_PROBES`` fresh processes per side
+(:data:`FAILED_RUN`), the minor page
 faults per 2^18-sample ``bell_average_mc`` call at 1 and 2
 workers on both beams and per call of that protocol run, each counted in a
 fresh process, and the absolute error against mpmath of zero-spread
@@ -154,6 +157,38 @@ for _ in range(%d):
         times[name].append(time.perf_counter() - start)
 print(json.dumps(times))
 """ % (ATTACK, CALLS_PER_PROBE)
+
+#: A configured-threshold run that raises after its threshold job is
+#: queued: the key axis z is transverse to particle 2, so the outcome pass
+#: raises, while every CHSH axis keeps an x component, so the 2^20-sample
+#: Monte Carlo runs on.  After one untimed call of the 2000-pair correlated
+#: run below, which starts the pool, the wall time of the failing call and
+#: of that run after it, as a JSON object: a job the failed run left on the
+#: pool shows in the second.
+FAILED_RUN = """
+import json, math, sys, time
+sys.path.insert(0, "src")
+from relbell import (BellConfig, CorrelatedGaussian, DegenerateObservableError, JointGaussian,
+                     ProtocolConfig, run_protocol)
+s = math.sqrt(0.5)
+failing = ProtocolConfig(pair_count=2000, seed=0,
+                         bell=BellConfig((s, s, 0), (-s, s, 0), (s, -s, 0), (1, 0, 0)),
+                         distribution=JointGaussian((0, 0, 0), 0.0, (1e250, 0, 0), 0.0),
+                         threshold_mode="configured", threshold_samples=2**20)
+after = ProtocolConfig(pair_count=2000, seed=0,
+                       distribution=CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), 0.04))
+run_protocol(after)
+start = time.perf_counter()
+try:
+    run_protocol(failing)
+except DegenerateObservableError:
+    pass
+else:
+    sys.exit("the failing run did not raise")
+failed = time.perf_counter()
+run_protocol(after)
+print(json.dumps({"failing": failed - start, "next": time.perf_counter() - failed}))
+"""
 
 #: Process-wide minor page faults per call of that run, counted as
 #: CALL_FAULTS counts them: the mean of 4 calls after one warm-up call.
@@ -394,6 +429,16 @@ def main() -> int:
         "probes": PEAK_PROBES, "calls_per_probe": CALLS_PER_PROBE,
         **{side: {run: quartiles(times) for run, times in runs.items()}
            for side, runs in calls.items()},
+    }
+    failed_runs = {side: {"failing": [], "next": []} for side in sides}
+    for k in range(PEAK_PROBES):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            for call, seconds in json.loads(probe(sides[side], FAILED_RUN)).items():
+                failed_runs[side][call].append(seconds)
+    record["failed_run_next_call_s"] = {
+        "probes": PEAK_PROBES,
+        **{side: {call: quartiles(times) for call, times in calls.items()}
+           for side, calls in failed_runs.items()},
     }
     record["protocol_transcript_bytes"] = {
         side: {run: peaks[run][side][0]["transcript"] for run in protocol_runs} for side in sides

@@ -572,9 +572,8 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     resident size of a run varied by ~7 MB with the timing.  The process id
     in the key gives a forked child pools of its own.  A one-worker Monte
     Carlo runs on its caller (:func:`_estimate`), so the one-thread pool
-    serves :func:`relbell.ekert.run_protocol`'s role draws and corrected
-    threshold alone, and no job on it waits on another: the threshold job
-    reads the bases job's result, which the one thread finished first.
+    serves :func:`relbell.ekert.run_protocol`'s role job and corrected
+    threshold job alone, and no job on it reads another's result.
     """
     key = (os.getpid(), workers)
     pool = _POOLS.get(key)

@@ -27,39 +27,41 @@ round (Alice's axis at ``p1``, the partner's, Bob's or Eve's, at ``p2``),
 the resend overlap at Bob's momentum, and the empirical threshold, which a
 standalone :func:`bell_test` forms the same way.  Two momenta take the
 unsymmetrized kernel ``K(a, b; p1, p2)``, so the threshold describes the
-outcomes it judges.  :func:`run_protocol` draws the bases and outcome
-streams on the worker pool's one thread while it draws the momenta and
-Eve's stream itself.  The corrected threshold of either mode is one job
-queued behind those draws on that thread, which also runs a configured
-threshold's one-worker Monte Carlo; the run waits on that job where the
-corrected check needs it.  A configured job first counts the test rounds
-per basis pair from the bases it follows, and starts no Monte Carlo for a
-run whose check is to raise :class:`~relbell.errors.UndersampledTestError`.
+outcomes it judges.  :func:`run_protocol` draws the bases, their test
+rounds per basis pair and the outcome streams as one job on the worker
+pool's one thread while it draws the momenta, and raises
+:class:`~relbell.errors.UndersampledTestError` for a short pair before it
+queues the corrected threshold of either mode as one job on that thread,
+which also runs a configured threshold's one-worker Monte Carlo.  The run
+waits on that job where the corrected check needs it, or before it
+raises, so no job of a failed run is left for the pool's next caller.
 
 A run must keep its per-round record, since the corrected check judges it
 against the Bell average of its own momenta, but it holds little more at
 once: the transcript's columns, Bob's outcome uniforms (8 bytes a round),
 the resend uniforms of the attacked rounds (8 bytes each), the index of
-the axis each particle 2 is measured along (2 bytes a round), and one
-block of kernel work on each of the two threads.  The outcome kernels and
-probabilities, the resend overlaps and the empirical threshold's CHSH
-values are formed one leaf of numpy's pairwise tree at a time, each pass
-one loop of :func:`~relbell.correlator._row_kernels` (the resend over the
-attacked rows alone, by its ``where`` mask), the threshold adding its leaf
-sums up that tree, and the whole-run uniforms and index are released after
-their last use, the outcome pass ending before the resend pass.  The draws
-are whole arrays: they end before the kernel work starts, so their
-temporaries raise no peak, and drawing them in blocks cost op time.
+the axis each particle 2 is measured along (2 bytes a round, once a round
+is attacked), and one block of kernel work on each of the two threads.
+The outcome kernels and probabilities, the resend overlaps and the
+empirical threshold's CHSH values are formed one leaf of numpy's pairwise
+tree at a time, each pass one loop of
+:func:`~relbell.correlator._row_kernels` (the resend over the attacked
+rows alone, by its ``where`` mask), the threshold adding its leaf sums up
+that tree, and the whole-run uniforms and index are released after their
+last use, the outcome pass ending before the resend pass.  The draws are
+whole arrays: they end before the kernel work starts, so their temporaries
+raise no peak, and drawing them in blocks cost op time.
 
 Randomness is drawn from per-role substreams (momenta, Alice's bases,
 Bob's bases, outcomes, Eve) spawned from the run seed, so transcripts are
-bitwise reproducible and an intercept-resend attack with probability 0 is
-byte-identical to no eavesdropper at all.
+bitwise reproducible.  An honest run is an attack that never fires, and
+one with probability 0 is byte-identical to no eavesdropper at all.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import wait
 from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
@@ -161,16 +163,14 @@ class ProtocolConfig:
                 f"threshold_mode must be 'empirical' or 'configured', got {self.threshold_mode!r}"
             )
         _check_sampling(self.threshold_samples, name="threshold_samples")
-        pools = {"key_axes plus the two test axes": len(self.key_axes) + 2}
-        if self.eve is not None:
-            pools["Bob's pool plus the eavesdropper's basis_pool"] = (
-                len(self.key_axes) + 2 + len(self.eve.basis_pool))
-        for name, size in pools.items():
-            if size > MAX_POOL_AXES:
-                raise ValueError(
-                    f"{name} make {size} axes; an int16 pool index addresses at most "
-                    f"{MAX_POOL_AXES}"
-                )
+        # Bob's pool, followed by Eve's, is the largest a run indexes
+        size = len(self.key_axes) + 2 + len(self.eve_pool)
+        if size > MAX_POOL_AXES:
+            pools = ("key_axes plus the two test axes" if self.eve is None
+                     else "Bob's pool plus the eavesdropper's basis_pool")
+            raise ValueError(
+                f"{pools} make {size} axes; an int16 pool index addresses at most {MAX_POOL_AXES}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -201,6 +201,10 @@ class ProtocolConfig:
     @property
     def bob_pool(self) -> np.ndarray:
         return np.array(self.key_axes + (self.bell.b, self.bell.b_prime))
+
+    @property
+    def eve_pool(self) -> np.ndarray:
+        return np.array(self.eve.basis_pool if self.eve is not None else ()).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -360,31 +364,31 @@ def _choose_bases(rng: np.random.Generator, n: int, n_key: int, test_fraction: f
     return key_pick.astype(np.int16)
 
 
-def _draw_bases(config: ProtocolConfig, rng_alice, rng_bob):
-    """Alice's and Bob's bases, each from its own stream."""
+def _draw_roles(config: ProtocolConfig, rng_alice, rng_bob, rng_outcome):
+    """Alice's and Bob's bases, each from its own stream, the rounds per
+    test basis pair they give (:func:`_test_counts`), Alice's outcome signs
+    and the uniforms of Bob's outcomes."""
     n = config.pair_count
     n_key = len(config.key_axes)
-    return (_choose_bases(rng_alice, n, n_key, config.test_fraction),
-            _choose_bases(rng_bob, n, n_key, config.test_fraction))
-
-
-def _draw_outcomes(n: int, rng_outcome):
-    """Alice's outcome signs and the uniforms of Bob's outcomes."""
+    alice_idx = _choose_bases(rng_alice, n, n_key, config.test_fraction)
+    bob_idx = _choose_bases(rng_bob, n, n_key, config.test_fraction)
+    counts = _test_counts(config, alice_idx, bob_idx).ravel()
     s = rng_outcome.integers(0, 2, size=n).astype(np.int8)
     s *= 2
     s -= 1
-    return s, rng_outcome.random(n)
+    return alice_idx, bob_idx, counts, s, rng_outcome.random(n)
 
 
 def _draw_eve(config: ProtocolConfig, rng_eve):
-    """Eve's three draws, or ``None`` when no attack can fire: the attacked
-    flags, ``eve_basis`` (-1 where no attack fired) and the resend uniforms
-    of the attacked rounds alone, in round order.  ``eve_basis`` is
-    ``(basis + 1) * attacked - 1``, formed in place in int16, which a
-    masked copy under the random flags costs more than."""
-    if config.eve is None or config.eve.attack_probability == 0.0:
-        return None
+    """Eve's three draws: the attacked flags, ``eve_basis`` (-1 where no
+    attack fired) and the resend uniforms of the attacked rounds alone, in
+    round order.  ``eve_basis`` is ``(basis + 1) * attacked - 1``, formed in
+    place in int16, which a masked copy under the random flags costs more
+    than.  An attack that cannot fire draws nothing and gives an honest
+    run's columns: no attacked round, ``eve_basis`` -1 and no uniform."""
     n = config.pair_count
+    if config.eve is None or config.eve.attack_probability == 0.0:
+        return np.zeros(n, dtype=bool), np.full(n, -1, dtype=np.int16), np.empty(0)
     # fixed three draws regardless of the probability, so attacked sets
     # are nested as the probability rises with the same seed
     attacked = rng_eve.random(n) < config.eve.attack_probability
@@ -400,7 +404,10 @@ def _partner_index(bob_idx, attacked, eve_basis, bob_axes: int) -> np.ndarray:
     Bob's pool of ``bob_axes`` axes followed by Eve's: Eve's axis on
     attacked rounds, else Bob's.  It is the exact integer blend
     ``bob + attacked * (eve + bob_axes - bob)``, formed in place; the config
-    keeps both pools within ``MAX_POOL_AXES``, so no int16 step wraps."""
+    keeps both pools within ``MAX_POOL_AXES``, so no int16 step wraps.
+    With no attacked round it is ``bob_idx`` itself, and no second index."""
+    if not attacked.any():
+        return bob_idx
     index = eve_basis + np.int16(bob_axes)
     index -= bob_idx
     index *= attacked
@@ -434,54 +441,45 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
     After the draws every other per-round array is one leaf of rows
     (:func:`~relbell.correlator._row_kernels`), and :func:`_outcomes` draws
     the signs of both passes: each leaf's outcomes against Alice's ``s``,
-    then each leaf's attacked rounds (the ``where`` mask) against Eve's
-    ``-t`` on the resend kernel, in the shared form at Bob's momentum.
-    Only Bob's outcome uniforms, the resend uniforms of the attacked rounds
-    and the index of the axis each particle 2 is measured along cover the
-    run, each released after its last use.  Every value takes the IEEE
-    operations of the whole-array formulas, in the same order, so the bytes
-    are theirs.
+    then each leaf's attacked rounds (the ``where`` mask, empty in an honest
+    run) against Eve's ``-t`` on the resend kernel, in the shared form at
+    Bob's momentum.  Only Bob's outcome uniforms, the resend uniforms of the
+    attacked rounds and, once a round is attacked, the index of the axis
+    each particle 2 is measured along cover the run, each released after
+    its last use.  Every value takes the IEEE operations of the whole-array
+    formulas, in the same order, so the bytes are theirs.
     """
     n = config.pair_count
     rng_momenta, rng_alice, rng_bob, rng_outcome, rng_eve = (
         np.random.Generator(np.random.Philox(child))
         for child in np.random.SeedSequence(config.seed).spawn(6)[:5]
     )
-    # the pool thread draws the bases and outcome streams while this one
-    # draws the momenta and Eve's stream; the pool then forms the corrected
-    # threshold, which needs only the momenta (or none) and the bases
+    # the pool thread draws the role streams while this one draws the
+    # momenta; a short test basis pair raises before the threshold is queued
     pool = _pool(1)
-    bases_job = pool.submit(_draw_bases, config, rng_alice, rng_bob)
-    outcomes_job = pool.submit(_draw_outcomes, n, rng_outcome)
+    roles_job = pool.submit(_draw_roles, config, rng_alice, rng_bob, rng_outcome)
     p1, p2 = config.distribution.sample(rng_momenta, n)
     mass = config.distribution.mass
-    threshold_job = pool.submit(_threshold_unless_short, config, p1, p2, bases_job)
-    eve = _draw_eve(config, rng_eve)
-    alice_idx, bob_idx = bases_job.result()
-    s, u_outcome = outcomes_job.result()
+    alice_idx, bob_idx, counts, s, u_outcome = roles_job.result()
     # the job holds the uniforms too
-    del outcomes_job
-
-    bob_pool = config.bob_pool
-    partner = bob_pool, bob_idx
-    attacked = np.zeros(n, dtype=bool)
-    eve_basis = np.full(n, -1, dtype=np.int16)
-    if eve is not None:
-        attacked, eve_basis, u_resend = eve
-        del eve
-        eve_pool = np.array(config.eve.basis_pool)
+    del roles_job
+    _check_test_rounds(counts)
+    # the pool thread forms the corrected threshold, which needs only the
+    # momenta (or none), while this one draws Eve's stream and runs the passes
+    threshold_job = pool.submit(_corrected_threshold, config, p1, p2)
+    try:
+        attacked, eve_basis, u_resend = _draw_eve(config, rng_eve)
+        bob_pool, eve_pool = config.bob_pool, config.eve_pool
         partner = (np.concatenate((bob_pool, eve_pool)),
                    _partner_index(bob_idx, attacked, eve_basis, len(bob_pool)))
-
-    bob_outcome = np.empty(n, dtype=np.int8)
-    for rows, kernel in _row_kernels((config.alice_pool, alice_idx), partner, p1, p2, mass):
-        bob_outcome[rows] = _outcomes(u_outcome[rows], s[rows], kernel)
-    del u_outcome, partner
-    eve_outcome = np.zeros(n, dtype=np.int8)
-    if attacked.any():
+        bob_outcome = np.empty(n, dtype=np.int8)
+        for rows, kernel in _row_kernels((config.alice_pool, alice_idx), partner, p1, p2, mass):
+            bob_outcome[rows] = _outcomes(u_outcome[rows], s[rows], kernel)
+        del u_outcome, partner
         # the overlap of Eve's and Bob's effective axes is minus their
         # singlet kernel, both at Bob's momentum, so Eve's t enters as -t;
         # each leaf's attacked rounds take the resend uniforms in order
+        eve_outcome = np.zeros(n, dtype=np.int8)
         done = 0
         try:
             for rows, overlap in _row_kernels((eve_pool, eve_basis), (bob_pool, bob_idx), p2, p2,
@@ -496,28 +494,32 @@ def run_protocol(config: ProtocolConfig) -> ProtocolTranscript:
             ) from err
         del u_resend
 
-    sift_mask = (alice_idx == bob_idx) & (alice_idx < len(config.key_axes))
-    sifted_indices = np.flatnonzero(sift_mask)
-    alice_key_bits = (s[sifted_indices] > 0).view(np.uint8)
-    bob_key_bits = (bob_outcome[sifted_indices] < 0).view(np.uint8)
+        sift_mask = (alice_idx == bob_idx) & (alice_idx < len(config.key_axes))
+        sifted_indices = np.flatnonzero(sift_mask)
+        alice_key_bits = (s[sifted_indices] > 0).view(np.uint8)
+        bob_key_bits = (bob_outcome[sifted_indices] < 0).view(np.uint8)
 
-    transcript = ProtocolTranscript(
-        config=config,
-        momentum1=p1,
-        momentum2=p2,
-        alice_basis=alice_idx,
-        bob_basis=bob_idx,
-        alice_outcome=s,
-        bob_outcome=bob_outcome,
-        attacked=attacked,
-        eve_basis=eve_basis,
-        eve_outcome=eve_outcome,
-        sifted_indices=sifted_indices,
-        alice_key_bits=alice_key_bits,
-        bob_key_bits=bob_key_bits,
-    )
-    # one set of test statistics serves both checks
-    statistics = _test_statistics(transcript)
+        transcript = ProtocolTranscript(
+            config=config,
+            momentum1=p1,
+            momentum2=p2,
+            alice_basis=alice_idx,
+            bob_basis=bob_idx,
+            alice_outcome=s,
+            bob_outcome=bob_outcome,
+            attacked=attacked,
+            eve_basis=eve_basis,
+            eve_outcome=eve_outcome,
+            sifted_indices=sifted_indices,
+            alice_key_bits=alice_key_bits,
+            bob_key_bits=bob_key_bits,
+        )
+        # one set of test statistics serves both checks
+        statistics = _test_statistics(transcript)
+    finally:
+        # a run that raises waits for its job as well, so the job's cost
+        # falls on this call and not on the pool's next caller
+        wait((threshold_job,))
     transcript.bell_naive = _bell_result(config, statistics, TSIRELSON_BOUND, corrected=False)
     transcript.bell_corrected = _bell_result(config, statistics, threshold_job.result(),
                                              corrected=True)
@@ -547,6 +549,17 @@ def _test_counts(config: ProtocolConfig, alice_basis, bob_basis, agree=None) -> 
     return counts.reshape(width, width, split)[test, test].reshape(4, split)
 
 
+def _check_test_rounds(counts) -> None:
+    """Raise :class:`~relbell.errors.UndersampledTestError` when any of the
+    four test basis pairs' round ``counts`` is below ``MIN_TEST_ROUNDS``."""
+    for k, count in enumerate(counts):
+        if count < MIN_TEST_ROUNDS:
+            raise UndersampledTestError(
+                f"basis pair {divmod(k, 2)} has {count} test rounds; "
+                f"need at least {MIN_TEST_ROUNDS}"
+            )
+
+
 def _test_statistics(transcript: ProtocolTranscript):
     """Per-basis-pair counts and correlations of the test rounds, in CHSH
     order.  Raises :class:`~relbell.errors.UndersampledTestError` when any
@@ -560,30 +573,11 @@ def _test_statistics(transcript: ProtocolTranscript):
         transcript.alice_outcome == transcript.bob_outcome,
     ).T.tolist()
     counts = [a + d for a, d in zip(agree, differ)]
-    for k, count in enumerate(counts):
-        if count < MIN_TEST_ROUNDS:
-            raise UndersampledTestError(
-                f"basis pair {divmod(k, 2)} has {count} test rounds; "
-                f"need at least {MIN_TEST_ROUNDS}"
-            )
+    _check_test_rounds(counts)
     # the sums are exact integers and a quotient of two integers rounds
     # once, so each correlation equals the mean of its pair's products bit
     # for bit
     return tuple(counts), tuple((a - d) / count for a, d, count in zip(agree, differ, counts))
-
-
-def _threshold_unless_short(config: ProtocolConfig, momentum1, momentum2, bases_job):
-    """:func:`_corrected_threshold` for :func:`run_protocol`'s pool job, or
-    ``None`` for a configured threshold when the bases, the result of
-    ``bases_job``, leave a test basis pair with fewer than
-    ``MIN_TEST_ROUNDS`` rounds.  The run then raises
-    :class:`~relbell.errors.UndersampledTestError` from
-    :func:`_test_statistics` without reading this job, so no Monte Carlo
-    runs for it.  The bases job ran before this one on the same thread."""
-    if (config.threshold_mode == "configured"
-            and _test_counts(config, *bases_job.result()).min() < MIN_TEST_ROUNDS):
-        return None
-    return _corrected_threshold(config, momentum1, momentum2)
 
 
 def _corrected_threshold(config: ProtocolConfig, momentum1, momentum2) -> float:

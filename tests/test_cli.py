@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import runpy
 import subprocess
 import sys
 import warnings
@@ -223,6 +224,24 @@ class TestExitCodes:
         for argv in cases:
             assert main(argv) == 1, argv
             assert "error:" in capsys.readouterr().err
+
+    def test_edge_flag_values_are_usage_errors(self, tmp_path, capsys):
+        empty_key = tmp_path / "run.conf"
+        empty_key.write_text(" = 1\n")
+        cases = {
+            ("protocol", "--key-axes", ";"): "--key-axes must list at least one triple",
+            ("bell", "--mass", "inf"): "--mass must be finite, got 'inf'",
+            ("bell", "--config", str(empty_key)): f"{empty_key}:1: empty key",
+            ("bell", "--config"): "--config expects a file path",
+        }
+        for argv, message in cases.items():
+            assert main(list(argv)) == 1, argv
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["relbell", "correlate", "--a", "1,0,0", "--b", "0,1,0"])
+        assert main() == 0
+        assert capsys.readouterr().out == "0.0\n"
 
     def test_pool_past_the_int16_index_limit_exits_one(self, capsys):
         # Bob's 3 axes followed by Eve's 32766 make one axis too many
@@ -459,6 +478,17 @@ class TestCommandOutput:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("beta,c,abs_c\n")
+
+    def test_module_entry_point_in_process(self, capsys, monkeypatch):
+        # the module's own __main__ block, run in this process
+        monkeypatch.setattr(sys, "argv", ["relbell", "correlate", "--a", "1,0,0", "--b", "0,1,0"])
+        with warnings.catch_warnings():
+            # relbell.cli is already imported, which runpy warns about
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as exited:
+                runpy.run_module("relbell.cli", run_name="__main__")
+        assert exited.value.code == 0
+        assert capsys.readouterr().out == "0.0\n"
 
 
 class TestConfigFile:

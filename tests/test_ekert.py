@@ -122,6 +122,11 @@ class TestProtocolConfigValidation:
             make_config(pair_count=150)
         make_config(pair_count=150, test_fraction=0.8)
 
+    def test_significance_bounds(self):
+        for significance in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="significance must be in"):
+                make_config(significance=significance)
+
     def test_threshold_mode_choices(self):
         with pytest.raises(ValueError, match="threshold_mode"):
             make_config(threshold_mode="exact")
@@ -173,6 +178,11 @@ class TestProtocolConfigValidation:
         with pytest.raises(ValueError, match=f"basis_pool make {limit + 1} axes"):
             make_config(eve=InterceptResend(basis_pool=(z,) * (limit - 2)))
 
+    def test_eve_pool_is_empty_without_an_eavesdropper(self):
+        assert make_config().eve_pool.shape == (0, 3)
+        eve = InterceptResend(basis_pool=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
+        assert make_config(eve=eve).eve_pool.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+
 
 class TestSifting:
     @pytest.mark.parametrize("beta", [0.0, 0.9, 0.99])
@@ -215,6 +225,14 @@ class TestSifting:
         )
         assert np.array_equal(transcript.sifted_indices, np.nonzero(mask)[0])
         assert transcript.alice_key_bits.size == transcript.sifted_indices.size
+
+    def test_no_sifted_bits_read_no_disagreement(self):
+        t = run_protocol(make_config(pair_count=800))
+        empty = np.array([], dtype=np.uint8)
+        unsifted = dataclasses.replace(t, sifted_indices=np.array([], dtype=np.intp),
+                                       alice_key_bits=empty, bob_key_bits=empty)
+        assert unsifted.key_disagreement_rate() == 0.0
+        assert unsifted.summary()["sifted_bits"] == 0
 
     def test_bit_conventions(self):
         transcript = run_protocol(make_config())
@@ -477,6 +495,22 @@ class TestBookkeeping:
         expected = np.where(attacked, eve_basis + np.int16(bob_axes), bob_idx)
         assert partner.dtype == np.int16 and partner.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("eve", [None, InterceptResend(attack_probability=0.0)],
+                             ids=["no_eve", "p_eve_0"])
+    def test_an_attack_that_cannot_fire_gives_the_honest_columns(self, eve):
+        config = make_config(pair_count=3000, eve=eve)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        attacked, eve_basis, u_resend = ekert._draw_eve(config, rng)
+        # nothing is drawn from Eve's stream
+        assert rng.bit_generator.state == state
+        assert attacked.dtype == np.bool_ and not attacked.any() and attacked.shape == (3000,)
+        assert eve_basis.dtype == np.int16 and eve_basis.tolist() == [-1] * 3000
+        assert u_resend.size == 0
+        bob_idx = ekert._choose_bases(np.random.default_rng(6), 3000, 1, 0.5)
+        # no attacked round: the partner index is Bob's own, with no copy
+        assert ekert._partner_index(bob_idx, attacked, eve_basis, 3) is bob_idx
+
     def test_partner_index_reaches_the_pool_limit(self):
         # Bob's 3 axes followed by Eve's MAX_POOL_AXES - 3: Eve's last axis
         # is index 32767, the largest an int16 holds, with no wrap on the way
@@ -635,9 +669,9 @@ class TestThresholdOnThePool:
         assert chunks == names
 
     def test_short_configured_run_starts_no_monte_carlo(self, monkeypatch):
-        """The configured job counts the test basis pairs from the bases it
-        follows on the pool thread, and skips a Monte Carlo whose run raises
-        for a short pair."""
+        """The run counts the test basis pairs from its role job and raises
+        for a short pair before it queues the threshold job, so no Monte
+        Carlo starts for it."""
         calls = []
         threshold = ekert.corrected_threshold
 
@@ -656,6 +690,48 @@ class TestThresholdOnThePool:
         run_protocol(make_config(distribution=BEAM, threshold_mode="configured",
                                  threshold_samples=2000))
         assert calls == [2000]
+
+    def test_short_run_queues_no_threshold_job(self, monkeypatch):
+        """In either mode, and even where the passes would raise first, a
+        short run raises for its test rounds before any threshold work."""
+        calls = []
+        monkeypatch.setattr(ekert, "_corrected_threshold", lambda *args: calls.append(args))
+        degenerate = JointGaussian((0, 0, 0), 0.0, (1e250, 0, 0), 0.0)
+        for distribution in (BEAM, degenerate):
+            for mode in ("empirical", "configured"):
+                with pytest.raises(UndersampledTestError, match="test rounds"):
+                    run_protocol(make_config(pair_count=200, distribution=distribution,
+                                             threshold_mode=mode))
+        assert calls == []
+
+    def test_failed_run_waits_for_its_threshold_job(self, monkeypatch):
+        """A run that raises after queuing its threshold job returns only once
+        that job has, so the pool's next caller does not wait behind it."""
+        returned = threading.Event()
+        corrected = ekert._corrected_threshold
+
+        def recording(*args):
+            try:
+                return corrected(*args)
+            finally:
+                returned.set()
+
+        monkeypatch.setattr(ekert, "_corrected_threshold", recording)
+        s = math.sqrt(0.5)
+        # the key axis z is transverse to particle 2, so the outcome pass
+        # raises; every CHSH axis keeps an x component, so the configured
+        # Monte Carlo runs on
+        config = make_config(
+            pair_count=2000, bell=BellConfig((s, s, 0), (-s, s, 0), (s, -s, 0), (1, 0, 0)),
+            distribution=JointGaussian((0, 0, 0), 0.0, (1e250, 0, 0), 0.0),
+            threshold_mode="configured", threshold_samples=2**20,
+        )
+        try:
+            with pytest.raises(DegenerateObservableError, match="axis vanished"):
+                run_protocol(config)
+            assert returned.is_set()
+        finally:
+            correlator._pool(1).submit(lambda: None).result(timeout=120)
 
     @pytest.mark.parametrize("fail", [
         lambda: TestBellTest().test_undersampled_pair_raises(),

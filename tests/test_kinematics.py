@@ -130,6 +130,10 @@ class TestParticleKinematics:
                     err = max(abs(g - w) for g, w in zip(got, want))
                     assert err <= 4e-16 * mp.sqrt(sum(w * w for w in want)), (speed, mass)
 
+    def test_spatial_part_and_direction(self):
+        assert FourVector(1.0, 2.0, 3.0, 4.0).spatial.tolist() == [2.0, 3.0, 4.0]
+        assert ParticleKinematics(1.0, (3.0, 0.0, 4.0)).direction.tolist() == [0.6, 0.0, 0.8]
+
     def test_direction_at_rest_undefined(self):
         with pytest.raises(ValueError, match="undefined"):
             ParticleKinematics.at_rest().direction
@@ -330,6 +334,14 @@ class TestSpinObservable:
                 np.array([1.0, 0.0, 0.0]),
                 np.array([1.0, 0.0, 0.0]),
             )
+
+    def test_transverse_axis_at_ultra_relativistic_momentum_raises(self):
+        # at |p|/m = 1e15 the velocity rounds to 1, and the transverse axis
+        # is contracted to nothing
+        kin = ParticleKinematics(1.0, (1e15, 0.0, 0.0))
+        with pytest.raises(DegenerateObservableError, match="effective axis vanished"):
+            spin_observable((0.0, 0.0, 1.0), kin)
+        assert np.array_equal(spin_observable((1.0, 0.0, 0.0), kin), PAULI_X)
 
 
 class TestOperatorAnchors:
