@@ -24,7 +24,10 @@ quartiles of the wall time of calls of those two protocol runs,
 per side (:data:`PROTOCOL_CALL`), the quartiles of the wall time of a
 protocol call that raises after queuing its threshold job and of the run
 after it, one of each in each of ``PEAK_PROBES`` fresh processes per side
-(:data:`FAILED_RUN`), the minor page
+(:data:`FAILED_RUN`), the median, minimum and maximum of the traced peak
+and the quartiles of the wall time of a 20,000-pair intercept-resend run
+at 1000 key axes, one of each in each of ``PEAK_PROBES`` fresh processes
+per side (:data:`WIDE_POOL`), the minor page
 faults per 2^18-sample ``bell_average_mc`` call at 1 and 2
 workers on both beams and per call of that protocol run, each counted in a
 fresh process, and the absolute error against mpmath of zero-spread
@@ -188,6 +191,29 @@ else:
 failed = time.perf_counter()
 run_protocol(after)
 print(json.dumps({"failing": failed - start, "next": time.perf_counter() - failed}))
+"""
+
+#: A 20,000-pair intercept-resend run with 1000 random unit key axes: after
+#: one untimed call, which starts the pool, the wall time of one call and
+#: the tracemalloc peak of another, as a JSON object.  A table over every
+#: pair of pool axes shows in both.
+WIDE_POOL = """
+import json, sys, time, tracemalloc
+sys.path.insert(0, "src")
+import numpy as np
+from relbell import CorrelatedGaussian, InterceptResend, ProtocolConfig, run_protocol
+axes = np.random.default_rng(1000).normal(size=(1000, 3))
+axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+config = ProtocolConfig(pair_count=20_000, seed=0, key_axes=tuple(map(tuple, axes)),
+                        distribution=CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), 0.04),
+                        eve=InterceptResend(attack_probability=0.5))
+run_protocol(config)
+start = time.perf_counter()
+run_protocol(config)
+wall = time.perf_counter() - start
+tracemalloc.start()
+run_protocol(config)
+print(json.dumps({"peak": tracemalloc.get_traced_memory()[1], "wall": wall}))
 """
 
 #: Process-wide minor page faults per call of that run, counted as
@@ -439,6 +465,18 @@ def main() -> int:
         "probes": PEAK_PROBES,
         **{side: {call: quartiles(times) for call, times in calls.items()}
            for side, calls in failed_runs.items()},
+    }
+    wide = {side: {"peak": [], "wall": []} for side in sides}
+    for k in range(PEAK_PROBES):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            for key, value in json.loads(probe(sides[side], WIDE_POOL)).items():
+                wide[side][key].append(value)
+    record["wide_pool_protocol"] = {
+        "probes": PEAK_PROBES, "pair_count": 20_000, "key_axes": 1000,
+        **{side: {"peak_bytes": {"median": statistics.median(values["peak"]),
+                                 "min": min(values["peak"]), "max": max(values["peak"])},
+                  "wall_s": quartiles(values["wall"])}
+           for side, values in wide.items()},
     }
     record["protocol_transcript_bytes"] = {
         side: {run: peaks[run][side][0]["transcript"] for run in protocol_runs} for side in sides

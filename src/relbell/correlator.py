@@ -91,6 +91,7 @@ from .kinematics import (
     ParticleKinematics,
     _broadcast_rows,
     _check_velocity,
+    _dot,
     _norm_sq,
     _rest_factor,
     _same_bits,
@@ -261,9 +262,9 @@ def _leaf_stats(kernels: np.ndarray) -> np.ndarray:
 class _Axes(NamedTuple):
     """Both sides' axes, as the kernels use them: ``stacked`` holds
     Alice's ``count`` axes and then Bob's, (A, 3, 1) for fixed axes or
-    (A, 3, rows) for per-row ones; ``aa`` is each axis's ``a.a``, (A, 1)
-    or (A, rows), and ``nab`` is ``-(a.b)`` for every (Alice, Bob) pair,
-    (count, B, 1) or (count, B, rows)."""
+    (A, 3, rows) for per-row ones (an indexed block has one axis a side, A = 2);
+    ``aa`` is each axis's ``a.a``, (A, 1) or (A, rows), and ``nab`` is
+    ``-(a.b)`` for every (Alice, Bob) pair, (count, B, 1) or (count, B, rows)."""
 
     stacked: np.ndarray
     count: int
@@ -277,9 +278,8 @@ def _mc_axes(alice: np.ndarray, bob: np.ndarray) -> _Axes:
     if alice.ndim == 2:
         alice, bob = alice[:, :, None], bob[:, :, None]
     stacked = np.concatenate((alice, bob))
-    prod = alice[:, None] * bob[None]
-    nab = -((prod[:, :, 0] + prod[:, :, 1]) + prod[:, :, 2])
-    return _Axes(stacked, len(alice), _norm_sq(stacked.swapaxes(0, 1)), nab)
+    xyz, k = stacked.swapaxes(0, 1), len(alice)
+    return _Axes(stacked, k, _norm_sq(xyz), -_dot(xyz[:, :k, None], xyz[:, None, k:]))
 
 
 def _block_axes(alice, bob):
@@ -290,29 +290,25 @@ def _block_axes(alice, bob):
     sides, component-major (A, 3, n) arrays, give each block its own rows,
     with ``a.a`` and ``-(a.b)`` formed on them.
     Two indexed sides, ``(pool, index)`` pairs, give one axis per side and
-    row; each pool axis's ``a.a`` and each pool pair's ``-(a.b)`` are formed
-    once, on the pools, and gathered per row.  The indices are taken one
-    block at a time, in numpy's own index type: the block's index into the
-    stacked pools per side and into the flattened pair table per row are
-    formed on the block, so no index array covers the whole run."""
+    row: one ``take`` of the block's indices, in numpy's own index type,
+    into the two pools' concatenated components gives the block's axes,
+    (3, 2, rows), and their ``a.a`` and ``-(a.b)`` are formed on them, with
+    the adds of :func:`_mc_axes`.  So no index array covers the whole run,
+    and nothing is formed per pair of pool axes."""
     if not isinstance(alice, tuple):
         if alice.ndim == 3:
             return lambda rows: _mc_axes(alice[..., rows], bob[..., rows])
         fixed = _mc_axes(alice, bob)
         return lambda rows: fixed
     (pool1, index1), (pool2, index2) = alice, bob
-    table = _mc_axes(pool1, pool2)
-    xyz = table.stacked[:, :, 0].T.copy()
-    aa = table.aa[:, 0]
-    nab = table.nab.reshape(-1)
+    xyz = np.concatenate((pool1, pool2)).T.copy()
 
     def gathered(rows) -> _Axes:
         block = np.stack((index1[rows], index2[rows]), dtype=np.intp)
-        pair = block[0] * len(pool2)
-        pair += block[1]
         block[1] += len(pool1)
-        return _Axes(xyz.take(block, axis=1).transpose(1, 0, 2), 1, aa.take(block),
-                     nab.take(pair)[None, None])
+        axes = xyz.take(block, axis=1)
+        return _Axes(axes.transpose(1, 0, 2), 1, _norm_sq(axes),
+                     -_dot(axes[:, :1, None], axes[:, None, 1:]))
 
     return gathered
 
@@ -421,9 +417,8 @@ def _crossed_terms(axes: _Axes, one: _Projections, two: _Projections):
     g1, g2 = (np.sqrt(side.gsq) + side.c for side in (one, two))
     np.reciprocal(g1, out=g1)
     np.reciprocal(g2, out=g2)
-    prod = one.y * two.y
     e = g1 * g2
-    e *= (prod[0] + prod[1]) + prod[2]
+    e *= _dot(one.y, two.y)
     g1 *= two.c
     g2 *= one.c
     scaled = g1 * a1
@@ -508,15 +503,16 @@ def _row_kernels(alice, bob, p1, p2, mass: float | None, combine=lambda k: k[0],
 
     Both sides are fixed, (A, 3) arrays of stacked axes, both per row,
     component-major (A, 3, n) arrays, or both indexed, ``(pool, index)``
-    pairs that give row ``i`` the axis ``pool[index[i]]``
-    (:func:`_block_axes`).  ``where``, a boolean mask of the n rows,
-    selects rows: each leaf then gives only its selected rows, in order, as
-    an index array, and a leaf with none gives nothing.  The momenta of
-    those rows are gathered with ``take``, which copies whole rows of an
-    (n, 3) array at several times the speed of fancy indexing.  Each kernel
-    is a per-row value, so the leaves give the bytes of one whole-array
-    pass over the selected rows, and no temporary covers more rows than a
-    leaf.
+    pairs that give row ``i`` the axis ``pool[index[i]]``, each block
+    forming its own rows' ``a.a`` and ``-(a.b)`` (:func:`_block_axes`), so
+    nothing grows with the product of two pool sizes.  ``where``, a boolean
+    mask of the n rows, selects rows: each leaf then gives only its selected
+    rows, in order, as an index array, and a leaf with none gives nothing.
+    The momenta of those rows are gathered with ``take``, which copies whole
+    rows of an (n, 3) array at several times the speed of fancy indexing.
+    Each kernel is a per-row value, so the leaves give the bytes of one
+    whole-array pass over the selected rows, and no temporary covers more
+    rows than a leaf.
     """
     axes_of = _block_axes(alice, bob)
 

@@ -41,16 +41,16 @@ against the Bell average of its own momenta, but it holds little more at
 once: the transcript's columns, Bob's outcome uniforms (8 bytes a round),
 the resend uniforms of the attacked rounds (8 bytes each), the index of
 the axis each particle 2 is measured along (2 bytes a round, once a round
-is attacked), and one block of kernel work on each of the two threads.
-The outcome kernels and probabilities, the resend overlaps and the
-empirical threshold's CHSH values are formed one leaf of numpy's pairwise
-tree at a time, each pass one loop of
-:func:`~relbell.correlator._row_kernels` (the resend over the attacked
-rows alone, by its ``where`` mask), the threshold adding its leaf sums up
-that tree, and the whole-run uniforms and index are released after their
-last use, the outcome pass ending before the resend pass.  The draws are
-whole arrays: they end before the kernel work starts, so their temporaries
-raise no peak, and drawing them in blocks cost op time.
+is attacked), and one block of kernel work on each of the two threads;
+nothing grows with the product of two pool sizes.  The outcome kernels
+and probabilities, the resend overlaps and the empirical threshold's CHSH
+values are formed one leaf of numpy's pairwise tree at a time, each pass
+one loop of :func:`~relbell.correlator._row_kernels` (the resend over the
+attacked rows alone, by its ``where`` mask), the threshold adding its leaf
+sums up that tree, and the whole-run uniforms and index are released after
+their last use, the outcome pass ending before the resend pass.  The draws
+are whole arrays: they end before the kernel work starts, so their
+temporaries raise no peak, and drawing them in blocks cost op time.
 
 Randomness is drawn from per-role substreams (momenta, Alice's bases,
 Bob's bases, outcomes, Eve) spawned from the run seed, so transcripts are
@@ -531,22 +531,21 @@ def _test_counts(config: ProtocolConfig, alice_basis, bob_basis, agree=None) -> 
     ``agree``, a bool per round, a (4, 2) array of the rounds whose outcomes
     differ and agree.
 
-    Every round gets one joint basis code, ``alice * (n_key + 2) + bob``,
-    formed in ``intp`` so a large key pool cannot overflow the basis dtype,
-    and with ``agree`` doubled plus the round's flag; one integer bincount
-    over it is sliced to the 2x2 block of the test axes."""
-    width = len(config.key_axes) + 2
-    code = alice_basis.astype(np.intp)
-    code *= width
-    code += bob_basis
+    Each basis maps to 0 for any key axis and to 1 or 2 for a test axis, so
+    a round takes one of nine joint codes, ``3 alice + bob``, doubled plus
+    its flag with ``agree``; one integer bincount of that length, whatever
+    the key pool, is sliced to the 2x2 block of the test axes."""
+    last_key = np.int16(len(config.key_axes) - 1)
+    code, bob = (np.maximum(basis - last_key, 0) for basis in (alice_basis, bob_basis))
+    code *= 3
+    code += bob
     split = 1
     if agree is not None:
         split = 2
         code *= 2
         code += agree
-    test = slice(width - 2, width)
-    counts = np.bincount(code, minlength=split * width * width)
-    return counts.reshape(width, width, split)[test, test].reshape(4, split)
+    counts = np.bincount(code, minlength=9 * split)
+    return counts.reshape(3, 3, split)[1:, 1:].reshape(4, split)
 
 
 def _check_test_rounds(counts) -> None:

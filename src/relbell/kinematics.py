@@ -222,12 +222,17 @@ def _broadcast_rows(*vectors):
     return shape, [np.broadcast_to(x, shape + (3,)).reshape(-1, 3) for x in arrays]
 
 
+def _dot(u, v):
+    """``u.v`` over the first axis of component-major arrays, which may
+    broadcast: one product, then the components added left to right."""
+    p = u * v
+    return (p[0] + p[1]) + p[2]
+
+
 def _norm_sq(x):
-    """|x|^2 over the first axis of a component-major array: one square,
-    then the components added left to right.  Squares are never -0.0, so
+    """|x|^2, :func:`_dot` of ``x`` with itself.  Squares are never -0.0, so
     no +0.0 start is needed to match ``np.sum(x * x, axis=-1)``."""
-    sq = x * x
-    return (sq[0] + sq[1]) + sq[2]
+    return _dot(x, x)
 
 
 def _same_bits(x, y) -> bool:
@@ -309,10 +314,8 @@ def boosted_spin_axis(a_dir, beta_vec) -> np.ndarray:
     """
     shape, (a, beta) = _broadcast_rows(a_dir, beta_vec)
     c = _rest_factor(beta.T)
-    prod = a * beta
-    along = (prod[:, 0] + prod[:, 1]) + prod[:, 2]
-    along /= 1.0 + c
-    v = np.multiply(a, c[:, None], out=prod)
+    along = _dot(a.T, beta.T) / (1.0 + c)
+    v = a * c[:, None]
     v += along[:, None] * beta
     return v.reshape(shape + (3,))
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import threading
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -43,6 +44,18 @@ def make_config(**overrides):
     )
     params.update(overrides)
     return ProtocolConfig(**params)
+
+
+def traced_peak(config) -> int:
+    """The tracemalloc peak of a run of ``config``, after one untraced run
+    that starts the worker pool."""
+    run_protocol(config)
+    tracemalloc.start()
+    try:
+        run_protocol(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestOutcomeLaw:
@@ -177,6 +190,10 @@ class TestProtocolConfigValidation:
         assert make_config(eve=eve).eve == eve
         with pytest.raises(ValueError, match=f"basis_pool make {limit + 1} axes"):
             make_config(eve=InterceptResend(basis_pool=(z,) * (limit - 2)))
+        # the largest configs run: nothing a run holds grows with the
+        # product of two pool sizes, which here would be tens of GB
+        for config in (make_config(key_axes=(z,) * (limit - 2)), make_config(eve=eve)):
+            assert traced_peak(config) < 16 * 2**20
 
     def test_eve_pool_is_empty_without_an_eavesdropper(self):
         assert make_config().eve_pool.shape == (0, 3)
@@ -520,6 +537,31 @@ class TestBookkeeping:
         eve_basis = np.array([last, last, -1, -1], dtype=np.int16)
         partner = ekert._partner_index(bob_idx, attacked, eve_basis, 3)
         assert partner.tolist() == [32767, 32767, 1, 2]
+
+    @pytest.mark.parametrize("n_key", [1, 2, 300])
+    @pytest.mark.parametrize("with_agree", [False, True])
+    def test_test_counts_equal_the_per_pair_count(self, n_key, with_agree):
+        n = 5000
+        rng = np.random.default_rng(n_key)
+        alice = ekert._choose_bases(rng, n, n_key, 0.5)
+        bob = ekert._choose_bases(rng, n, n_key, 0.5)
+        agree = rng.random(n) < 0.5
+        counts = ekert._test_counts(make_config(key_axes=key_axes(n_key)), alice, bob,
+                                    agree if with_agree else None)
+        expected = []
+        for a in (n_key, n_key + 1):
+            for b in (n_key, n_key + 1):
+                pair = (alice == a) & (bob == b)
+                expected.append([np.count_nonzero(pair & ~agree), np.count_nonzero(pair & agree)]
+                                if with_agree else [np.count_nonzero(pair)])
+        assert counts.tolist() == expected
+
+    def test_wide_key_pool_takes_no_pair_table(self):
+        # 1000 key axes: a table over every pool pair traced 33.4 MB here
+        config = make_config(pair_count=20_000, seed=0, key_axes=key_axes(1000),
+                             distribution=CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), 0.04),
+                             eve=InterceptResend(attack_probability=0.5))
+        assert traced_peak(config) < 4 * 2**20
 
     def test_starved_test_pair_raises_the_same_message(self):
         t = run_protocol(make_config(key_axes=key_axes(3)))
