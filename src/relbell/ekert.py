@@ -164,7 +164,7 @@ class ProtocolConfig:
             )
         _check_sampling(self.threshold_samples, name="threshold_samples")
         # Bob's pool, followed by Eve's, is the largest a run indexes
-        size = len(self.key_axes) + 2 + len(self.eve_pool)
+        size = len(self.key_axes) + 2 + (len(self.eve.basis_pool) if self.eve is not None else 0)
         if size > MAX_POOL_AXES:
             pools = ("key_axes plus the two test axes" if self.eve is None
                      else "Bob's pool plus the eavesdropper's basis_pool")

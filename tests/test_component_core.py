@@ -42,6 +42,7 @@ from relbell import (
     boosted_spin_axis,
     chsh_from_beta,
     kernel_from_beta,
+    momentum_for_beta,
     run_protocol,
 )
 from relbell import correlator
@@ -773,8 +774,13 @@ class TestProtocolThreshold:
 #: bytes a round for one momentum array and ~76 for two, where the
 #: unsymmetrized kernel projects each apiece: ~55-58 and ~91-93 measured.
 #: Whole-run kernel, CHSH, uniform and momentum temporaries put the same
-#: runs at 109-120 and 119-157.
+#: runs at 109-120 and 119-157.  An honest run holds no resend uniforms
+#: and no second index: ~46 and ~70-77 measured, under the same bounds.
 PEAK_BOUND = {"correlated": 80, "crossed": 110}
+
+#: The attacked run of each beam, by the beam's name, and its honest run.
+RUNS = {**{beam: (beam, InterceptResend(attack_probability=1.0)) for beam in PEAK_BOUND},
+        **{f"{beam}-honest": (beam, None) for beam in PEAK_BOUND}}
 
 
 class TestProtocolMemory:
@@ -782,10 +788,10 @@ class TestProtocolMemory:
     array but Bob's outcome uniforms and the attacked rounds' resend
     uniforms, and otherwise a block of rows of work per thread."""
 
-    @pytest.mark.parametrize("beam", sorted(PEAK_BOUND))
-    def test_peak_above_the_transcript(self, beam):
+    @pytest.mark.parametrize("beam, eve", RUNS.values(), ids=RUNS.keys())
+    def test_peak_above_the_transcript(self, beam, eve):
         n = 2**16
-        config = ProtocolConfig(n, BEAMS[beam], seed=4, eve=InterceptResend(attack_probability=1.0))
+        config = ProtocolConfig(n, BEAMS[beam], seed=4, eve=eve)
         run_protocol(config)
         tracemalloc.start()
         try:
@@ -795,6 +801,41 @@ class TestProtocolMemory:
             tracemalloc.stop()
         arrays = {id(v): v.nbytes for v in vars(transcript).values() if isinstance(v, np.ndarray)}
         assert (peak - sum(arrays.values())) / n < PEAK_BOUND[beam]
+
+
+#: The mc_threshold workload's beams at azimuth 0: one correlated beam, and
+#: crossed joint beams whose symmetrized kernel projects both momenta.
+MC_THRESHOLD_BEAMS = {
+    "correlated": CorrelatedGaussian.from_beta((0.9, 0.0, 0.0), 0.04),
+    "crossed": JointGaussian(momentum_for_beta((0.85, 0.0, 0.0)), 0.04,
+                             momentum_for_beta((0.0, 0.85, 0.0)), 0.04),
+}
+
+#: Bytes a draw that one 65536-draw Monte Carlo chunk on one worker may
+#: trace at its peak.  Drawn a leaf at a time through ``sample_blocks``,
+#: the chunks measured 23.1 B a draw for the correlated beam and 66.1 for
+#: the crossed one, which draws particle 1 for the whole chunk at once
+#: (24 B a draw).  Drawing each chunk whole and then cutting it into
+#: leaves put them at 44.1 and 87.1, so a chunk-wide momentum array fails.
+CHUNK_PEAK_BOUND = {"correlated": 34, "crossed": 77}
+
+
+class TestMonteCarloMemory:
+    """A Monte Carlo chunk is drawn, projected and reduced a leaf at a
+    time: no array of its draws or its kernel work covers the chunk."""
+
+    @pytest.mark.parametrize("beam", sorted(CHUNK_PEAK_BOUND))
+    def test_chunk_peak_per_draw(self, beam):
+        n = correlator.DEFAULT_CHUNK_SIZE
+        dist = MC_THRESHOLD_BEAMS[beam]
+        bell_average_mc(DEFAULT_CONFIG, dist, n, 0, workers=1)
+        tracemalloc.start()
+        try:
+            bell_average_mc(DEFAULT_CONFIG, dist, n, 0, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < CHUNK_PEAK_BOUND[beam]
 
 
 class TestLeafBlocks:
